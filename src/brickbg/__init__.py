@@ -40,14 +40,7 @@ from .imageio import (
     write_masks,
 )
 from .linalg import NumericalFailure
-from .maintenance import (
-    compose,
-    robust_reweight,
-    synthesize,
-    update_appearance,
-    update_dynamics,
-    weight,
-)
+from .maintenance import synthesize, update_appearance, weight
 from .pipeline import (
     EngineState,
     StepResult,
@@ -60,7 +53,6 @@ from .pipeline import (
     remove_small_components,
     step,
 )
-from .segmentation import BrickLabel, ResidualPair, classify, compute_residuals
 from .subspace import InsufficientData, SubspaceModel, learn_initial, select_dim
 from .synth import MovingRect, SceneScript, illumination_scene, load_scene, parse_scene_text, render
 
@@ -68,7 +60,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BrickDescriptor",
-    "BrickLabel",
     "ConfigError",
     "EngineConfig",
     "EngineState",
@@ -81,7 +72,6 @@ __all__ = [
     "MODES",
     "MovingRect",
     "NumericalFailure",
-    "ResidualPair",
     "SceneScript",
     "StepResult",
     "SubspaceModel",
@@ -90,9 +80,6 @@ __all__ = [
     "background_flags",
     "batch_descriptors",
     "brick_descriptor",
-    "classify",
-    "compose",
-    "compute_residuals",
     "confusion",
     "cs_stltp_pixel",
     "evaluate",
@@ -114,12 +101,10 @@ __all__ = [
     "read_report",
     "remove_small_components",
     "render",
-    "robust_reweight",
     "select_dim",
     "step",
     "synthesize",
     "update_appearance",
-    "update_dynamics",
     "weight",
     "with_overrides",
     "write_frames",

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 from .features import MODE_CS, MODE_RGB, MODES
 from .segmentation import DEFAULT_T_EPS, DEFAULT_T_OMEGA
@@ -178,6 +178,3 @@ def config_to_text(config: EngineConfig) -> str:
     ]
     return "\n".join(lines) + "\n"
 
-
-# keep dataclass import visible for introspection helpers/tests
-_FIELD_NAMES = tuple(f.name for f in fields(EngineConfig))

@@ -170,6 +170,21 @@ def bin_volume(volume, tau: float = DEFAULT_TAU) -> np.ndarray:
     return transitions * 3 + signs + 1
 
 
+def cell_histograms(bins: np.ndarray, window_y: np.ndarray, window_x: np.ndarray) -> np.ndarray:
+    """Histograms (n, 48) of n cell windows cut from one bin-index volume.
+
+    ``bins`` is a (t, y, x) volume from ``bin_volume``; ``window_y`` (n, h)
+    and ``window_x`` (n, w) list each cell's rows and columns.  Every voxel
+    adds ``COUNTS_PER_VOXEL`` to its bin.
+    """
+    n = window_y.shape[0]
+    wins = np.moveaxis(bins[:, window_y[:, :, None], window_x[:, None, :]], 0, 1)
+    offsets = (np.arange(n) * HISTOGRAM_BINS)[:, None, None, None]
+    flat = (wins.astype(np.intp) + offsets).reshape(-1)
+    counts = np.bincount(flat, minlength=n * HISTOGRAM_BINS).reshape(n, HISTOGRAM_BINS)
+    return counts.astype(np.float64) * COUNTS_PER_VOXEL
+
+
 @dataclass
 class VideoBrick:
     """A w x h x t voxel window into a batch of frames.
@@ -242,10 +257,10 @@ def brick_descriptor(brick: VideoBrick, mode: str = MODE_CS, tau: float = DEFAUL
         return BrickDescriptor(brick.voxels.reshape(-1).copy(), MODE_RGB)
     if mode != MODE_CS:
         raise ValueError(f"unknown descriptor mode {mode!r}")
-    chunks = []
-    for c in range(brick.channels):
-        bins = bin_volume(brick.volume[..., c], tau)
-        window = bins[:, brick.y0 : brick.y0 + brick.height, brick.x0 : brick.x0 + brick.width]
-        hist = np.bincount(window.reshape(-1), minlength=HISTOGRAM_BINS)
-        chunks.append(hist.astype(np.float64) * COUNTS_PER_VOXEL)
+    rows = np.arange(brick.y0, brick.y0 + brick.height)[None]
+    cols = np.arange(brick.x0, brick.x0 + brick.width)[None]
+    chunks = [
+        cell_histograms(bin_volume(brick.volume[..., c], tau), rows, cols)[0]
+        for c in range(brick.channels)
+    ]
     return BrickDescriptor(np.concatenate(chunks), MODE_CS)

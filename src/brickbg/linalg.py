@@ -2,11 +2,11 @@
 
 Thin wrappers around LAPACK (through numpy) that pin down the conventions
 the rest of the package relies on: descending spectra, deterministic
-singular-vector signs, a shared zero cutoff for rank decisions, and
-minimum-norm least squares.  Every routine also exists in a stacked form
-(leading batch dimension) so the pipeline can run one call across many
-spatial locations; the single-matrix API is a stack of one, which keeps
-both paths numerically identical.
+singular-vector signs, and a shared zero cutoff for rank decisions.
+Every routine also exists in a stacked form (leading batch dimension) so
+the pipeline can run one call across many spatial locations; the
+single-matrix API is a stack of one, which keeps both paths numerically
+identical.
 """
 
 from __future__ import annotations
@@ -157,23 +157,3 @@ def pinv(a, tol: float | None = None) -> np.ndarray:
     if tol is not None and tol < 0:
         raise ValueError("pinv tolerance must be non-negative")
     return pinv_stack(a[None], tol)[0]
-
-
-def lstsq(coeffs, rhs) -> np.ndarray:
-    """Minimum-norm least-squares solution of ``coeffs @ x = rhs``.
-
-    Computed through the pseudo-inverse, so rank-deficient systems get the
-    smallest-norm minimizer.
-    """
-    coeffs = _validated(coeffs, "lstsq coefficients")
-    rhs = np.asarray(rhs, dtype=np.float64)
-    squeeze = rhs.ndim == 1
-    if squeeze:
-        rhs = rhs[:, None]
-    rhs = _validated(rhs, "lstsq right-hand side")
-    if rhs.shape[0] != coeffs.shape[0]:
-        raise ValueError(
-            f"shape mismatch: coefficients {coeffs.shape} vs rhs {rhs.shape}"
-        )
-    x = pinv(coeffs) @ rhs
-    return x[:, 0] if squeeze else x

@@ -1,5 +1,10 @@
 """Online model maintenance with occlusion compensation.
 
+The stacked functions here work on g cells that share one state dimension
+d (one engine bucket): bases ``c`` are (g, m, d), observations (g, m).
+``synthesize`` and ``update_appearance`` are the single-model (g = 1)
+views.
+
 After a brick is labelled, the model is updated from a composed
 observation rather than the raw one: foreground voxels are replaced by the
 model's own one-step prediction so moving objects never leak into the
@@ -19,13 +24,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .features import MODE_CS, MODE_RGB, MODES, BrickDescriptor
-from .segmentation import BrickLabel
-from .subspace import (
-    DEFAULT_T_DEPS,
-    SubspaceModel,
-    fit_dynamics_stack,
-)
+from .features import MODE_CS, MODES
+from .segmentation import appearance_residual
+from .subspace import SubspaceModel
 
 DEFAULT_ALPHA = 0.05
 DEFAULT_BETA = 2.3849
@@ -35,21 +36,16 @@ DEFAULT_BETA = 2.3849
 RHO_FLOOR = 1e-9
 
 
-def _vector(v) -> np.ndarray:
-    vec = v.values if isinstance(v, BrickDescriptor) else np.asarray(v, dtype=np.float64)
-    if vec.ndim != 1:
-        raise ValueError("expected a vector")
-    return vec
-
-
 def synthesize(model: SubspaceModel) -> np.ndarray:
     """One-step prediction of the next descriptor: C (A z_latest)."""
     return model.c @ (model.a @ model.z_latest)
 
 
-def compose(v_new, label: BrickLabel, v_hat, mode: str) -> np.ndarray:
-    """Blend the observation with the prediction according to the label.
+def compose_stack(v, v_hat, background, voxel_mask, mode: str) -> np.ndarray:
+    """Blend g observations with their predictions according to the labels.
 
+    ``v`` and ``v_hat`` are (g, m), ``background`` (g,) and ``voxel_mask``
+    (g, t, h, w) as returned by ``segmentation.classify_stack``.
     rgb: per-voxel -- foreground voxels (all their channel entries) come
     from the prediction, background voxels from the observation.
     cs_stltp: histograms are not voxel-separable, so a foreground brick is
@@ -57,18 +53,15 @@ def compose(v_new, label: BrickLabel, v_hat, mode: str) -> np.ndarray:
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    v_new = _vector(v_new)
-    v_hat = _vector(v_hat)
-    if v_new.shape != v_hat.shape:
-        raise ValueError("observation and prediction lengths differ")
+    if v.shape != v_hat.shape:
+        raise ValueError("observation and prediction shapes differ")
     if mode == MODE_CS:
-        return v_new.copy() if label.is_background else v_hat.copy()
-    mask = np.asarray(label.voxel_mask, dtype=bool)
-    channels = v_new.size // mask.size
-    if channels * mask.size != v_new.size:
+        return np.where(background[:, None], v, v_hat)
+    flat = voxel_mask.reshape(voxel_mask.shape[0], -1)
+    channels = v.shape[1] // flat.shape[1]
+    if channels * flat.shape[1] != v.shape[1]:
         raise ValueError("voxel mask does not tile the descriptor")
-    entry_mask = np.repeat(mask.reshape(-1), channels)
-    return np.where(entry_mask, v_hat, v_new)
+    return np.where(np.repeat(flat, channels, axis=1), v_hat, v)
 
 
 def robust_scale(c: np.ndarray, lam: np.ndarray, beta: float) -> np.ndarray:
@@ -83,16 +76,16 @@ def weight(r, rho):
     return 1.0 / (1.0 + ratio * ratio)
 
 
-def robust_reweight(model: SubspaceModel, v_bar, beta: float = DEFAULT_BETA):
-    """Scale composed entries by sqrt of their robust weight.
+def reweight_stack(c, lam, v_bar, beta: float = DEFAULT_BETA):
+    """Scale composed entries by the square root of their robust weight.
 
-    Returns ``(v_tilde, weights)``; entries whose reconstruction residual
-    is large relative to the model spectrum are shrunk toward zero.
+    Returns ``(v_tilde, weights)``, both (g, m); entries whose
+    reconstruction residual is large relative to the model spectrum are
+    shrunk toward zero.  The residual is the appearance residual of
+    ``v_bar`` (``weight`` is even, so its sign does not matter).
     """
-    v_bar = _vector(v_bar)
-    r = model.c @ (model.c.T @ v_bar) - v_bar
-    rho = robust_scale(model.c, model.lam, beta)
-    w = weight(r, rho)
+    _, residual = appearance_residual(c, v_bar)
+    w = weight(residual, robust_scale(c, lam, beta))
     return np.sqrt(w) * v_bar, w
 
 
@@ -129,40 +122,10 @@ def update_appearance(model: SubspaceModel, v_tilde, alpha: float = DEFAULT_ALPH
     """Fold one reweighted observation into the appearance model in place."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    v_tilde = _vector(v_tilde)
-    if v_tilde.shape[0] != model.m:
+    v_tilde = np.asarray(v_tilde, dtype=np.float64)
+    if v_tilde.shape != (model.m,):
         raise ValueError("observation length does not match the model")
     c, lam = update_basis_stack(model.c[None], model.lam[None], v_tilde[None], alpha)
     model.c = c[0]
     model.lam = lam[0]
     return model.c, model.lam
-
-
-def update_dynamics(model: SubspaceModel, z_new, t_deps: float = DEFAULT_T_DEPS,
-                    observed=None):
-    """Append a state and refit (A, B) over the ring buffer in place.
-
-    ``z_new`` should be the new observation expressed in the updated basis.
-    With fewer than two buffered states the refit is skipped.  The noise
-    dimension is re-selected each call, so ``b`` may grow or shrink.
-
-    ``observed``, when given, is a boolean sequence aligned with the ring
-    buffer after the append, marking states that came from real data; see
-    ``fit_dynamics_stack`` for how synthesized states are excluded from the
-    noise fit.
-    """
-    z_new = np.asarray(z_new, dtype=np.float64)
-    if z_new.shape != (model.d,):
-        raise ValueError("state dimension mismatch")
-    model.states.append(z_new.copy())
-    model.z_latest = z_new.copy()
-    if len(model.states) < 2:
-        return model.a, model.b
-    window = np.stack(model.states, axis=0)[None]     # (1, k, d)
-    flags = None if observed is None else np.asarray(observed, dtype=bool)[None]
-    a, b, b_pinv, d_eps = fit_dynamics_stack(window, t_deps, observed=flags)
-    de = int(d_eps[0])
-    model.a = a[0]
-    model.b = b[0][:, :de]
-    model.b_pinv = b_pinv[0][:de, :]
-    return model.a, model.b

@@ -10,12 +10,15 @@ once, classifies them with the appearance/innovation residual tests,
 assembles pixel masks, and updates every model from its
 occlusion-composed, robustly reweighted observation.
 
-All per-cell linear algebra runs through the stacked kernels in
-``linalg``/``subspace``/``maintenance``, grouped into buckets of equal
-state dimension, so one step costs a handful of LAPACK calls regardless
-of grid size.  ``cs_stltp`` histograms cannot localize foreground inside
-a brick, so flagged bricks are refined against a running per-pixel mean
-of the background.
+All per-cell maths runs through the stacked functions of ``segmentation``
+(residuals, labels), ``maintenance`` (composition, robust reweighting,
+basis update) and ``subspace`` (dynamics refit), each applied to a bucket
+of cells of equal state dimension, so one step costs a handful of LAPACK
+calls regardless of grid size.  ``step`` is their composition; the
+single-model API (``model_at`` and the ``SubspaceModel`` functions) is a
+g = 1 view of the same code.  ``cs_stltp`` histograms cannot localize
+foreground inside a brick, so flagged bricks are refined against a running
+per-pixel mean of the background.
 """
 
 from __future__ import annotations
@@ -28,9 +31,18 @@ from scipy import ndimage
 
 from . import linalg
 from .config import EngineConfig
-from .features import COUNTS_PER_VOXEL, HISTOGRAM_BINS, MODE_CS, MODE_RGB, bin_volume
-from .maintenance import robust_scale, update_basis_stack, weight
-from .subspace import InsufficientData, SubspaceModel, fit_dynamics_stack, identify_stack
+from .features import MODE_CS, MODE_RGB, bin_volume, cell_histograms
+from .imageio import FrameFormatError
+from .maintenance import compose_stack, reweight_stack, update_basis_stack
+from .segmentation import classify_stack, residuals_stack
+from .subspace import (
+    InsufficientData,
+    SubspaceModel,
+    fit_dynamics_stack,
+    identify_stack,
+    model_from_slice,
+    select_dims,
+)
 
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
 
@@ -149,6 +161,8 @@ def _as_video(frames) -> np.ndarray:
         raise ValueError(f"expected frames shaped (F, H, W[, channels]), got {arr.shape}")
     if arr.shape[3] not in (1, 3):
         raise ValueError("only 1- or 3-channel video is supported")
+    if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+        raise FrameFormatError("frames contain NaN or infinite values")
     return arr
 
 
@@ -170,17 +184,10 @@ def batch_descriptors(geometry: GridGeometry, volume: np.ndarray, mode: str, tau
         return np.ascontiguousarray(stack.reshape(stack.shape[0], -1))
     if mode != MODE_CS:
         raise ValueError(f"unknown mode {mode!r}")
-    n = geometry.locations
-    chunks = []
-    for ch in range(volume.shape[3]):
-        bins = bin_volume(volume[..., ch], tau)
-        wins = np.moveaxis(
-            bins[:, geometry.window_y[:, :, None], geometry.window_x[:, None, :]], 0, 1
-        )
-        offsets = (np.arange(n) * HISTOGRAM_BINS)[:, None, None, None]
-        flat = (wins.astype(np.intp) + offsets).reshape(-1)
-        counts = np.bincount(flat, minlength=n * HISTOGRAM_BINS).reshape(n, HISTOGRAM_BINS)
-        chunks.append(counts.astype(np.float64) * COUNTS_PER_VOXEL)
+    chunks = [
+        cell_histograms(bin_volume(volume[..., ch], tau), geometry.window_y, geometry.window_x)
+        for ch in range(volume.shape[3])
+    ]
     return np.concatenate(chunks, axis=1)
 
 
@@ -207,7 +214,7 @@ def initialize(frames, config: EngineConfig) -> EngineState:
     ]
     w = np.stack(columns, axis=2)                     # (locations, m, n_windows)
     u, sigma, q = linalg.svd_stack(w)
-    dims = np.maximum((sigma > config.t_d * sigma[:, :1]).sum(axis=1), 1)
+    dims = select_dims(sigma, config.t_d * sigma[:, :1], floor=1)
 
     buckets = []
     for d in np.unique(dims):
@@ -311,33 +318,20 @@ def step(state: EngineState, window) -> StepResult:
     for bucket in state.buckets:
         tick = time.perf_counter()
         v = descriptors[bucket.indices]
-        z_prime = np.einsum("gmd,gm->gd", bucket.c, v)
-        omega = v - np.einsum("gmd,gd->gm", bucket.c, z_prime)
-        predicted = np.einsum("gde,ge->gd", bucket.a, bucket.z_latest)
-        epsilon = np.einsum("ged,gd->ge", bucket.b_pinv, z_prime - predicted)
-        eps_quiet = np.abs(epsilon).max(axis=1) < t_eps
-        omega_quiet = np.abs(omega).max(axis=1) < t_omega
-        bg = np.where(bucket.d_eps > 0, eps_quiet, omega_quiet)
+        _, omega, epsilon, predicted = residuals_stack(
+            bucket.c, bucket.a, bucket.b_pinv, bucket.z_latest, v
+        )
+        bg, vm = classify_stack(
+            omega, epsilon, bucket.d_eps, (t, bh, bw, channels), config.mode, t_omega, t_eps
+        )
         background[bucket.indices] = bg
-        if config.mode == MODE_RGB:
-            vm = (np.abs(omega).reshape(-1, t, bh, bw, channels) > t_omega).any(axis=-1)
-            vm[bg] = False
-        else:
-            vm = np.broadcast_to((~bg)[:, None, None, None], (bg.size, t, bh, bw)).copy()
         vox_masks[bucket.indices] = vm
         seg_time += time.perf_counter() - tick
 
         tick = time.perf_counter()
         v_hat = np.einsum("gmd,gd->gm", bucket.c, predicted)
-        if config.mode == MODE_RGB:
-            entry_mask = np.repeat(vm.reshape(vm.shape[0], -1), channels, axis=1)
-            v_bar = np.where(entry_mask, v_hat, v)
-        else:
-            v_bar = np.where(bg[:, None], v, v_hat)
-        z_bar = np.einsum("gmd,gm->gd", bucket.c, v_bar)
-        residual = np.einsum("gmd,gd->gm", bucket.c, z_bar) - v_bar
-        rho = robust_scale(bucket.c, bucket.lam, config.beta)
-        v_tilde = np.sqrt(weight(residual, rho)) * v_bar
+        v_bar = compose_stack(v, v_hat, bg, vm, config.mode)
+        v_tilde, _ = reweight_stack(bucket.c, bucket.lam, v_bar, config.beta)
         bucket.c, bucket.lam = update_basis_stack(bucket.c, bucket.lam, v_tilde, config.alpha)
         z_new = np.einsum("gmd,gm->gd", bucket.c, v_tilde)
         _ring_append(bucket, z_new, bg)
@@ -429,19 +423,11 @@ def model_at(state: EngineState, grid_x: int, grid_y: int) -> SubspaceModel:
         if not hits.size:
             continue
         i = int(hits[0])
-        de = int(bucket.d_eps[i])
-        model = SubspaceModel(
-            c=bucket.c[i].copy(),
-            lam=bucket.lam[i].copy(),
-            a=bucket.a[i].copy(),
-            b=bucket.b[i][:, :de].copy(),
-            b_pinv=bucket.b_pinv[i][:de, :].copy(),
-            z_latest=bucket.z_latest[i].copy(),
-            history=state.config.history,
+        return model_from_slice(
+            bucket.c[i], bucket.lam[i], bucket.a[i], bucket.b[i], bucket.b_pinv[i],
+            bucket.d_eps[i], bucket.z_latest[i], bucket.states[i, : bucket.n_states],
+            state.config.history,
         )
-        for k in range(bucket.n_states):
-            model.states.append(bucket.states[i, k].copy())
-        return model
     raise KeyError(f"no model stored for grid cell ({grid_x}, {grid_y})")
 
 

@@ -1,8 +1,12 @@
 """Foreground/background decisions for incoming bricks.
 
-A new descriptor v is split against the location's model into an
-appearance residual (the part outside the basis) and a state innovation
-expressed in noise coordinates:
+Every function here is stacked over g cells that share one state
+dimension d (one engine bucket): bases ``c`` are (g, m, d), descriptors
+``v`` are (g, m).  A single cell is the g = 1 case.
+
+A new descriptor v is split against its cell's model into an appearance
+residual (the part outside the basis) and a state innovation expressed in
+noise coordinates:
 
     z' = C^T v
     omega = v - C z'
@@ -19,79 +23,56 @@ pipeline re-refines it against a running pixel mean).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .features import MODE_CS, MODE_RGB, MODES, BrickDescriptor
-from .subspace import SubspaceModel
+from .features import MODE_CS, MODE_RGB, MODES
 
 # Residual thresholds from the reference operating point.
 DEFAULT_T_OMEGA = {MODE_CS: 3.0, MODE_RGB: 5.0}
 DEFAULT_T_EPS = {MODE_CS: 3.0, MODE_RGB: 4.0}
 
 
-@dataclass
-class ResidualPair:
-    omega: np.ndarray     # (m,) appearance residual
-    epsilon: np.ndarray   # (d_eps,) state innovation, empty when d_eps = 0
-    z_prime: np.ndarray   # (d,) projected state
+def appearance_residual(c: np.ndarray, v: np.ndarray):
+    """States ``z' = C^T v`` (g, d) and appearance residuals ``omega = v - C z'`` (g, m)."""
+    z_prime = np.einsum("gmd,gm->gd", c, v)
+    return z_prime, v - np.einsum("gmd,gd->gm", c, z_prime)
 
 
-@dataclass
-class BrickLabel:
-    is_background: bool
-    voxel_mask: np.ndarray  # (t, h, w) bool, True = foreground
+def residuals_stack(c, a, b_pinv, z_latest, v):
+    """Residuals of g descriptors against their cells' models.
+
+    ``a`` and ``b_pinv`` are (g, d, d), ``b_pinv`` with zero rows past each
+    cell's d_eps, so padded innovation coordinates come out exactly 0.
+    Returns ``(z_prime, omega, epsilon, predicted)``: the projected states,
+    the appearance residuals, the innovations (g, d) and the predicted
+    states ``A z_latest`` (g, d).
+    """
+    z_prime, omega = appearance_residual(c, v)
+    predicted = np.einsum("gde,ge->gd", a, z_latest)
+    epsilon = np.einsum("ged,gd->ge", b_pinv, z_prime - predicted)
+    return z_prime, omega, epsilon, predicted
 
 
-def _vector(v) -> np.ndarray:
-    vec = v.values if isinstance(v, BrickDescriptor) else np.asarray(v, dtype=np.float64)
-    if vec.ndim != 1:
-        raise ValueError("descriptor must be a vector")
-    return vec
+def classify_stack(omega, epsilon, d_eps, voxel_shape, mode: str, t_omega: float, t_eps: float):
+    """Label g bricks from their residuals.
 
-
-def compute_residuals(model: SubspaceModel, v) -> ResidualPair:
-    vec = _vector(v)
-    if vec.shape[0] != model.m:
-        raise ValueError(f"descriptor length {vec.shape[0]} != model dimension {model.m}")
-    z_prime = model.c.T @ vec
-    omega = vec - model.c @ z_prime
-    if model.d_eps:
-        epsilon = model.b_pinv @ (z_prime - model.a @ model.z_latest)
-    else:
-        epsilon = np.zeros(0)
-    return ResidualPair(omega=omega, epsilon=epsilon, z_prime=z_prime)
-
-
-def classify(
-    residuals: ResidualPair,
-    voxel_shape,
-    mode: str,
-    t_omega: float | None = None,
-    t_eps: float | None = None,
-) -> BrickLabel:
-    """Label one brick from its residuals.
-
-    ``voxel_shape`` is (t, h, w, channels) describing the descriptor
-    layout in rgb mode (and the mask shape in either mode).
+    ``d_eps`` is (g,); ``voxel_shape`` is (t, h, w, channels), the
+    descriptor layout in rgb mode and the mask shape in either mode.
+    Returns ``(background, voxel_mask)``: (g,) bool and (g, t, h, w) bool
+    with True = foreground.  Both tests are strict: a residual equal to its
+    threshold trips the detector.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    t, h, w, ch = voxel_shape
-    if t_omega is None:
-        t_omega = DEFAULT_T_OMEGA[mode]
-    if t_eps is None:
-        t_eps = DEFAULT_T_EPS[mode]
-
-    if residuals.epsilon.size:
-        background = bool(np.abs(residuals.epsilon).max() < t_eps)
-    else:
-        background = bool(np.abs(residuals.omega).max() < t_omega)
-
-    if background:
-        return BrickLabel(True, np.zeros((t, h, w), dtype=bool))
+    t, h, w, channels = voxel_shape
+    eps_quiet = np.abs(epsilon).max(axis=1) < t_eps
+    omega_quiet = np.abs(omega).max(axis=1) < t_omega
+    background = np.where(d_eps > 0, eps_quiet, omega_quiet)
     if mode == MODE_RGB:
-        entries = np.abs(residuals.omega).reshape(t, h, w, ch)
-        return BrickLabel(False, (entries > t_omega).any(axis=-1))
-    return BrickLabel(False, np.ones((t, h, w), dtype=bool))
+        voxel_mask = (np.abs(omega).reshape(-1, t, h, w, channels) > t_omega).any(axis=-1)
+        voxel_mask[background] = False
+    else:
+        voxel_mask = np.broadcast_to(
+            (~background)[:, None, None, None], (background.size, t, h, w)
+        ).copy()
+    return background, voxel_mask

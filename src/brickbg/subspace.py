@@ -56,8 +56,17 @@ def select_dim(singular_values, threshold: float, floor: int = 0) -> int:
         raise ValueError("singular values must be non-increasing and >= 0")
     if not 0 <= floor <= vals.size:
         raise ValueError("floor out of range")
-    count = int((vals > threshold).sum())
-    return min(max(count, floor), vals.size)
+    return int(select_dims(vals, threshold, floor))
+
+
+def select_dims(singular_values: np.ndarray, threshold, floor: int = 0) -> np.ndarray:
+    """Stacked ``select_dim`` over the last axis, unchecked.
+
+    ``threshold`` broadcasts against ``singular_values``, e.g. a (g, 1)
+    column of per-row thresholds for (g, r) spectra.
+    """
+    count = (singular_values > threshold).sum(axis=-1)
+    return np.clip(count, floor, singular_values.shape[-1])
 
 
 @dataclass
@@ -94,15 +103,36 @@ class SubspaceModel:
         return self.b.shape[1]
 
 
-def _descriptor_matrix(descriptors, min_count: int = 2) -> np.ndarray:
+def model_from_slice(c, lam, a, b, b_pinv, d_eps, z_latest, states, history: int) -> SubspaceModel:
+    """Copy one slice of stacked model arrays into a standalone ``SubspaceModel``.
+
+    ``b`` and ``b_pinv`` are the zero-padded (d, d) slices and are cut to
+    the ``d_eps`` live columns and rows.  ``states`` is (k, d), oldest
+    first; the newest ``history`` of them seed the ring.
+    """
+    de = int(d_eps)
+    model = SubspaceModel(
+        c=c.copy(),
+        lam=lam.copy(),
+        a=a.copy(),
+        b=b[:, :de].copy(),
+        b_pinv=b_pinv[:de, :].copy(),
+        z_latest=z_latest.copy(),
+        history=history,
+    )
+    model.states.extend(z.copy() for z in states)
+    return model
+
+
+def _descriptor_matrix(descriptors) -> np.ndarray:
     cols = []
     for item in descriptors:
         vec = item.values if isinstance(item, BrickDescriptor) else np.asarray(item, dtype=np.float64)
         if vec.ndim != 1:
             raise ValueError("each descriptor must be a vector")
         cols.append(vec)
-    if len(cols) < min_count:
-        raise InsufficientData(f"need at least {min_count} descriptors, got {len(cols)}")
+    if len(cols) < 2:
+        raise InsufficientData(f"need at least 2 descriptors, got {len(cols)}")
     lengths = {c.shape[0] for c in cols}
     if len(lengths) != 1:
         raise ValueError(f"descriptor lengths differ: {sorted(lengths)}")
@@ -174,7 +204,7 @@ def fit_dynamics_stack(states: np.ndarray, t_deps: float, observed=None):
     magnitude = np.abs(states).max(axis=(1, 2))
     floor = EXACT_DYNAMICS_RTOL * np.maximum(magnitude, np.finfo(np.float64).tiny)
     top = s[:, 0]
-    counted = (s > t_deps * top[:, None]).sum(axis=1)
+    counted = select_dims(s, t_deps * top[:, None])
     d_eps = np.where(top > floor, counted, 0).astype(np.int64)
     r = s.shape[1]
     keep = np.arange(r)[None, :] < d_eps[:, None]
@@ -229,23 +259,6 @@ def learn_initial(
     c, lam, z, a, b, b_pinv, d_eps = identify_stack(
         res.u[None], res.sigma[None], res.q[None], d, t_deps
     )
-    n = w.shape[1]
-    de = int(d_eps[0])
-    model = SubspaceModel(
-        c=c[0],
-        lam=lam[0],
-        a=a[0],
-        b=b[0][:, :de],
-        b_pinv=b_pinv[0][:de, :],
-        z_latest=z[0][:, -1].copy(),
-        history=history,
+    return model_from_slice(
+        c[0], lam[0], a[0], b[0], b_pinv[0], d_eps[0], z[0][:, -1], z[0].T, history
     )
-    for i in range(max(0, n - history), n):
-        model.states.append(z[0][:, i].copy())
-    return model
-
-
-def reconstruction(model: SubspaceModel, descriptors) -> np.ndarray:
-    """Project descriptors onto the model basis and back; columns align."""
-    w = _descriptor_matrix(descriptors, min_count=1)
-    return model.c @ (model.c.T @ w)

@@ -175,6 +175,19 @@ def test_histogram_mass_is_four_counts_per_voxel(seed):
     assert (desc.values % COUNTS_PER_VOXEL == 0).all()
 
 
+def test_cs_descriptor_matches_scalar_histogram():
+    brick = make_brick(5, channels=2)
+    desc = brick_descriptor(brick, "cs_stltp")
+    want = np.zeros(2 * HISTOGRAM_BINS)
+    for c in range(2):
+        vol = brick.volume[..., c]
+        for t in range(brick.depth):
+            for y in range(brick.y0, brick.y0 + brick.height):
+                for x in range(brick.x0, brick.x0 + brick.width):
+                    want[c * HISTOGRAM_BINS + pattern_to_bin(cs_stltp_pixel(vol, x, y, t))] += COUNTS_PER_VOXEL
+    assert np.array_equal(desc.values, want)
+
+
 def test_histogram_mass_per_channel():
     brick = make_brick(7, channels=3)
     desc = brick_descriptor(brick, "cs_stltp")

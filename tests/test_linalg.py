@@ -173,31 +173,3 @@ def test_pinv_rejects_negative_tolerance():
 def test_pinv_matches_numpy_on_full_rank():
     a = random_matrix(9, 5, 3)
     assert np.allclose(linalg.pinv(a), np.linalg.pinv(a), atol=1e-10)
-
-
-# --- lstsq -------------------------------------------------------------
-
-
-def test_lstsq_recovers_exact_solution():
-    a = random_matrix(21, 6, 3)
-    x_true = np.array([1.5, -2.0, 0.25])
-    x = linalg.lstsq(a, a @ x_true)
-    assert np.allclose(x, x_true, atol=1e-10)
-
-
-def test_lstsq_minimum_norm_on_deficient_system():
-    a = random_matrix(22, 4, 5, rank=2)
-    b = a @ np.ones(5)
-    x = linalg.lstsq(a, b)
-    reference = np.linalg.lstsq(a, b, rcond=None)[0]
-    assert np.allclose(x, reference, atol=1e-9)
-
-
-def test_lstsq_matrix_rhs_and_shape_checks():
-    a = random_matrix(23, 4, 2)
-    rhs = random_matrix(24, 4, 3)
-    x = linalg.lstsq(a, rhs)
-    assert x.shape == (2, 3)
-    assert np.allclose(a.T @ (a @ x - rhs), 0.0, atol=1e-9)  # normal equations
-    with pytest.raises(ValueError):
-        linalg.lstsq(a, np.zeros(5))

@@ -1,5 +1,9 @@
 """Model maintenance: composition, robust weighting, incremental updates.
 
+Composition and reweighting are stacked over cells; the cases here are
+mostly stacks of one.  The dynamics update is the engine's ring append
+followed by ``fit_dynamics_stack`` over the ring.
+
 The incremental basis update is checked against an independent oracle:
 the full m x m eigendecomposition of the blended covariance
 (1-alpha) C diag(lam) C^T + alpha v v^T, whose top-d eigenpairs the
@@ -12,20 +16,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from brickbg.maintenance import (
-    DEFAULT_ALPHA,
     DEFAULT_BETA,
     RHO_FLOOR,
-    compose,
-    robust_reweight,
+    compose_stack,
+    reweight_stack,
     robust_scale,
     synthesize,
     update_appearance,
     update_basis_stack,
-    update_dynamics,
     weight,
 )
-from brickbg.segmentation import BrickLabel
-from brickbg.subspace import SubspaceModel
+from brickbg.config import EngineConfig
+from brickbg.pipeline import initialize, step
+from brickbg.subspace import SubspaceModel, fit_dynamics_stack
 
 
 def toy_model(m=8, d=2, seed=0, lam=(4.0, 1.0)):
@@ -51,38 +54,43 @@ def test_synthesize_formula():
     assert np.allclose(synthesize(model), want, atol=1e-14)
 
 
+def compose_one(v_new, background, voxel_mask, v_hat, mode):
+    """``compose_stack`` for one brick."""
+    out = compose_stack(np.asarray(v_new, dtype=np.float64)[None],
+                        np.asarray(v_hat, dtype=np.float64)[None],
+                        np.array([background]), np.asarray(voxel_mask)[None], mode)
+    return out[0]
+
+
 def test_compose_cs_background_keeps_observation():
-    label = BrickLabel(True, np.zeros((1, 2, 2), dtype=bool))
     v_new, v_hat = np.arange(4.0), np.full(4, 9.0)
-    out = compose(v_new, label, v_hat, "cs_stltp")
+    out = compose_one(v_new, True, np.zeros((1, 2, 2), dtype=bool), v_hat, "cs_stltp")
     assert np.array_equal(out, v_new)
     out[0] = -1.0                      # mutating the result must not alias
     assert v_new[0] == 0.0
 
 
 def test_compose_cs_foreground_takes_prediction_wholesale():
-    label = BrickLabel(False, np.ones((1, 2, 2), dtype=bool))
-    out = compose(np.arange(4.0), label, np.full(4, 9.0), "cs_stltp")
+    out = compose_one(np.arange(4.0), False, np.ones((1, 2, 2), dtype=bool), np.full(4, 9.0), "cs_stltp")
     assert np.array_equal(out, np.full(4, 9.0))
 
 
 def test_compose_rgb_per_voxel_with_channel_tiling():
     mask = np.array([[[True, False]]])                # (1, 1, 2) voxels
-    label = BrickLabel(False, mask)
     v_new = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])  # 2 voxels x 3 channels
     v_hat = np.full(6, 0.0)
-    out = compose(v_new, label, v_hat, "rgb")
+    out = compose_one(v_new, False, mask, v_hat, "rgb")
     assert np.array_equal(out, [0.0, 0.0, 0.0, 4.0, 5.0, 6.0])
 
 
 def test_compose_rejects_bad_tiling_and_lengths():
-    label = BrickLabel(False, np.ones((1, 1, 2), dtype=bool))
+    mask = np.ones((1, 1, 2), dtype=bool)
     with pytest.raises(ValueError):
-        compose(np.zeros(7), label, np.zeros(7), "rgb")   # 7 not divisible by 2
+        compose_one(np.zeros(7), False, mask, np.zeros(7), "rgb")   # 7 not divisible by 2
     with pytest.raises(ValueError):
-        compose(np.zeros(4), label, np.zeros(6), "rgb")
+        compose_one(np.zeros(4), False, mask, np.zeros(6), "rgb")
     with pytest.raises(ValueError):
-        compose(np.zeros(4), label, np.zeros(4), "luma")
+        compose_one(np.zeros(4), False, mask, np.zeros(4), "luma")
 
 
 # --- robust weighting -----------------------------------------------------
@@ -122,10 +130,16 @@ def test_weight_strictly_decreasing_in_magnitude():
     assert w[0] == 1.0
 
 
+def reweight_one(model, v_bar, beta=DEFAULT_BETA):
+    """``reweight_stack`` for one model: (v_tilde, weights)."""
+    v_tilde, w = reweight_stack(model.c[None], model.lam[None], v_bar[None], beta)
+    return v_tilde[0], w[0]
+
+
 def test_robust_reweight_in_span_is_identity():
     model = toy_model()
     v = model.c @ np.array([2.0, -1.0])
-    v_tilde, w = robust_reweight(model, v)
+    v_tilde, w = reweight_one(model, v)
     assert np.allclose(w, 1.0, atol=1e-12)
     assert np.allclose(v_tilde, v, atol=1e-12)
 
@@ -136,7 +150,7 @@ def test_robust_reweight_shrinks_outliers():
     off = gen.normal(size=model.m) * 100.0
     off -= model.c @ (model.c.T @ off)           # purely out-of-span
     v = model.c @ np.array([2.0, -1.0]) + off
-    v_tilde, w = robust_reweight(model, v)
+    v_tilde, w = reweight_one(model, v)
     assert np.allclose(v_tilde, np.sqrt(w) * v, atol=1e-12)
     assert (w <= 1.0).all()
     # Entries with residuals far beyond the model scale are crushed; the
@@ -234,56 +248,46 @@ def test_update_appearance_alpha_extremes():
     assert np.abs(model2.lam[1:]).max() < 1e-8
 
 
-# --- dynamics update -------------------------------------------------------
+# --- dynamics update: ring append + fit_dynamics_stack ----------------------
+
+
+def update_dynamics(ring, flags, z_new, observed=True, history=12, t_deps=0.5):
+    """Append a state to a ring as the engine does and refit over the ring."""
+    ring.append(np.asarray(z_new, dtype=np.float64))
+    flags.append(observed)
+    del ring[:-history], flags[:-history]
+    return fit_dynamics_stack(np.stack(ring)[None], t_deps, observed=np.array(flags)[None])
 
 
 def test_update_dynamics_appends_and_refits():
-    model = toy_model(m=8, d=1)
-    model.a = np.array([[0.5]])
-    model.z_latest = np.array([64.0])
-    model.states.clear()
-    for z in (64.0, 32.0, 16.0, 8.0):
-        update_dynamics(model, np.array([z]))
-    assert np.array_equal(model.z_latest, [8.0])
-    assert len(model.states) == 4
-    assert model.a[0, 0] == pytest.approx(0.5, abs=1e-10)
-    assert model.d_eps == 0            # exact halving has no innovation
-
-
-def test_update_dynamics_skips_refit_with_single_state():
-    model = toy_model(m=8, d=2)
-    model.states.clear()
-    a_before = model.a.copy()
-    update_dynamics(model, np.array([1.0, 2.0]))
-    assert np.array_equal(model.a, a_before)
-    assert np.array_equal(model.states[-1], [1.0, 2.0])
+    ring, flags = [np.array([64.0])], [True]
+    for z in (32.0, 16.0, 8.0):
+        a, _, _, d_eps = update_dynamics(ring, flags, [z])
+    assert len(ring) == 4
+    assert a[0, 0, 0] == pytest.approx(0.5, abs=1e-10)
+    assert d_eps[0] == 0               # exact halving has no innovation
 
 
 def test_update_dynamics_ring_respects_history():
-    model = toy_model(m=8, d=1)
-    model.history = 5
-    model.states = type(model.states)(maxlen=5)
-    gen = np.random.default_rng(11)
-    for _ in range(20):
-        update_dynamics(model, gen.normal(size=1))
-    assert len(model.states) == 5
+    gen = np.random.default_rng(14)
+    video = np.clip(100.0 + gen.normal(scale=5.0, size=(50, 8, 8)), 0, 255).astype(np.uint8)
+    state = initialize(video[:20], EngineConfig(init_frames=20, history=5))
+    for start in range(20, 50, 5):
+        step(state, video[start : start + 5])
+    for bucket in state.buckets:
+        assert bucket.n_states == 5 and bucket.states.shape[1] == 5
+        assert np.array_equal(bucket.states[:, -1], bucket.z_latest)
+        assert bucket.observed.all()
 
 
 def test_update_dynamics_noise_dimension_tracks_data():
-    model = toy_model(m=8, d=1)
-    model.states.clear()
     gen = np.random.default_rng(12)
-    for _ in range(12):
-        update_dynamics(model, np.array([50.0]) + gen.normal(scale=2.0, size=1))
-    assert model.d_eps == 1            # noisy constant: innovation present
-    assert model.b.shape == (1, 1)
-    assert model.b_pinv.shape == (1, 1)
-
-
-def test_update_dynamics_validates_state_shape():
-    model = toy_model(m=8, d=2)
-    with pytest.raises(ValueError):
-        update_dynamics(model, np.ones(3))
+    states = list(np.array([50.0]) + gen.normal(scale=2.0, size=(12, 1)))
+    ring, flags = states[:1], [True]
+    for z in states[1:]:
+        _, b, b_pinv, d_eps = update_dynamics(ring, flags, z)
+    assert d_eps[0] == 1               # noisy constant: innovation present
+    assert b[0, 0, 0] != 0.0 and b_pinv[0, 0, 0] != 0.0
 
 
 def test_update_dynamics_observed_mask_passes_through():
@@ -297,37 +301,24 @@ def test_update_dynamics_observed_mask_passes_through():
     length -- shrinking B by exactly sqrt(n_real_transitions / (k-1)).
     """
     gen = np.random.default_rng(13)
-    masked = toy_model(m=8, d=1)
-    naive = toy_model(m=8, d=1)
-    masked.states.clear()
-    naive.states.clear()
-    reals = []
-    flags = []
-    for _ in range(12):
-        z = np.array([40.0]) + gen.normal(scale=1.5, size=1)
-        reals.append(z)
-        flags.append(True)
-        update_dynamics(masked, z, observed=flags[-masked.history:])
-        update_dynamics(naive, z)
+    reals = list(np.array([40.0]) + gen.normal(scale=1.5, size=(12, 1)))
+    masked, masked_flags = reals[:1], [True]
+    naive, naive_flags = reals[:1], [True]
+    for z in reals[1:]:
+        fit_masked = update_dynamics(masked, masked_flags, z)
+        fit_naive = update_dynamics(naive, naive_flags, z)
     for _ in range(6):                  # half the ring becomes predictions
-        flags.append(False)
-        update_dynamics(masked, masked.a @ masked.z_latest,
-                        observed=flags[-masked.history:])
-        update_dynamics(naive, naive.a @ naive.z_latest)
-    from brickbg.subspace import fit_dynamics_stack
-
+        fit_masked = update_dynamics(masked, masked_flags, fit_masked[0][0] @ masked[-1], False)
+        fit_naive = update_dynamics(naive, naive_flags, fit_naive[0][0] @ naive[-1])
     _, b_tail, _, _ = fit_dynamics_stack(np.stack(reals[-6:])[None], 0.5)
-    assert masked.a[0, 0] == 1.0        # coasting exactly
-    assert masked.b[0, 0] == pytest.approx(b_tail[0, 0], rel=1e-9)
+    assert fit_masked[0][0, 0, 0] == 1.0        # coasting exactly
+    assert fit_masked[1][0, 0, 0] == pytest.approx(b_tail[0, 0, 0], rel=1e-9)
     # 5 real transitions remain of the 11 in the window.
-    assert naive.b[0, 0] == pytest.approx(
-        masked.b[0, 0] * np.sqrt(5.0 / 11.0), rel=1e-9
+    assert fit_naive[1][0, 0, 0] == pytest.approx(
+        fit_masked[1][0, 0, 0] * np.sqrt(5.0 / 11.0), rel=1e-9
     )
 
 
 def test_update_dynamics_observed_mask_alignment():
-    model = toy_model(m=8, d=1)
-    model.states.clear()
-    update_dynamics(model, np.array([1.0]))
-    with pytest.raises(ValueError):
-        update_dynamics(model, np.array([2.0]), observed=np.array([True]))
+    with pytest.raises(ValueError):     # one flag per state, not per transition
+        fit_dynamics_stack(np.array([[[1.0], [2.0]]]), 0.5, observed=np.array([[True]]))

@@ -1,18 +1,21 @@
 """Streaming engine: grid geometry, batching, and the full update loop.
 
-The deepest test here mirrors one grid cell through a whole engine step
-using only the public single-model functions (residuals -> label ->
-prediction -> composition -> robust reweight -> basis update -> dynamics
-refit) and requires the bucketed engine to land on the same model and the
-same mask for that cell.
+The deepest test here mirrors grid cells through two engine steps by
+applying the stacked model functions (residuals -> label -> prediction ->
+composition -> robust reweight -> basis update -> ring append -> dynamics
+refit) to a stack of one cut from the engine's buckets, and requires the
+bucketed engine to land on the same model, ring and mask for those cells.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from brickbg.config import EngineConfig
 from brickbg.features import VideoBrick, brick_descriptor
-from brickbg.maintenance import compose, robust_reweight, synthesize, update_appearance, update_dynamics
+from brickbg.imageio import FrameFormatError
+from brickbg.maintenance import compose_stack, reweight_stack, update_basis_stack
 from brickbg.pipeline import (
     EngineState,
     background_flags,
@@ -24,8 +27,11 @@ from brickbg.pipeline import (
     remove_small_components,
     step,
 )
-from brickbg.segmentation import classify, compute_residuals
-from brickbg.subspace import InsufficientData
+from brickbg.segmentation import classify_stack, residuals_stack
+from brickbg.subspace import InsufficientData, fit_dynamics_stack
+from brickbg.synth import load_scene, render
+
+SCENES = Path(__file__).resolve().parents[1] / "scenes"
 
 
 def noisy_video(frames, height, width, channels=1, seed=0, base=None):
@@ -182,71 +188,170 @@ def test_quiet_scene_stays_background():
 # --- the single-cell mirror ----------------------------------------------------------
 
 
-def mirror_cell_update(model, v, voxel_shape, mode, config):
-    """One cell's engine step recomputed with the single-model functions."""
-    residuals = compute_residuals(model, v)
-    label = classify(residuals, voxel_shape, mode,
-                     t_omega=config.effective_t_omega,
-                     t_eps=config.effective_t_eps)
-    v_hat = synthesize(model)
-    v_bar = compose(v, label, v_hat, mode)
-    v_tilde, _ = robust_reweight(model, v_bar, config.beta)
-    update_appearance(model, v_tilde, config.alpha)
-    z_new = model.c.T @ v_tilde
-    observed = [True] * len(model.states) + [label.is_background]
-    update_dynamics(model, z_new, config.t_deps, observed=observed)
-    return model, label
+def cell_slice(state, gx, gy):
+    """Copy of one cell's bucket arrays as a stack of one, ring included."""
+    cell = gy * state.geometry.grid_w + gx
+    for bucket in state.buckets:
+        hits = np.nonzero(bucket.indices == cell)[0]
+        if hits.size:
+            i = slice(int(hits[0]), int(hits[0]) + 1)
+            n = bucket.n_states
+            return {
+                "c": bucket.c[i].copy(), "lam": bucket.lam[i].copy(),
+                "a": bucket.a[i].copy(), "b": bucket.b[i].copy(),
+                "b_pinv": bucket.b_pinv[i].copy(), "d_eps": bucket.d_eps[i].copy(),
+                "z_latest": bucket.z_latest[i].copy(),
+                "states": bucket.states[i, :n].copy(), "observed": bucket.observed[i, :n].copy(),
+            }
+    raise KeyError(cell)
+
+
+def cell_descriptor(state, volume, gx, gy, mode, tau):
+    geometry = state.geometry
+    brick = VideoBrick(
+        grid_x=gx, grid_y=gy, frame_start=0,
+        x0=int(geometry.x0[gx]), y0=int(geometry.y0[gy]),
+        width=geometry.brick_width, height=geometry.brick_height, volume=volume,
+    )
+    return brick_descriptor(brick, mode=mode, tau=tau).values
+
+
+def mirror_label(cell, v, voxel_shape, config):
+    """One cell's labels from the stacked functions: (residuals, background, voxel mask)."""
+    res = residuals_stack(cell["c"], cell["a"], cell["b_pinv"], cell["z_latest"], v[None])
+    background, voxel_mask = classify_stack(
+        res[1], res[2], cell["d_eps"], voxel_shape, config.mode,
+        config.effective_t_omega, config.effective_t_eps,
+    )
+    return res, background, voxel_mask
+
+
+def mirror_cell_update(cell, v, voxel_shape, config):
+    """One cell's engine step recomputed on a stack of one."""
+    (_, _, _, predicted), background, voxel_mask = mirror_label(cell, v, voxel_shape, config)
+    v_hat = np.einsum("gmd,gd->gm", cell["c"], predicted)
+    v_bar = compose_stack(v[None], v_hat, background, voxel_mask, config.mode)
+    v_tilde, _ = reweight_stack(cell["c"], cell["lam"], v_bar, config.beta)
+    c, lam = update_basis_stack(cell["c"], cell["lam"], v_tilde, config.alpha)
+    z_new = np.einsum("gmd,gm->gd", c, v_tilde)
+    states = np.concatenate([cell["states"], z_new[:, None]], axis=1)[:, -config.history:]
+    observed = np.concatenate([cell["observed"], background[:, None]], axis=1)[:, -config.history:]
+    a, b, b_pinv, d_eps = fit_dynamics_stack(states, config.t_deps, observed=observed)
+    after = {"c": c, "lam": lam, "a": a, "b": b, "b_pinv": b_pinv, "d_eps": d_eps,
+             "z_latest": z_new, "states": states, "observed": observed}
+    return after, bool(background[0]), voxel_mask[0]
 
 
 @pytest.mark.parametrize("mode", ["rgb", "cs_stltp"])
 def test_engine_step_equals_single_model_mirror(mode):
+    """Two windows: a bright square over cell (2, 0), then clean frames.
+
+    The second window refits cell (2, 0) over a ring whose previous state
+    was synthesized, so its observed flag must come from the engine's ring.
+    """
     channels = 3 if mode == "rgb" else 1
-    video, base = noisy_video(25, 8, 12, channels=channels, seed=7)
+    video, base = noisy_video(30, 8, 12, channels=channels, seed=7)
     config = EngineConfig(mode=mode, init_frames=20, min_area=1)
     state = initialize(video[:20], config)
-
-    window = video[20:25]
-    volume = window.astype(np.float64)
     geometry = state.geometry
-    # paint a bright square over cell (2, 0) so both label branches appear
-    window = window.copy()
-    window[:, 0:4, 8:12] = 250
-    volume = window.astype(np.float64)
+    painted = video[20:25].copy()
+    painted[:, 0:4, 8:12] = 250
+    cells = [(0, 0), (2, 0), (1, 1)]
+    mirrors = {cell: cell_slice(state, *cell) for cell in cells}
 
-    mirrors = {}
-    labels = {}
-    for gx, gy in [(0, 0), (2, 0), (1, 1)]:
-        cell_model = model_at(state, gx, gy)
-        brick = VideoBrick(
-            grid_x=gx, grid_y=gy, frame_start=20,
-            x0=int(geometry.x0[gx]), y0=int(geometry.y0[gy]),
-            width=4, height=4, volume=volume,
-        )
-        v = brick_descriptor(brick, mode=mode, tau=config.tau).values
-        mirrors[gx, gy], labels[gx, gy] = mirror_cell_update(
-            cell_model, v, (5, 4, 4, channels), mode, config
-        )
+    for window, painted_window in ((painted, True), (video[25:30], False)):
+        volume = window.astype(np.float64)
+        labels = {}
+        for gx, gy in cells:
+            v = cell_descriptor(state, volume, gx, gy, mode, config.tau)
+            mirrors[gx, gy], background, voxel_mask = mirror_cell_update(
+                mirrors[gx, gy], v, (5, 4, 4, channels), config
+            )
+            labels[gx, gy] = (background, voxel_mask)
+        result = step(state, window)
+        for (gx, gy), mirrored in mirrors.items():
+            after = cell_slice(state, gx, gy)
+            background, voxel_mask = labels[gx, gy]
+            assert background == result.brick_background[gy, gx]
+            for key in ("c", "lam", "a", "b", "z_latest", "states"):
+                assert np.allclose(after[key], mirrored[key], atol=1e-8), (gx, gy, key)
+            assert np.array_equal(after["d_eps"], mirrored["d_eps"])
+            assert np.array_equal(after["observed"], mirrored["observed"])
+            if mode == "rgb":
+                x0, y0 = int(geometry.x0[gx]), int(geometry.y0[gy])
+                region = result.raw_masks[:, y0 : y0 + 4, x0 : x0 + 4]
+                assert np.array_equal(region, voxel_mask)
+        # the painted square tripped its cell only
+        assert labels[2, 0][0] != painted_window
+        assert labels[0, 0][0] and labels[1, 1][0]
+    # the clean window's refit of cell (2, 0) excluded the synthesized state
+    assert list(mirrors[2, 0]["observed"][0, -2:]) == [False, True]
+
+
+@pytest.mark.parametrize("mode", ["rgb", "cs_stltp"])
+def test_step_labels_buckets_of_every_kind(mode):
+    """Half the frame is constant (d = 1, d_eps = 0: the omega fallback),
+    half is noisy and, at a small t_d, keeps several appearance dimensions
+    (d > 1).  Labels and voxel masks of every cell match the stacked
+    functions applied to that cell's slice, with one cell of each kind
+    painted over."""
+    channels = 3 if mode == "rgb" else 1
+    gen = np.random.default_rng(21)
+    base = gen.choice([70.0, 105.0, 160.0], size=(8, 16, channels))
+    video = np.repeat(base[None], 35, axis=0)
+    video[:, :, 8:] += gen.normal(scale=20.0, size=(35, 8, 8, channels))
+    video = np.clip(np.rint(video), 0, 255).astype(np.uint8)
+    config = EngineConfig(mode=mode, init_frames=30, t_d=0.05, min_area=1)
+    state = initialize(video[:30], config)
+    geometry = state.geometry
+
+    flat = [b for b in state.buckets if b.d == 1 and (b.d_eps == 0).any()]
+    rich = [b for b in state.buckets if b.d > 1]
+    assert flat and rich                        # both kinds of bucket exist
+    painted_cells = [int(flat[0].indices[flat[0].d_eps == 0][0]), int(rich[0].indices[0])]
+    window = video[30:35].copy()
+    for cell in painted_cells:
+        gx, gy = cell % geometry.grid_w, cell // geometry.grid_w
+        window[:, geometry.y0[gy] : geometry.y0[gy] + 4, geometry.x0[gx] : geometry.x0[gx] + 4] = 250
+    volume = window.astype(np.float64)
+    expected = {}
+    for cell in range(geometry.locations):
+        gx, gy = cell % geometry.grid_w, cell // geometry.grid_w
+        v = cell_descriptor(state, volume, gx, gy, mode, config.tau)
+        _, background, voxel_mask = mirror_label(cell_slice(state, gx, gy), v,
+                                                 (5, 4, 4, channels), config)
+        expected[gx, gy] = (bool(background[0]), voxel_mask[0])
 
     result = step(state, window)
-
-    saw_foreground = False
-    for (gx, gy), mirrored in mirrors.items():
-        after = model_at(state, gx, gy)
-        label = labels[gx, gy]
-        assert label.is_background == result.brick_background[gy, gx]
-        saw_foreground |= not label.is_background
-        assert np.allclose(after.c, mirrored.c, atol=1e-8), (gx, gy)
-        assert np.allclose(after.lam, mirrored.lam, atol=1e-8)
-        assert np.allclose(after.a, mirrored.a, atol=1e-8)
-        assert after.d_eps == mirrored.d_eps
-        assert np.allclose(after.b, mirrored.b, atol=1e-8)
-        assert np.allclose(after.z_latest, mirrored.z_latest, atol=1e-8)
+    for (gx, gy), (background, voxel_mask) in expected.items():
+        assert background == result.brick_background[gy, gx], (gx, gy)
         if mode == "rgb":
             x0, y0 = int(geometry.x0[gx]), int(geometry.y0[gy])
             region = result.raw_masks[:, y0 : y0 + 4, x0 : x0 + 4]
-            assert np.array_equal(region, label.voxel_mask)
-    assert saw_foreground                       # the painted square tripped
-    assert labels[0, 0].is_background
+            assert np.array_equal(region, voxel_mask), (gx, gy)
+    for cell in painted_cells:
+        assert not expected[cell % geometry.grid_w, cell // geometry.grid_w][0]
+
+
+# --- non-finite input -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", ["cs_stltp", "rgb"])
+def test_non_finite_frames_are_rejected(mode):
+    """One NaN pixel used to empty every later cs_stltp mask (through the
+    median gain estimate) and to raise a bare LinAlgError in rgb."""
+    frames, _ = render(load_scene(SCENES / "occlusion.scene"))
+    frames = frames.astype(np.float64)
+    frames[60, 10, 10] = np.nan
+    config = EngineConfig(mode=mode)
+    with pytest.raises(FrameFormatError):
+        process_video(frames, config)
+    state = initialize(frames[:50], config)
+    with pytest.raises(FrameFormatError):
+        step(state, frames[60:65])
+    frames[60, 10, 10] = np.inf
+    with pytest.raises(FrameFormatError):
+        initialize(frames[55:105], config)
 
 
 # --- streaming ------------------------------------------------------------------------

@@ -1,17 +1,21 @@
-"""Residual computation and brick labeling."""
+"""Residual computation and brick labeling.
+
+The functions under test are stacked over cells; most cases here are a
+stack of one, built from a single ``SubspaceModel`` the way the engine
+stores it (``b_pinv`` zero-padded to (d, d)).
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from brickbg.config import EngineConfig
 from brickbg.segmentation import (
     DEFAULT_T_EPS,
     DEFAULT_T_OMEGA,
-    BrickLabel,
-    ResidualPair,
-    classify,
-    compute_residuals,
+    classify_stack,
+    residuals_stack,
 )
 from brickbg.subspace import SubspaceModel, learn_initial
 
@@ -32,25 +36,51 @@ def toy_model(m=6, d=2, d_eps=1, seed=0):
     )
 
 
-# --- compute_residuals ----------------------------------------------------
+def residuals_one(model, v):
+    """``residuals_stack`` for one model: (z_prime, omega, epsilon, predicted)."""
+    b_pinv = np.zeros((model.d, model.d))
+    b_pinv[: model.d_eps] = model.b_pinv
+    out = residuals_stack(
+        model.c[None], model.a[None], b_pinv[None], model.z_latest[None],
+        np.asarray(v, dtype=np.float64)[None],
+    )
+    return tuple(x[0] for x in out)
+
+
+def classify_one(omega, epsilon, voxel_shape, mode, t_omega=None, t_eps=None):
+    """``classify_stack`` for one brick; an empty ``epsilon`` means d_eps = 0."""
+    epsilon = np.asarray(epsilon, dtype=np.float64)
+    d_eps = epsilon.size
+    padded = np.zeros(max(d_eps, 1))
+    padded[:d_eps] = epsilon
+    t_omega = DEFAULT_T_OMEGA.get(mode, 0.0) if t_omega is None else t_omega
+    t_eps = DEFAULT_T_EPS.get(mode, 0.0) if t_eps is None else t_eps
+    background, voxel_mask = classify_stack(
+        np.asarray(omega, dtype=np.float64)[None], padded[None], np.array([d_eps]),
+        voxel_shape, mode, t_omega, t_eps,
+    )
+    return bool(background[0]), voxel_mask[0]
+
+
+# --- residuals_stack --------------------------------------------------------
 
 
 def test_omega_is_orthogonal_to_basis():
     model = toy_model()
     gen = np.random.default_rng(1)
     v = gen.normal(size=model.m) * 10.0
-    res = compute_residuals(model, v)
-    assert np.allclose(model.c.T @ res.omega, 0.0, atol=1e-12)
+    z_prime, omega, _, _ = residuals_one(model, v)
+    assert np.allclose(model.c.T @ omega, 0.0, atol=1e-12)
     # omega + C z' rebuilds the input exactly
-    assert np.allclose(res.omega + model.c @ res.z_prime, v, atol=1e-12)
+    assert np.allclose(omega + model.c @ z_prime, v, atol=1e-12)
 
 
 def test_in_span_vector_has_zero_omega():
     model = toy_model()
     v = model.c @ np.array([3.0, -1.5])
-    res = compute_residuals(model, v)
-    assert np.abs(res.omega).max() < 1e-12
-    assert np.allclose(res.z_prime, [3.0, -1.5], atol=1e-12)
+    z_prime, omega, _, _ = residuals_one(model, v)
+    assert np.abs(omega).max() < 1e-12
+    assert np.allclose(z_prime, [3.0, -1.5], atol=1e-12)
 
 
 def test_epsilon_is_innovation_in_noise_coordinates():
@@ -58,63 +88,57 @@ def test_epsilon_is_innovation_in_noise_coordinates():
     # Next state = A z_latest + B * 1.5 : innovation must read back as 1.5.
     z_next = model.a @ model.z_latest + model.b @ np.array([1.5])
     v = model.c @ z_next
-    res = compute_residuals(model, v)
-    assert res.epsilon.shape == (1,)
-    assert np.allclose(res.epsilon, [1.5], atol=1e-12)
+    _, _, epsilon, predicted = residuals_one(model, v)
+    assert epsilon.shape == (2,)                 # padded to d
+    assert np.allclose(epsilon[:1], [1.5], atol=1e-12)
+    assert epsilon[1] == 0.0
+    assert np.array_equal(predicted, model.a @ model.z_latest)
 
 
 def test_epsilon_empty_without_noise_dimensions():
     model = toy_model(d_eps=1)
     model.b = np.zeros((2, 0))
     model.b_pinv = np.zeros((0, 2))
-    res = compute_residuals(model, np.ones(model.m))
-    assert res.epsilon.size == 0
+    _, _, epsilon, _ = residuals_one(model, np.ones(model.m))
+    assert (epsilon == 0.0).all()                # padded coordinates are exact zeros
 
 
 def test_descriptor_length_checked():
     model = toy_model()
     with pytest.raises(ValueError):
-        compute_residuals(model, np.ones(model.m + 1))
+        residuals_one(model, np.ones(model.m + 1))
     with pytest.raises(ValueError):
-        compute_residuals(model, np.ones((2, 3)))
+        residuals_one(model, np.ones((2, 3)))
 
 
-# --- classify -------------------------------------------------------------
-
-
-def _pair(omega, epsilon):
-    return ResidualPair(
-        omega=np.asarray(omega, dtype=np.float64),
-        epsilon=np.asarray(epsilon, dtype=np.float64),
-        z_prime=np.zeros(2),
-    )
+# --- classify_stack ---------------------------------------------------------
 
 
 def test_innovation_below_threshold_is_background():
-    label = classify(_pair(np.full(8, 100.0), [2.9]), (2, 2, 2, 1), "cs_stltp")
-    assert label.is_background
-    assert label.voxel_mask.shape == (2, 2, 2)
-    assert not label.voxel_mask.any()
+    background, mask = classify_one(np.full(8, 100.0), [2.9], (2, 2, 2, 1), "cs_stltp")
+    assert background
+    assert mask.shape == (2, 2, 2)
+    assert not mask.any()
 
 
 def test_innovation_at_threshold_is_foreground():
     # The background test is strict: exactly t_eps trips the detector.
-    label = classify(_pair(np.zeros(8), [3.0]), (2, 2, 2, 1), "cs_stltp")
-    assert not label.is_background
-    assert label.voxel_mask.all()
+    background, mask = classify_one(np.zeros(8), [3.0], (2, 2, 2, 1), "cs_stltp")
+    assert not background
+    assert mask.all()
 
 
 def test_omega_fallback_when_no_noise_dimensions():
-    quiet = classify(_pair(np.full(8, 2.9), np.zeros(0)), (2, 2, 2, 1), "cs_stltp")
-    assert quiet.is_background
-    loud = classify(_pair(np.full(8, 3.0), np.zeros(0)), (2, 2, 2, 1), "cs_stltp")
-    assert not loud.is_background
+    quiet, _ = classify_one(np.full(8, 2.9), np.zeros(0), (2, 2, 2, 1), "cs_stltp")
+    assert quiet
+    loud, _ = classify_one(np.full(8, 3.0), np.zeros(0), (2, 2, 2, 1), "cs_stltp")
+    assert not loud
 
 
 def test_innovation_wins_over_omega_when_present():
     # Large appearance residual is ignored while the innovation stays small.
-    label = classify(_pair(np.full(8, 50.0), [0.1]), (2, 2, 2, 1), "cs_stltp")
-    assert label.is_background
+    background, _ = classify_one(np.full(8, 50.0), [0.1], (2, 2, 2, 1), "cs_stltp")
+    assert background
 
 
 def test_rgb_voxels_marked_per_channel_any():
@@ -122,43 +146,43 @@ def test_rgb_voxels_marked_per_channel_any():
     omega[0, 0, 1, 2] = 6.0        # one loud channel flips its voxel
     omega[0, 1, 0, :] = 4.0        # all channels below threshold: stays off
     omega[0, 1, 1, 1] = -7.0       # negative magnitudes count too
-    label = classify(_pair(omega.reshape(-1), [99.0]), (1, 2, 2, 3), "rgb")
-    assert not label.is_background
+    background, mask = classify_one(omega.reshape(-1), [99.0], (1, 2, 2, 3), "rgb")
+    assert not background
     expected = np.array([[[False, True], [False, True]]])
-    assert np.array_equal(label.voxel_mask, expected)
+    assert np.array_equal(mask, expected)
 
 
 def test_cs_marks_whole_brick():
-    label = classify(_pair(np.full(8, 9.0), [99.0]), (2, 2, 2, 1), "cs_stltp")
-    assert label.voxel_mask.all()
+    _, mask = classify_one(np.full(8, 9.0), [99.0], (2, 2, 2, 1), "cs_stltp")
+    assert mask.all()
 
 
 def test_default_thresholds_per_mode():
     assert DEFAULT_T_OMEGA == {"cs_stltp": 3.0, "rgb": 5.0}
     assert DEFAULT_T_EPS == {"cs_stltp": 3.0, "rgb": 4.0}
     # rgb omega threshold is 5: residual 4.5 is background under defaults
-    label = classify(_pair(np.full(12, 4.5), np.zeros(0)), (1, 2, 2, 3), "rgb")
-    assert label.is_background
+    config = EngineConfig(mode="rgb")
+    background, _ = classify_one(np.full(12, 4.5), np.zeros(0), (1, 2, 2, 3), "rgb",
+                                 config.effective_t_omega, config.effective_t_eps)
+    assert background
 
 
 def test_threshold_overrides():
-    pair = _pair(np.full(8, 4.0), [3.5])
-    assert classify(pair, (2, 2, 2, 1), "cs_stltp", t_eps=10.0).is_background
-    assert not classify(pair, (2, 2, 2, 1), "cs_stltp", t_eps=1.0).is_background
-    fallback = _pair(np.full(8, 4.0), np.zeros(0))
-    assert classify(fallback, (2, 2, 2, 1), "cs_stltp", t_omega=5.0).is_background
+    omega, eps = np.full(8, 4.0), [3.5]
+    assert classify_one(omega, eps, (2, 2, 2, 1), "cs_stltp", t_eps=10.0)[0]
+    assert not classify_one(omega, eps, (2, 2, 2, 1), "cs_stltp", t_eps=1.0)[0]
+    assert classify_one(omega, np.zeros(0), (2, 2, 2, 1), "cs_stltp", t_omega=5.0)[0]
 
 
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
-        classify(_pair(np.zeros(8), [0.0]), (2, 2, 2, 1), "grayscale")
+        classify_one(np.zeros(8), [0.0], (2, 2, 2, 1), "grayscale")
 
 
 @given(st.floats(-10, 10), st.floats(0.1, 5))
 def test_background_iff_max_innovation_below_threshold(value, t_eps):
-    pair = _pair(np.zeros(8), [value])
-    label = classify(pair, (2, 2, 2, 1), "cs_stltp", t_eps=t_eps)
-    assert label.is_background == (abs(value) < t_eps)
+    background, _ = classify_one(np.zeros(8), [value], (2, 2, 2, 1), "cs_stltp", t_eps=t_eps)
+    assert background == (abs(value) < t_eps)
 
 
 # --- end-to-end against an identified model -------------------------------
@@ -172,11 +196,11 @@ def test_identified_model_accepts_its_own_process():
     window = [base + gen.normal(scale=0.5, size=12) for _ in range(20)]
     model = learn_initial(window, t_d=0.5)
     typical = base + gen.normal(scale=0.5, size=12)
-    res = compute_residuals(model, typical)
-    label = classify(res, (1, 1, 12, 1), "cs_stltp")
-    assert label.is_background
+    _, omega, epsilon, _ = residuals_one(model, typical)
+    background, _ = classify_one(omega, epsilon[: model.d_eps], (1, 1, 12, 1), "cs_stltp")
+    assert background
 
     foreign = base + 40.0 * gen.normal(size=12)
-    res = compute_residuals(model, foreign)
-    label = classify(res, (1, 1, 12, 1), "cs_stltp")
-    assert not label.is_background
+    _, omega, epsilon, _ = residuals_one(model, foreign)
+    background, _ = classify_one(omega, epsilon[: model.d_eps], (1, 1, 12, 1), "cs_stltp")
+    assert not background

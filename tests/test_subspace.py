@@ -19,7 +19,6 @@ from brickbg.subspace import (
     SubspaceModel,
     fit_dynamics_stack,
     learn_initial,
-    reconstruction,
     select_dim,
 )
 
@@ -253,20 +252,6 @@ def test_b_padding_and_pinv_agree():
             # pinv of the padded matrix equals pinv of the live columns
             lead = np.linalg.pinv(b[g][:, :de])
             assert np.allclose(b_pinv[g][:de], lead, atol=1e-10)
-
-
-# --- reconstruction -------------------------------------------------------
-
-
-def test_reconstruction_projects_onto_basis():
-    basis, transition, gen = planted_system(12, m=15, d=2)
-    w = planted_descriptors(basis, transition, gen, n=10)
-    model = learn_initial([w[:, i] for i in range(w.shape[1])], t_d=1e-6)
-    rebuilt = reconstruction(model, [w[:, i] for i in range(w.shape[1])])
-    assert np.allclose(rebuilt, w, atol=1e-8)       # in-span data is exact
-    off = gen.normal(size=15)
-    proj = reconstruction(model, [off])
-    assert np.linalg.norm(proj) <= np.linalg.norm(off) + 1e-12
 
 
 def test_subspace_model_ring_respects_history():
