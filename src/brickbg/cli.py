@@ -43,6 +43,18 @@ def _add_engine_options(sub):
     sub.add_argument("--stride", type=int, help="window stride override (1..brick depth)")
 
 
+def _print_scores(predicted, truth, report_path) -> None:
+    """Print precision, recall and F-scores; write the CSV report if a path is given."""
+    report = evaluate(predicted, truth)
+    mean_f = float(per_frame_fscores(predicted, truth).mean())
+    print(
+        f"precision {report.precision:.4f}  recall {report.recall:.4f}  "
+        f"fscore {report.fscore:.4f}  mean-frame-fscore {mean_f:.4f}"
+    )
+    if report_path:
+        write_report(report_path, report)
+
+
 def _cmd_run(args) -> int:
     config = _load_engine_config(args)
     frames = load_frames(args.input)
@@ -62,14 +74,7 @@ def _cmd_run(args) -> int:
             raise FrameFormatError(
                 f"truth shape {truth.shape} does not match output {masks.shape}"
             )
-        report = evaluate(masks, truth)
-        mean_f = float(per_frame_fscores(masks, truth).mean())
-        print(
-            f"precision {report.precision:.4f}  recall {report.recall:.4f}  "
-            f"fscore {report.fscore:.4f}  mean-frame-fscore {mean_f:.4f}"
-        )
-        if args.report:
-            write_report(args.report, report)
+        _print_scores(masks, truth, args.report)
     return 0
 
 
@@ -81,14 +86,7 @@ def _cmd_eval(args) -> int:
             raise FrameFormatError(
                 f"prediction shape {predicted.shape} does not match truth {truth.shape}"
             )
-        report = evaluate(predicted, truth)
-        mean_f = float(per_frame_fscores(predicted, truth).mean())
-        print(
-            f"precision {report.precision:.4f}  recall {report.recall:.4f}  "
-            f"fscore {report.fscore:.4f}  mean-frame-fscore {mean_f:.4f}"
-        )
-        if args.report:
-            write_report(args.report, report)
+        _print_scores(predicted, truth, args.report)
         return 0
 
     root = Path(args.sweep)

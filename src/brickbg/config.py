@@ -4,8 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .features import MODE_CS, MODE_RGB, MODES
+from .features import DEFAULT_TAU, MODE_CS, MODE_RGB, MODES
+from .maintenance import DEFAULT_ALPHA, DEFAULT_BETA
 from .segmentation import DEFAULT_T_EPS, DEFAULT_T_OMEGA
+from .subspace import DEFAULT_HISTORY, DEFAULT_T_D, DEFAULT_T_DEPS
 
 
 class ConfigError(ValueError):
@@ -18,18 +20,18 @@ class EngineConfig:
     brick_width: int = 4
     brick_height: int = 4
     brick_depth: int = 5
-    tau: float = 0.2
-    t_d: float = 0.5               # appearance dim: keep sigma > t_d * sigma_max
-    t_deps: float = 0.5            # noise dim: keep sigma > t_deps * residual sigma_max
-    t_omega: float | None = None   # None -> per-mode default (3 cs, 5 rgb)
-    t_eps: float | None = None     # None -> per-mode default (3 cs, 4 rgb)
-    t_rgb: float | None = None     # pixel refinement threshold, None -> 5
-    alpha: float = 0.05
-    beta: float = 2.3849
-    history: int = 60
+    tau: float = DEFAULT_TAU
+    t_d: float = DEFAULT_T_D         # appearance dim: keep sigma > t_d * sigma_max
+    t_deps: float = DEFAULT_T_DEPS   # noise dim: keep sigma > t_deps * residual sigma_max
+    t_omega: float | None = None     # None -> per-mode default (3 cs, 5 rgb)
+    t_eps: float | None = None       # None -> per-mode default (3 cs, 4 rgb)
+    t_rgb: float = DEFAULT_T_OMEGA[MODE_RGB]   # cs_stltp pixel refinement threshold
+    alpha: float = DEFAULT_ALPHA
+    beta: float = DEFAULT_BETA
+    history: int = DEFAULT_HISTORY
     init_frames: int = 50
     min_area: int = 20
-    stride: int | None = None      # None -> brick_depth (non-overlapping)
+    stride: int | None = None        # None -> brick_depth (non-overlapping)
 
     def __post_init__(self):
         self.mode = normalize_mode(self.mode)
@@ -59,10 +61,6 @@ class EngineConfig:
     @property
     def effective_t_eps(self) -> float:
         return DEFAULT_T_EPS[self.mode] if self.t_eps is None else self.t_eps
-
-    @property
-    def effective_t_rgb(self) -> float:
-        return DEFAULT_T_OMEGA[MODE_RGB] if self.t_rgb is None else self.t_rgb
 
 
 def normalize_mode(mode: str) -> str:
@@ -168,7 +166,7 @@ def config_to_text(config: EngineConfig) -> str:
         f"t_deps = {config.t_deps}",
         f"t_omega = {config.effective_t_omega}",
         f"t_eps = {config.effective_t_eps}",
-        f"t_rgb = {config.effective_t_rgb}",
+        f"t_rgb = {config.t_rgb}",
         f"alpha = {config.alpha}",
         f"beta = {config.beta}",
         f"l = {config.history}",

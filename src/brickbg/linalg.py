@@ -2,7 +2,9 @@
 
 Thin wrappers around LAPACK (through numpy) that pin down the conventions
 the rest of the package relies on: descending spectra, deterministic
-singular-vector signs, and a shared zero cutoff for rank decisions.
+singular-vector signs, a shared zero cutoff for rank decisions, and one
+relative cutoff (``PINV_RTOL``) for pseudo-inverse reciprocals; ``pinv``
+takes no tolerance of its own.
 Every routine also exists in a stacked form (leading batch dimension) so
 the pipeline can run one call across many spatial locations; the
 single-matrix API is a stack of one, which keeps both paths numerically
@@ -19,7 +21,7 @@ import numpy as np
 # exact zeros (static video bricks produce genuinely rank-deficient data).
 ZERO_CUTOFF = 1e-12
 
-# Default relative cutoff for pseudo-inverse reciprocals.
+# Relative cutoff for pseudo-inverse reciprocals.
 PINV_RTOL = 1e-10
 
 # How many stacked matrices to hand to LAPACK at once; keeps transient
@@ -133,27 +135,22 @@ def eig_sym(s, sym_tol: float = 1e-9):
     return vals[0], vecs[0]
 
 
-def _pinv_chunk(a: np.ndarray, tol):
+def _pinv_chunk(a: np.ndarray):
     u, s, q = _svd_chunk(a)
-    if tol is None:
-        cut = PINV_RTOL * s[..., :1]
-    else:
-        cut = np.full_like(s[..., :1], float(tol))
+    cut = PINV_RTOL * s[..., :1]
     inv = np.where(s > cut, np.divide(1.0, s, out=np.zeros_like(s), where=s > 0), 0.0)
     return (q * inv[..., None, :]) @ np.swapaxes(u, -1, -2)
 
 
-def pinv_stack(a: np.ndarray, tol=None):
-    return _chunked(_pinv_chunk, a, tol)
+def pinv_stack(a: np.ndarray):
+    return _chunked(_pinv_chunk, a)
 
 
-def pinv(a, tol: float | None = None) -> np.ndarray:
+def pinv(a) -> np.ndarray:
     """Moore-Penrose pseudo-inverse via the SVD.
 
-    Reciprocals of singular values at or below ``tol`` (default
-    ``PINV_RTOL`` times the largest singular value) are zeroed.
+    Reciprocals of singular values at or below ``PINV_RTOL`` times the
+    largest singular value are zeroed.
     """
     a = _validated(a, "pinv input")
-    if tol is not None and tol < 0:
-        raise ValueError("pinv tolerance must be non-negative")
-    return pinv_stack(a[None], tol)[0]
+    return pinv_stack(a[None])[0]

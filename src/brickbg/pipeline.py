@@ -123,8 +123,7 @@ class ModelBucket:
     b: np.ndarray         # (g, d, d)
     b_pinv: np.ndarray    # (g, d, d)
     d_eps: np.ndarray     # (g,)
-    z_latest: np.ndarray  # (g, d)
-    states: np.ndarray    # (g, history, d) ring storage, oldest first
+    states: np.ndarray    # (g, history, d) ring, oldest first, newest at n_states - 1
     observed: np.ndarray  # (g, history) which ring states came from real data
     n_states: int
 
@@ -236,7 +235,6 @@ def initialize(frames, config: EngineConfig) -> EngineState:
                 b=b,
                 b_pinv=b_pinv,
                 d_eps=d_eps,
-                z_latest=z[:, :, -1].copy(),
                 states=ring,
                 observed=flags,
                 n_states=seed,
@@ -275,9 +273,7 @@ def remove_small_components(mask: np.ndarray, min_area: int) -> np.ndarray:
     mask = np.asarray(mask, dtype=bool)
     if min_area <= 1 or not mask.any():
         return mask.copy()
-    labels, count = ndimage.label(mask, structure=_EIGHT_CONNECTED)
-    if count == 0:
-        return mask.copy()
+    labels, _ = ndimage.label(mask, structure=_EIGHT_CONNECTED)
     areas = np.bincount(labels.ravel())
     keep = areas >= min_area
     keep[0] = False
@@ -319,7 +315,7 @@ def step(state: EngineState, window) -> StepResult:
         tick = time.perf_counter()
         v = descriptors[bucket.indices]
         _, omega, epsilon, predicted = residuals_stack(
-            bucket.c, bucket.a, bucket.b_pinv, bucket.z_latest, v
+            bucket.c, bucket.a, bucket.b_pinv, bucket.states[:, bucket.n_states - 1], v
         )
         bg, vm = classify_stack(
             omega, epsilon, bucket.d_eps, (t, bh, bw, channels), config.mode, t_omega, t_eps
@@ -335,7 +331,6 @@ def step(state: EngineState, window) -> StepResult:
         bucket.c, bucket.lam = update_basis_stack(bucket.c, bucket.lam, v_tilde, config.alpha)
         z_new = np.einsum("gmd,gm->gd", bucket.c, v_tilde)
         _ring_append(bucket, z_new, bg)
-        bucket.z_latest = z_new.copy()
         bucket.a, bucket.b, bucket.b_pinv, bucket.d_eps = fit_dynamics_stack(
             bucket.states[:, : bucket.n_states],
             config.t_deps,
@@ -361,7 +356,7 @@ def step(state: EngineState, window) -> StepResult:
         # Histograms only localize to brick granularity; cut flagged bricks
         # down to the pixels that differ from the running background mean.
         difference = np.abs(volume - state.aux_mean).max(axis=-1)
-        frame_masks &= difference > config.effective_t_rgb
+        frame_masks &= difference > config.t_rgb
     quiet = ~frame_masks.any(axis=0)
     state.aux_mean[quiet] += config.alpha * (window_mean[quiet] - state.aux_mean[quiet])
     timings["assembly"] = time.perf_counter() - tick
@@ -425,7 +420,7 @@ def model_at(state: EngineState, grid_x: int, grid_y: int) -> SubspaceModel:
         i = int(hits[0])
         return model_from_slice(
             bucket.c[i], bucket.lam[i], bucket.a[i], bucket.b[i], bucket.b_pinv[i],
-            bucket.d_eps[i], bucket.z_latest[i], bucket.states[i, : bucket.n_states],
+            bucket.d_eps[i], bucket.states[i, : bucket.n_states],
             state.config.history,
         )
     raise KeyError(f"no model stored for grid cell ({grid_x}, {grid_y})")

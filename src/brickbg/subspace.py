@@ -103,12 +103,13 @@ class SubspaceModel:
         return self.b.shape[1]
 
 
-def model_from_slice(c, lam, a, b, b_pinv, d_eps, z_latest, states, history: int) -> SubspaceModel:
+def model_from_slice(c, lam, a, b, b_pinv, d_eps, states, history: int) -> SubspaceModel:
     """Copy one slice of stacked model arrays into a standalone ``SubspaceModel``.
 
     ``b`` and ``b_pinv`` are the zero-padded (d, d) slices and are cut to
     the ``d_eps`` live columns and rows.  ``states`` is (k, d), oldest
-    first; the newest ``history`` of them seed the ring.
+    first; the newest ``history`` of them seed the ring and the newest one
+    is ``z_latest``.
     """
     de = int(d_eps)
     model = SubspaceModel(
@@ -117,7 +118,7 @@ def model_from_slice(c, lam, a, b, b_pinv, d_eps, z_latest, states, history: int
         a=a.copy(),
         b=b[:, :de].copy(),
         b_pinv=b_pinv[:de, :].copy(),
-        z_latest=z_latest.copy(),
+        z_latest=states[-1].copy(),
         history=history,
     )
     model.states.extend(z.copy() for z in states)
@@ -146,6 +147,11 @@ def fit_dynamics_stack(states: np.ndarray, t_deps: float, observed=None):
     d_eps)`` where ``b`` is zero-padded to (g, d, d) and ``d_eps`` holds the
     per-slice selected noise dimension; rows of ``b_pinv`` beyond it are
     exactly zero.
+
+    B is the residual SVD's U scaled column by column (``scale_j =
+    s_j / sqrt(n)``), so its pseudo-inverse needs no second factorization:
+    row j of ``b_pinv`` is ``u_j^T / scale_j``, with reciprocals cut below
+    ``linalg.PINV_RTOL`` times the largest scale as ``linalg.pinv`` cuts them.
 
     ``t_deps`` is a fraction of the dominant residual singular value: a noise
     direction is kept while its singular value exceeds ``t_deps`` times the
@@ -212,9 +218,12 @@ def fit_dynamics_stack(states: np.ndarray, t_deps: float, observed=None):
         keep, s / np.sqrt(np.maximum(n_eff, 1))[:, None], 0.0
     )
     b = u * scale[:, None, :]
+    live = scale > linalg.PINV_RTOL * scale[:, :1]
+    inv = np.divide(1.0, scale, out=np.zeros_like(scale), where=live)
+    b_pinv = inv[:, :, None] * np.swapaxes(u, 1, 2)
     if r < d:  # pad so every slice is (d, d)
         b = np.concatenate([b, np.zeros((g, d, d - r))], axis=2)
-    b_pinv = linalg.pinv_stack(b)
+        b_pinv = np.concatenate([b_pinv, np.zeros((g, d - r, d))], axis=1)
     return a, b, b_pinv, d_eps
 
 
@@ -260,5 +269,5 @@ def learn_initial(
         res.u[None], res.sigma[None], res.q[None], d, t_deps
     )
     return model_from_slice(
-        c[0], lam[0], a[0], b[0], b_pinv[0], d_eps[0], z[0][:, -1], z[0].T, history
+        c[0], lam[0], a[0], b[0], b_pinv[0], d_eps[0], z[0].T, history
     )

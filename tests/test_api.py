@@ -1,4 +1,5 @@
-"""Public surface: every exported name exists and every script imports."""
+"""Public surface: every exported name exists, every script imports, and the
+README lists the scene kinds the parser accepts."""
 
 import importlib.util
 from pathlib import Path
@@ -6,8 +7,10 @@ from pathlib import Path
 import pytest
 
 import brickbg
+from brickbg import synth
 
-SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
 def test_every_exported_name_resolves():
@@ -22,3 +25,13 @@ def test_script_imports_cleanly(script):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)              # runs imports, not main()
     assert callable(module.main)
+
+
+def test_readme_scene_kinds_match_parser():
+    listed = {}
+    for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines():
+        key, _, rest = line.partition("=")
+        if key.strip() in ("background", "base") and "#" in rest:
+            listed[key.strip()] = [k.strip() for k in rest.split("#", 1)[1].split("|")]
+    assert sorted(listed["background"]) == sorted(synth.BACKGROUND_KINDS)
+    assert sorted(listed["base"]) == sorted(synth.BASE_KINDS)

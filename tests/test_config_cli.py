@@ -87,7 +87,7 @@ def test_effective_defaults_per_mode():
     assert (cs.effective_t_omega, cs.effective_t_eps) == (3.0, 3.0)
     rgb = EngineConfig(mode="rgb")
     assert (rgb.effective_t_omega, rgb.effective_t_eps) == (5.0, 4.0)
-    assert cs.effective_t_rgb == 5.0            # pixel refinement threshold
+    assert cs.t_rgb == 5.0                      # pixel refinement threshold
     assert cs.effective_stride == 5
     assert EngineConfig(t_eps=2.0).effective_t_eps == 2.0
 

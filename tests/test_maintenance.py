@@ -272,11 +272,13 @@ def test_update_dynamics_ring_respects_history():
     gen = np.random.default_rng(14)
     video = np.clip(100.0 + gen.normal(scale=5.0, size=(50, 8, 8)), 0, 255).astype(np.uint8)
     state = initialize(video[:20], EngineConfig(init_frames=20, history=5))
-    for start in range(20, 50, 5):
+    for start in range(20, 45, 5):
         step(state, video[start : start + 5])
-    for bucket in state.buckets:
+    newest = [bucket.states[:, bucket.n_states - 1].copy() for bucket in state.buckets]
+    step(state, video[45:50])
+    for bucket, previous in zip(state.buckets, newest):
         assert bucket.n_states == 5 and bucket.states.shape[1] == 5
-        assert np.array_equal(bucket.states[:, -1], bucket.z_latest)
+        assert np.array_equal(bucket.states[:, bucket.n_states - 2], previous)
         assert bucket.observed.all()
 
 

@@ -120,7 +120,7 @@ def test_initialize_builds_models_for_every_cell():
         g, m, d = bucket.c.shape
         assert bucket.lam.shape == (g, d)
         assert bucket.a.shape == (g, d, d)
-        assert bucket.z_latest.shape == (g, d)
+        assert bucket.states[:, bucket.n_states - 1].shape == (g, d)
         assert bucket.n_states == 4              # 20 frames / depth 5
         assert bucket.observed[:, :4].all()      # seeded states are real data
         assert not bucket.observed[:, 4:].any()
@@ -200,7 +200,7 @@ def cell_slice(state, gx, gy):
                 "c": bucket.c[i].copy(), "lam": bucket.lam[i].copy(),
                 "a": bucket.a[i].copy(), "b": bucket.b[i].copy(),
                 "b_pinv": bucket.b_pinv[i].copy(), "d_eps": bucket.d_eps[i].copy(),
-                "z_latest": bucket.z_latest[i].copy(),
+                "z_latest": bucket.states[i, n - 1].copy(),
                 "states": bucket.states[i, :n].copy(), "observed": bucket.observed[i, :n].copy(),
             }
     raise KeyError(cell)

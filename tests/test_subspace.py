@@ -8,12 +8,15 @@ states must not shrink the noise estimate, and near-unit spectral radii
 must coast instead of drifting.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
+from brickbg import linalg
 from brickbg.subspace import (
     InsufficientData,
     SubspaceModel,
@@ -239,19 +242,46 @@ def test_noise_dimension_selection_fraction():
     assert d_eps2[0] == 2
 
 
+def b_test_states(gen, k, d):
+    """(6, k, d) state windows: three noisy, one with near rank-deficient
+    innovations, and two with exactly predictable dynamics (d_eps = 0)."""
+    noisy = gen.normal(size=(3, k, d)) * 8.0
+    # Innovations along one direction plus a 1e-11 trace along another: the
+    # trace's residual singular value sits between ZERO_CUTOFF and PINV_RTOL.
+    thin = np.cumsum(
+        gen.normal(size=(k, 1)) * np.eye(d)[0] + 1e-11 * gen.normal(size=(k, 1)) * np.eye(d)[-1],
+        axis=0,
+    )
+    decay = np.power(0.5, np.arange(k))[:, None] * gen.normal(size=d) * 10.0
+    return np.concatenate([noisy, thin[None], decay[None], np.zeros((1, k, d))])
+
+
 def test_b_padding_and_pinv_agree():
-    gen = np.random.default_rng(11)
-    states = gen.normal(size=(2, 12, 3)) * 8.0
-    a, b, b_pinv, d_eps = fit_dynamics_stack(states, t_deps=0.5)
-    assert b.shape == (2, 3, 3) and b_pinv.shape == (2, 3, 3)
-    for g in range(2):
-        de = int(d_eps[g])
-        assert (b[g][:, de:] == 0.0).all()
-        assert (b_pinv[g][de:, :] == 0.0).all()
-        if de:
-            # pinv of the padded matrix equals pinv of the live columns
-            lead = np.linalg.pinv(b[g][:, :de])
-            assert np.allclose(b_pinv[g][:de], lead, atol=1e-10)
+    """B+ derived from the residual SVD matches the pseudo-inverse of B:
+    bit for bit at d = 1, to 1e-13 relative otherwise."""
+    for d, k, t_deps in itertools.product(range(1, 6), (3, 10, 60), (0.0, 1e-12, 0.5)):
+        gen = np.random.default_rng(11 + 100 * d + k)
+        states = b_test_states(gen, k, d)
+        g = states.shape[0]
+        flags = gen.random(size=(g, k)) < 0.7
+        for observed in (None, flags):
+            case = (d, k, t_deps, observed is not None)
+            a, b, b_pinv, d_eps = fit_dynamics_stack(states, t_deps=t_deps, observed=observed)
+            assert b.shape == (g, d, d) and b_pinv.shape == (g, d, d)
+            assert (d_eps[-2:] == 0).all(), case
+            oracle = linalg.pinv_stack(b)
+            if d == 1:
+                assert np.array_equal(b_pinv, oracle), case
+            for i in range(g):
+                de = int(d_eps[i])
+                assert (b[i][:, de:] == 0.0).all()
+                assert (b_pinv[i][de:, :] == 0.0).all()
+                err = np.abs(b_pinv[i] - oracle[i]).max()
+                assert err <= 1e-13 * np.abs(oracle[i]).max(), (case, i, err)
+                if de:
+                    # pinv of the padded matrix equals pinv of the live columns
+                    lead = linalg.pinv(b[i][:, :de])
+                    assert np.allclose(b_pinv[i][:de], lead, rtol=0, atol=1e-10 * np.abs(lead).max())
 
 
 def test_subspace_model_ring_respects_history():
