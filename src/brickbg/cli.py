@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, EngineConfig, load_config, with_overrides
-from .evaluation import evaluate, per_frame_fscores, pr_sweep, write_report
+from .evaluation import evaluate, per_frame_fscores, write_report
 from .imageio import FrameFormatError, load_frames, load_masks, write_frames, write_masks
 from .linalg import NumericalFailure
 from .pipeline import process_video
@@ -93,7 +93,6 @@ def _cmd_eval(args) -> int:
     subdirs = sorted(p for p in root.iterdir() if p.is_dir()) if root.is_dir() else []
     if not subdirs:
         raise FrameFormatError(f"{root}: no operating-point subdirectories found")
-    mask_sets = []
     reports = []
     for sub in subdirs:
         predicted = load_masks(sub)
@@ -101,9 +100,7 @@ def _cmd_eval(args) -> int:
             raise FrameFormatError(
                 f"{sub}: shape {predicted.shape} does not match truth {truth.shape}"
             )
-        mask_sets.append(predicted)
         reports.append(evaluate(predicted, truth))
-    points = pr_sweep(mask_sets, truth)
     for sub, report in zip(subdirs, reports):
         print(
             f"{sub.name}: precision {report.precision:.4f}  "
@@ -111,7 +108,7 @@ def _cmd_eval(args) -> int:
         )
     if args.report:
         best = max(reports, key=lambda r: r.fscore)
-        write_report(args.report, best, points)
+        write_report(args.report, best, [(r.recall, r.precision) for r in reports])
     return 0
 
 

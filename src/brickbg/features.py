@@ -18,7 +18,8 @@ frames.  Two descriptor flavours are supported:
     The raw voxel intensities stacked in (t, y, x, channel) order.
 
 Neighbour lookups clamp to the edges of the supplied frame volume, so the
-first/last frames and the image border reuse their nearest voxels.
+first/last frames and the image border reuse their nearest voxels;
+``bin_volume`` implements the clamp as one edge padding of the volume.
 """
 
 from __future__ import annotations
@@ -135,39 +136,32 @@ def pattern_to_bin(pattern) -> int:
     return transitions * 3 + s + 1
 
 
-def _shifted(vol: np.ndarray, dt: int, dy: int, dx: int) -> np.ndarray:
-    nt, ny, nx = vol.shape
-    it = np.clip(np.arange(nt) + dt, 0, nt - 1)
-    iy = np.clip(np.arange(ny) + dy, 0, ny - 1)
-    ix = np.clip(np.arange(nx) + dx, 0, nx - 1)
-    return vol[np.ix_(it, iy, ix)]
+def bin_volume(volume, tau: float = DEFAULT_TAU) -> np.ndarray:
+    """Histogram-bin index of every voxel in a single-channel volume.
 
-
-def trit_volume(volume, tau: float = DEFAULT_TAU) -> np.ndarray:
-    """All 16 trits for every voxel of a single-channel volume.
-
-    Returns an int8 array of shape (16, t, y, x), pair order matching
-    ``PAIR_OFFSETS``.
+    One pass over ``PAIR_OFFSETS``: both members of a pair are slice views
+    of the edge-padded volume (every offset is within one voxel on each
+    axis), and each pair's trit is folded into the transition count and the
+    trit sum as soon as it is formed.
     """
     volume = _check_volume(volume)
-    out = np.empty((PATTERN_LENGTH,) + volume.shape, dtype=np.int8)
-    for i, (dt, dy, dx) in enumerate(PAIR_OFFSETS):
-        pm = _shifted(volume, dt, dy, dx)
-        ps = _shifted(volume, -dt, -dy, -dx)
-        hi = pm > (1.0 + tau) * ps
-        lo = pm < (1.0 - tau) * ps
-        out[i] = hi.astype(np.int8) - lo.astype(np.int8)
-    return out
+    padded = np.pad(volume, 1, mode="edge")
 
+    def at(offset):
+        return padded[tuple(slice(1 + o, 1 + o + n) for o, n in zip(offset, volume.shape))]
 
-def bin_volume(volume, tau: float = DEFAULT_TAU) -> np.ndarray:
-    """Histogram-bin index of every voxel in a single-channel volume."""
-    trits = trit_volume(volume, tau)
     transitions = np.zeros(volume.shape, dtype=np.int16)
-    for i in range(PATTERN_LENGTH - 1):
-        transitions += trits[i] != trits[i + 1]
-    signs = np.sign(trits.sum(axis=0, dtype=np.int16)).astype(np.int16)
-    return transitions * 3 + signs + 1
+    total = np.zeros(volume.shape, dtype=np.int16)
+    previous = None
+    for offset in PAIR_OFFSETS:
+        pm = at(offset)
+        ps = at(tuple(-o for o in offset))
+        trit = (pm > (1.0 + tau) * ps).astype(np.int8) - (pm < (1.0 - tau) * ps)
+        if previous is not None:
+            transitions += trit != previous
+        total += trit
+        previous = trit
+    return transitions * 3 + np.sign(total) + 1
 
 
 def cell_histograms(bins: np.ndarray, window_y: np.ndarray, window_x: np.ndarray) -> np.ndarray:

@@ -44,12 +44,12 @@ def _validated(a, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def _chunked(fn, stack, *extra):
+def _chunked(fn, stack):
     """Apply fn over leading-axis chunks and concatenate the results."""
     n = stack.shape[0]
     if n <= _CHUNK:
-        return fn(stack, *extra)
-    parts = [fn(stack[i : i + _CHUNK], *extra) for i in range(0, n, _CHUNK)]
+        return fn(stack)
+    parts = [fn(stack[i : i + _CHUNK]) for i in range(0, n, _CHUNK)]
     if isinstance(parts[0], tuple):
         return tuple(np.concatenate(cols, axis=0) for cols in zip(*parts))
     return np.concatenate(parts, axis=0)

@@ -138,7 +138,7 @@ class EngineState:
     geometry: GridGeometry
     channels: int
     buckets: list
-    aux_mean: np.ndarray           # (H, W, C) running background pixel mean
+    aux_mean: np.ndarray           # (H, W, C) running background mean; cs_stltp steps only
     brick_background: np.ndarray   # (locations,) labels from the last step
     steps: int = 0
     timings: dict = field(default_factory=dict)
@@ -342,8 +342,8 @@ def step(state: EngineState, window) -> StepResult:
 
     tick = time.perf_counter()
     frame_masks = _assemble_masks(geometry, vox_masks)
-    window_mean = volume.mean(axis=0)
     if config.mode == MODE_CS:
+        window_mean = volume.mean(axis=0)
         # The histograms are invariant to a global intensity rescale, so the
         # pixel gate must track illumination as well: a gain step would
         # otherwise leave every flagged brick entirely above t_rgb until the
@@ -357,8 +357,8 @@ def step(state: EngineState, window) -> StepResult:
         # down to the pixels that differ from the running background mean.
         difference = np.abs(volume - state.aux_mean).max(axis=-1)
         frame_masks &= difference > config.t_rgb
-    quiet = ~frame_masks.any(axis=0)
-    state.aux_mean[quiet] += config.alpha * (window_mean[quiet] - state.aux_mean[quiet])
+        quiet = ~frame_masks.any(axis=0)
+        state.aux_mean[quiet] += config.alpha * (window_mean[quiet] - state.aux_mean[quiet])
     timings["assembly"] = time.perf_counter() - tick
 
     tick = time.perf_counter()

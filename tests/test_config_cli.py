@@ -20,7 +20,7 @@ from brickbg.config import (
     parse_kv_text,
     with_overrides,
 )
-from brickbg.evaluation import read_report
+from brickbg.evaluation import pr_sweep, read_report
 from brickbg.imageio import list_frames, load_masks, write_masks
 
 # --- key=value parsing -------------------------------------------------------
@@ -219,7 +219,8 @@ def test_cli_eval_sweep(tmp_path, rng, capsys):
     assert "loose:" in out and "tight:" in out
     best, points = read_report(report)
     assert best.fscore == 1.0                   # the exact-match point wins
-    assert len(points) == 2
+    expected = pr_sweep([np.ones_like(truth), truth], truth)   # subdirectories in name order
+    assert points == [(float(f"{r:.6f}"), float(f"{p:.6f}")) for r, p in expected]
 
 
 def test_cli_bench_scene(scene_file, config_file, capsys):

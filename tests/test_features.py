@@ -24,7 +24,6 @@ from brickbg.features import (
     cs_stltp_pixel,
     pattern_to_bin,
     ternary_sign,
-    trit_volume,
 )
 
 
@@ -129,28 +128,20 @@ def test_edge_clamping_matches_padding_oracle(seed):
 
 
 @given(st.integers(0, 2**31 - 1))
-def test_trit_volume_matches_scalar_reference(seed):
-    vol = random_volume(seed, t=3, y=4, x=5)
-    trits = trit_volume(vol)
-    assert trits.shape == (PATTERN_LENGTH, 3, 4, 5)
-    gen = np.random.default_rng(seed + 1)
-    for _ in range(6):
-        t = int(gen.integers(3))
-        y = int(gen.integers(4))
-        x = int(gen.integers(5))
-        assert np.array_equal(trits[:, t, y, x], cs_stltp_pixel(vol, x, y, t).trits)
-
-
-@given(st.integers(0, 2**31 - 1))
 def test_bin_volume_matches_scalar_reference(seed):
-    vol = random_volume(seed, t=3, y=4, x=4)
-    bins = bin_volume(vol)
-    gen = np.random.default_rng(seed + 2)
-    for _ in range(6):
-        t = int(gen.integers(3))
-        y = int(gen.integers(4))
-        x = int(gen.integers(4))
-        assert bins[t, y, x] == pattern_to_bin(cs_stltp_pixel(vol, x, y, t))
+    """Every voxel, on shapes with unit axes, at several tolerances, and on
+    integer-valued volumes whose ratios land exactly on the band edges."""
+    gen = np.random.default_rng(seed)
+    for shape in ((3, 4, 5), (1, 1, 1), (2, 3, 1), (3, 1, 4), (1, 5, 1)):
+        for tau in (0.0, 0.2, 0.5):
+            for vol in (gen.uniform(20.0, 200.0, size=shape),
+                        gen.integers(0, 6, size=shape).astype(np.float64)):
+                bins = bin_volume(vol, tau)
+                assert bins.shape == shape and bins.dtype == np.int16
+                expected = np.zeros(shape, dtype=np.int16)
+                for t, y, x in np.ndindex(*shape):
+                    expected[t, y, x] = pattern_to_bin(cs_stltp_pixel(vol, x, y, t, tau))
+                assert np.array_equal(bins, expected)
 
 
 # --- brick descriptors --------------------------------------------------

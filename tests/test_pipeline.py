@@ -185,6 +185,27 @@ def test_quiet_scene_stays_background():
         assert not result.masks.any()
 
 
+def test_aux_mean_is_kept_for_the_cs_stltp_gate_only():
+    """Only the cs_stltp pixel gate reads aux_mean: an rgb step leaves it as
+    initialized, a cs_stltp step rescales it by the gain and blends quiet pixels."""
+    video, _ = noisy_video(25, 8, 12, seed=7)
+    window = video[20:25]
+    window_mean = window.astype(np.float64).mean(axis=0)
+
+    state = initialize(video[:20], EngineConfig(init_frames=20, mode="rgb"))
+    before = state.aux_mean.copy()
+    step(state, window)
+    assert np.array_equal(state.aux_mean, before)
+
+    config = EngineConfig(init_frames=20, mode="cs_stltp")
+    state = initialize(video[:20], config)
+    scaled = state.aux_mean * np.median(window_mean / state.aux_mean)
+    result = step(state, window)
+    assert not result.raw_masks.any()            # every pixel is quiet
+    assert np.allclose(state.aux_mean, scaled + config.alpha * (window_mean - scaled))
+    assert not np.allclose(state.aux_mean, scaled)
+
+
 # --- the single-cell mirror ----------------------------------------------------------
 
 
