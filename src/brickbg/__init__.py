@@ -40,7 +40,7 @@ from .imageio import (
     write_masks,
 )
 from .linalg import NumericalFailure
-from .maintenance import synthesize, update_appearance, weight
+from .maintenance import synthesize, weight
 from .pipeline import (
     EngineState,
     StepResult,
@@ -53,7 +53,7 @@ from .pipeline import (
     remove_small_components,
     step,
 )
-from .subspace import InsufficientData, SubspaceModel, learn_initial, select_dim
+from .subspace import InsufficientData, ModelBucket, learn_initial, select_dim
 from .synth import MovingRect, SceneScript, illumination_scene, load_scene, parse_scene_text, render
 
 __version__ = "0.1.0"
@@ -70,11 +70,11 @@ __all__ = [
     "MODE_CS",
     "MODE_RGB",
     "MODES",
+    "ModelBucket",
     "MovingRect",
     "NumericalFailure",
     "SceneScript",
     "StepResult",
-    "SubspaceModel",
     "TernaryPattern",
     "VideoBrick",
     "background_flags",
@@ -104,7 +104,6 @@ __all__ = [
     "select_dim",
     "step",
     "synthesize",
-    "update_appearance",
     "weight",
     "with_overrides",
     "write_frames",

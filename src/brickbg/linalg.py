@@ -24,6 +24,10 @@ ZERO_CUTOFF = 1e-12
 # Relative cutoff for pseudo-inverse reciprocals.
 PINV_RTOL = 1e-10
 
+# Largest asymmetry, relative to the matrix magnitude, that ``eig_sym``
+# accepts as symmetric.
+SYM_RTOL = 1e-9
+
 # How many stacked matrices to hand to LAPACK at once; keeps transient
 # buffers small without changing any per-matrix result.
 _CHUNK = 1024
@@ -116,11 +120,11 @@ def eigh_stack(s: np.ndarray):
     return _chunked(_eigh_chunk, s)
 
 
-def eig_sym(s, sym_tol: float = 1e-9):
+def eig_sym(s):
     """Eigendecomposition of a symmetric matrix.
 
     Returns ``(values, vectors)`` with values sorted non-increasing and
-    orthonormal eigenvector columns.  Inputs asymmetric beyond ``sym_tol``
+    orthonormal eigenvector columns.  Inputs asymmetric beyond ``SYM_RTOL``
     (relative to the matrix magnitude) are rejected.
     """
     s = _validated(s, "eig_sym input")
@@ -128,7 +132,7 @@ def eig_sym(s, sym_tol: float = 1e-9):
         raise ValueError(f"eig_sym needs a square matrix, got {s.shape}")
     scale = max(1.0, float(np.abs(s).max()))
     asym = float(np.abs(s - s.T).max())
-    if asym > sym_tol * scale:
+    if asym > SYM_RTOL * scale:
         raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
     sym = 0.5 * (s + s.T)
     vals, vecs = eigh_stack(sym[None])

@@ -1,9 +1,8 @@
 """Online model maintenance with occlusion compensation.
 
-The stacked functions here work on g cells that share one state dimension
-d (one engine bucket): bases ``c`` are (g, m, d), observations (g, m).
-``synthesize`` and ``update_appearance`` are the single-model (g = 1)
-views.
+The functions here work on g cells that share one state dimension d (one
+``subspace.ModelBucket``): bases ``c`` are (g, m, d), observations (g, m).
+A single model is a bucket of one cell, so there are no per-cell copies.
 
 After a brick is labelled, the model is updated from a composed
 observation rather than the raw one: foreground voxels are replaced by the
@@ -26,7 +25,7 @@ import numpy as np
 from . import linalg
 from .features import MODE_CS, MODES
 from .segmentation import appearance_residual
-from .subspace import SubspaceModel
+from .subspace import ModelBucket
 
 DEFAULT_ALPHA = 0.05
 DEFAULT_BETA = 2.3849
@@ -36,9 +35,10 @@ DEFAULT_BETA = 2.3849
 RHO_FLOOR = 1e-9
 
 
-def synthesize(model: SubspaceModel) -> np.ndarray:
-    """One-step prediction of the next descriptor: C (A z_latest)."""
-    return model.c @ (model.a @ model.z_latest)
+def synthesize(bucket: ModelBucket) -> np.ndarray:
+    """(g, m) one-step predictions of the next descriptors: C A z, z the newest state."""
+    predicted = np.einsum("gde,ge->gd", bucket.a, bucket.states[:, bucket.n_states - 1])
+    return np.einsum("gmd,gd->gm", bucket.c, predicted)
 
 
 def compose_stack(v, v_hat, background, voxel_mask, mode: str) -> np.ndarray:
@@ -117,15 +117,3 @@ def update_basis_stack(c: np.ndarray, lam: np.ndarray, v_tilde: np.ndarray, alph
     q = q * cont[:, None, :]
     return q, np.maximum(top_vals, 0.0)
 
-
-def update_appearance(model: SubspaceModel, v_tilde, alpha: float = DEFAULT_ALPHA):
-    """Fold one reweighted observation into the appearance model in place."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    v_tilde = np.asarray(v_tilde, dtype=np.float64)
-    if v_tilde.shape != (model.m,):
-        raise ValueError("observation length does not match the model")
-    c, lam = update_basis_stack(model.c[None], model.lam[None], v_tilde[None], alpha)
-    model.c = c[0]
-    model.lam = lam[0]
-    return model.c, model.lam

@@ -14,17 +14,18 @@ All per-cell maths runs through the stacked functions of ``segmentation``
 (residuals, labels), ``maintenance`` (composition, robust reweighting,
 basis update) and ``subspace`` (dynamics refit), each applied to a bucket
 of cells of equal state dimension, so one step costs a handful of LAPACK
-calls regardless of grid size.  ``step`` is their composition; the
-single-model API (``model_at`` and the ``SubspaceModel`` functions) is a
-g = 1 view of the same code.  ``cs_stltp`` histograms cannot localize
-foreground inside a brick, so flagged bricks are refined against a running
-per-pixel mean of the background.
+calls regardless of grid size.  ``step`` is their composition.  Each
+bucket is a ``subspace.ModelBucket``, the one model record; ``model_at``
+returns a one-cell copy of it, which every stacked function (and
+``maintenance.synthesize``) takes as it is.  ``cs_stltp`` histograms
+cannot localize foreground inside a brick, so flagged bricks are refined
+against a running per-pixel mean of the background.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy import ndimage
@@ -37,10 +38,10 @@ from .maintenance import compose_stack, reweight_stack, update_basis_stack
 from .segmentation import classify_stack, residuals_stack
 from .subspace import (
     InsufficientData,
-    SubspaceModel,
+    ModelBucket,
     fit_dynamics_stack,
     identify_stack,
-    model_from_slice,
+    seed_bucket,
     select_dims,
 )
 
@@ -73,7 +74,7 @@ class GridGeometry:
 def make_grid(frame_height: int, frame_width: int, brick_height: int, brick_width: int) -> GridGeometry:
     """Tile a frame with bricks; the last row/column anchors to the edge."""
     if brick_width > frame_width or brick_height > frame_height:
-        raise ValueError(
+        raise FrameFormatError(
             f"brick {brick_width}x{brick_height} larger than frame "
             f"{frame_width}x{frame_height}"
         )
@@ -105,31 +106,6 @@ def make_grid(frame_height: int, frame_width: int, brick_height: int, brick_widt
         local_x=local_x,
         local_y=local_y,
     )
-
-
-@dataclass
-class ModelBucket:
-    """Models of all cells sharing one state dimension, stored as arrays.
-
-    ``b`` is zero-padded to (g, d, d); columns past ``d_eps[i]`` are zero
-    and the matching ``b_pinv`` rows are zero, so padded innovation
-    coordinates come out exactly 0 and never affect a max test.
-    """
-
-    indices: np.ndarray   # (g,) row-major cell ids
-    c: np.ndarray         # (g, m, d)
-    lam: np.ndarray       # (g, d)
-    a: np.ndarray         # (g, d, d)
-    b: np.ndarray         # (g, d, d)
-    b_pinv: np.ndarray    # (g, d, d)
-    d_eps: np.ndarray     # (g,)
-    states: np.ndarray    # (g, history, d) ring, oldest first, newest at n_states - 1
-    observed: np.ndarray  # (g, history) which ring states came from real data
-    n_states: int
-
-    @property
-    def d(self) -> int:
-        return self.c.shape[2]
 
 
 @dataclass
@@ -218,28 +194,8 @@ def initialize(frames, config: EngineConfig) -> EngineState:
     buckets = []
     for d in np.unique(dims):
         idx = np.nonzero(dims == d)[0]
-        c, lam, z, a, b, b_pinv, d_eps = identify_stack(
-            u[idx], sigma[idx], q[idx], int(d), config.t_deps
-        )
-        ring = np.zeros((idx.size, config.history, int(d)))
-        seed = min(config.history, n_windows)
-        ring[:, :seed] = np.swapaxes(z, 1, 2)[:, n_windows - seed :]
-        flags = np.zeros((idx.size, config.history), dtype=bool)
-        flags[:, :seed] = True
-        buckets.append(
-            ModelBucket(
-                indices=idx,
-                c=c,
-                lam=lam,
-                a=a,
-                b=b,
-                b_pinv=b_pinv,
-                d_eps=d_eps,
-                states=ring,
-                observed=flags,
-                n_states=seed,
-            )
-        )
+        identified = identify_stack(u[idx], sigma[idx], q[idx], int(d), config.t_deps)
+        buckets.append(seed_bucket(idx, identified, config.history))
     return EngineState(
         config=config,
         geometry=geometry,
@@ -405,8 +361,8 @@ def process_video(frames, config: EngineConfig):
     return masks, state
 
 
-def model_at(state: EngineState, grid_x: int, grid_y: int) -> SubspaceModel:
-    """Materialize the cell's model as a standalone ``SubspaceModel`` copy."""
+def model_at(state: EngineState, grid_x: int, grid_y: int) -> ModelBucket:
+    """Copy of the cell's model as a one-cell ``ModelBucket``, ring included."""
     geometry = state.geometry
     if not (0 <= grid_x < geometry.grid_w and 0 <= grid_y < geometry.grid_h):
         raise IndexError(
@@ -417,12 +373,11 @@ def model_at(state: EngineState, grid_x: int, grid_y: int) -> SubspaceModel:
         hits = np.nonzero(bucket.indices == cell)[0]
         if not hits.size:
             continue
-        i = int(hits[0])
-        return model_from_slice(
-            bucket.c[i], bucket.lam[i], bucket.a[i], bucket.b[i], bucket.b_pinv[i],
-            bucket.d_eps[i], bucket.states[i, : bucket.n_states],
-            state.config.history,
-        )
+        cut = slice(int(hits[0]), int(hits[0]) + 1)
+        return replace(bucket, **{
+            f.name: getattr(bucket, f.name)[cut].copy()
+            for f in fields(bucket) if f.name != "n_states"
+        })
     raise KeyError(f"no model stored for grid cell ({grid_x}, {grid_y})")
 
 

@@ -10,12 +10,15 @@ left singular vectors, states are the corresponding scaled right singular
 vectors, the transition matrix is a least-squares fit over consecutive
 state pairs, and the noise shaping matrix comes from the SVD of the
 prediction residuals.
+
+``ModelBucket`` is the one model record, stacked over the cells that
+share a state dimension; ``seed_bucket`` builds it from ``identify_stack``'s
+output for both the engine and ``learn_initial``.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,59 +73,50 @@ def select_dims(singular_values: np.ndarray, threshold, floor: int = 0) -> np.nd
 
 
 @dataclass
-class SubspaceModel:
-    """Mutable per-location model state.
+class ModelBucket:
+    """Models of g cells sharing one state dimension d, stored as arrays.
 
-    ``states`` is a ring buffer of recent state vectors (oldest first);
-    ``b_pinv`` caches the pseudo-inverse of ``b`` for residual tests.
+    This is the one model record: the engine keeps one bucket per state
+    dimension, and ``learn_initial`` and ``pipeline.model_at`` return a
+    bucket of one cell.  ``b`` is zero-padded to (g, d, d); columns past
+    ``d_eps[i]`` are zero and the matching ``b_pinv`` rows are zero, so
+    padded innovation coordinates come out exactly 0 and never affect a max
+    test.  The newest state is ``states[:, n_states - 1]``.
     """
 
-    c: np.ndarray                 # (m, d) orthonormal columns
-    lam: np.ndarray               # (d,) appearance eigenvalues
-    a: np.ndarray                 # (d, d) state transition
-    b: np.ndarray                 # (d, d_eps) noise shaping
-    b_pinv: np.ndarray            # (d_eps, d)
-    z_latest: np.ndarray          # (d,)
-    history: int = DEFAULT_HISTORY
-    states: deque = field(default_factory=deque)
-
-    def __post_init__(self):
-        if not isinstance(self.states, deque) or self.states.maxlen != self.history:
-            self.states = deque(self.states, maxlen=self.history)
-
-    @property
-    def m(self) -> int:
-        return self.c.shape[0]
+    indices: np.ndarray   # (g,) row-major cell ids
+    c: np.ndarray         # (g, m, d) orthonormal columns
+    lam: np.ndarray       # (g, d) appearance eigenvalues
+    a: np.ndarray         # (g, d, d) state transition
+    b: np.ndarray         # (g, d, d) noise shaping, zero past d_eps
+    b_pinv: np.ndarray    # (g, d, d) pseudo-inverse of b, zero past d_eps
+    d_eps: np.ndarray     # (g,)
+    states: np.ndarray    # (g, history, d) ring, oldest first, newest at n_states - 1
+    observed: np.ndarray  # (g, history) which ring states came from real data
+    n_states: int
 
     @property
     def d(self) -> int:
-        return self.c.shape[1]
-
-    @property
-    def d_eps(self) -> int:
-        return self.b.shape[1]
+        return self.c.shape[2]
 
 
-def model_from_slice(c, lam, a, b, b_pinv, d_eps, states, history: int) -> SubspaceModel:
-    """Copy one slice of stacked model arrays into a standalone ``SubspaceModel``.
+def seed_bucket(indices: np.ndarray, identified, history: int) -> ModelBucket:
+    """A ``ModelBucket`` from ``identify_stack``'s output.
 
-    ``b`` and ``b_pinv`` are the zero-padded (d, d) slices and are cut to
-    the ``d_eps`` live columns and rows.  ``states`` is (k, d), oldest
-    first; the newest ``history`` of them seed the ring and the newest one
-    is ``z_latest``.
+    The ring holds ``history`` states; it is seeded with the newest
+    ``min(history, n)`` of the n identified states, all flagged observed.
     """
-    de = int(d_eps)
-    model = SubspaceModel(
-        c=c.copy(),
-        lam=lam.copy(),
-        a=a.copy(),
-        b=b[:, :de].copy(),
-        b_pinv=b_pinv[:de, :].copy(),
-        z_latest=states[-1].copy(),
-        history=history,
+    c, lam, z, a, b, b_pinv, d_eps = identified
+    g, d, n = z.shape
+    seed = min(history, n)
+    ring = np.zeros((g, history, d))
+    ring[:, :seed] = np.swapaxes(z, 1, 2)[:, n - seed :]
+    flags = np.zeros((g, history), dtype=bool)
+    flags[:, :seed] = True
+    return ModelBucket(
+        indices=indices, c=c, lam=lam, a=a, b=b, b_pinv=b_pinv, d_eps=d_eps,
+        states=ring, observed=flags, n_states=seed,
     )
-    model.states.extend(z.copy() for z in states)
-    return model
 
 
 def _descriptor_matrix(descriptors) -> np.ndarray:
@@ -248,7 +242,7 @@ def learn_initial(
     t_d: float = DEFAULT_T_D,
     t_deps: float = DEFAULT_T_DEPS,
     history: int = DEFAULT_HISTORY,
-) -> SubspaceModel:
+) -> ModelBucket:
     """Identify a model from an initial window of descriptors.
 
     ``t_d`` and ``t_deps`` are fractions of the respective dominant singular
@@ -256,18 +250,14 @@ def learn_initial(
     ``t_d`` times the largest one (at least 1); the noise dimension is the
     count of residual singular values above ``t_deps`` times the largest
     residual one (possibly 0, in which case the state-innovation test
-    degenerates and callers fall back to the appearance residual).  The
-    state ring buffer is seeded with the last ``min(history, n)`` states and
-    ``z_latest`` with the newest one.
+    degenerates and callers fall back to the appearance residual).  Returns
+    a one-cell ``ModelBucket`` (cell id 0) whose ring is seeded with the
+    last ``min(history, n)`` states.
     """
     w = _descriptor_matrix(descriptors)
     if history < 2:
         raise ValueError("history must be at least 2")
     res = linalg.svd(w)
     d = select_dim(res.sigma, t_d * float(res.sigma[0]), floor=1)
-    c, lam, z, a, b, b_pinv, d_eps = identify_stack(
-        res.u[None], res.sigma[None], res.q[None], d, t_deps
-    )
-    return model_from_slice(
-        c[0], lam[0], a[0], b[0], b_pinv[0], d_eps[0], z[0].T, history
-    )
+    identified = identify_stack(res.u[None], res.sigma[None], res.q[None], d, t_deps)
+    return seed_bucket(np.zeros(1, dtype=np.intp), identified, history)

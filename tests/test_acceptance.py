@@ -19,9 +19,9 @@ from brickbg import linalg
 from brickbg.config import EngineConfig
 from brickbg.evaluation import EvalReport, per_frame_fscores
 from brickbg.features import VideoBrick, brick_descriptor
-from brickbg.maintenance import synthesize, update_appearance, update_basis_stack, weight
+from brickbg.maintenance import synthesize, update_basis_stack, weight
 from brickbg.pipeline import background_flags, initialize, model_at, process_video, step
-from brickbg.subspace import SubspaceModel, learn_initial
+from brickbg.subspace import learn_initial
 from brickbg.synth import MovingRect, SceneScript, illumination_scene, render
 
 
@@ -151,14 +151,14 @@ def test_criterion_02_planted_identification(announce):
     started = time.perf_counter()
     basis, transition, window = _planted(202, m=48, d=3, n=60, sigma=0.0)
     model = learn_initial(window, t_d=1e-6)
-    angle = float(subspace_angles(model.c, basis).max())
+    angle = float(subspace_angles(model.c[0], basis).max())
     got = np.sort_complex(np.linalg.eigvals(model.a))
     want = np.sort_complex(np.linalg.eigvals(transition))
     eig_err = float(np.abs(got - want).max())
 
     basis_n, _, window_n = _planted(203, m=48, d=3, n=60, sigma=0.01)
     noisy = learn_initial(window_n, t_d=0.01)
-    noisy_angle = float(subspace_angles(noisy.c[:, :3], basis_n).max())
+    noisy_angle = float(subspace_angles(noisy.c[0][:, :3], basis_n).max())
     seconds = time.perf_counter() - started
 
     ok = angle < 1e-6 and eig_err < 1e-6 and noisy_angle < 0.05 and seconds < 5.0
@@ -219,19 +219,15 @@ def test_criterion_04_influence_and_orthonormality(announce):
 
     m, d = 12, 3
     c, _ = np.linalg.qr(gen.normal(size=(m, d)))
-    model = SubspaceModel(
-        c=c, lam=np.array([5.0, 2.0, 1.0]), a=np.eye(d),
-        b=np.zeros((d, 0)), b_pinv=np.zeros((0, d)),
-        z_latest=np.zeros(d), history=10,
-    )
+    c, lam = c[None], np.array([[5.0, 2.0, 1.0]])
     worst_orth = 0.0
     energies_ok = True
     for _ in range(1000):
-        v = model.c @ gen.normal(size=d) * 3.0 + gen.normal(size=m)
-        update_appearance(model, v, alpha=0.05)
-        err = float(np.abs(model.c.T @ model.c - np.eye(d)).max())
+        v = c[0] @ gen.normal(size=d) * 3.0 + gen.normal(size=m)
+        c, lam = update_basis_stack(c, lam, v[None], 0.05)
+        err = float(np.abs(c[0].T @ c[0] - np.eye(d)).max())
         worst_orth = max(worst_orth, err)
-        energies_ok = energies_ok and bool((model.lam >= 0.0).all())
+        energies_ok = energies_ok and bool((lam >= 0.0).all())
     ok = half_err <= 1e-12 and decreasing and worst_orth < 1e-8 and energies_ok
     announce(
         f"[acceptance 04] influence function and orthonormality: "

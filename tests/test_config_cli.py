@@ -259,6 +259,17 @@ def test_cli_exit_code_for_short_video(tmp_path, rng):
                  "--output", str(tmp_path / "m")]) == 3
 
 
+def test_cli_exit_code_for_oversized_brick(tmp_path, rng):
+    frames = rng.integers(0, 255, size=(60, 16, 16), dtype=np.uint8)
+    from brickbg.imageio import write_frames
+
+    write_frames(tmp_path / "small", frames)
+    config = tmp_path / "big.cfg"
+    config.write_text("brick = 32x32x5\n")
+    assert main(["run", "--input", str(tmp_path / "small"),
+                 "--output", str(tmp_path / "m"), "--config", str(config)]) == 3
+
+
 def test_cli_exit_code_for_unquantized_scene(tmp_path):
     scene = tmp_path / "s.txt"
     scene.write_text("width = 16\nheight = 16\nquantize = false\n")

@@ -8,7 +8,7 @@ reimplementation of the transition/sign rule.
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from brickbg import features
@@ -44,12 +44,18 @@ def test_ternary_sign_table():
     assert ternary_sign(1.0, 0.0, 0.2) == 1          # zero reference
 
 
-@given(st.floats(1e-3, 1e3), st.floats(0.0, 1.0))
-def test_ternary_sign_scale_invariance(p_s, tau):
-    for ratio in (0.5, 0.9, 1.0, 1.1, 2.0):
-        a = ternary_sign(ratio * p_s, p_s, tau)
-        b = ternary_sign(ratio * p_s * 7.5, p_s * 7.5, tau)
-        assert a == b
+@settings(max_examples=125)
+@given(st.floats(1e-3, 1e3), st.floats(0.0, 1.0), st.sampled_from((0.5, 0.9, 1.0, 1.1, 2.0)))
+def test_ternary_sign_scale_invariance(p_s, tau, ratio):
+    # A ratio exactly on a band edge 1 +- tau is a tie: whether the strict
+    # comparison holds then depends on how ratio * p_s rounds at each scale
+    # (p_s = 218.7303351351855, tau = 0.1, ratio 1.1 differ), so edges are
+    # excluded, as acceptance 05 avoids them with continuous data.
+    for edge in (1.0 + tau, 1.0 - tau):
+        assume(abs(ratio - edge) > 1e-9 * abs(edge))
+    a = ternary_sign(ratio * p_s, p_s, tau)
+    b = ternary_sign(ratio * p_s * 7.5, p_s * 7.5, tau)
+    assert a == b
 
 
 def test_pattern_validation():

@@ -22,27 +22,22 @@ from brickbg.maintenance import (
     reweight_stack,
     robust_scale,
     synthesize,
-    update_appearance,
     update_basis_stack,
     weight,
 )
 from brickbg.config import EngineConfig
 from brickbg.pipeline import initialize, step
-from brickbg.subspace import SubspaceModel, fit_dynamics_stack
+from brickbg.subspace import fit_dynamics_stack, seed_bucket
 
 
 def toy_model(m=8, d=2, seed=0, lam=(4.0, 1.0)):
+    """One-cell bucket, no noise dimension, one state in a 12-deep ring."""
     gen = np.random.default_rng(seed)
     c, _ = np.linalg.qr(gen.normal(size=(m, d)))
-    return SubspaceModel(
-        c=c,
-        lam=np.asarray(lam, dtype=np.float64),
-        a=0.5 * np.eye(d),
-        b=np.zeros((d, 0)),
-        b_pinv=np.zeros((0, d)),
-        z_latest=np.arange(1.0, d + 1.0),
-        history=12,
-    )
+    z = np.arange(1.0, d + 1.0)[None, :, None]
+    identified = (c[None], np.asarray(lam, dtype=np.float64)[None], z, 0.5 * np.eye(d)[None],
+                  np.zeros((1, d, d)), np.zeros((1, d, d)), np.zeros(1, dtype=np.int64))
+    return seed_bucket(np.zeros(1, dtype=np.intp), identified, history=12)
 
 
 # --- synthesize / compose -------------------------------------------------
@@ -50,8 +45,10 @@ def toy_model(m=8, d=2, seed=0, lam=(4.0, 1.0)):
 
 def test_synthesize_formula():
     model = toy_model()
-    want = model.c @ (model.a @ model.z_latest)
-    assert np.allclose(synthesize(model), want, atol=1e-14)
+    want = model.c[0] @ (model.a[0] @ model.states[0, model.n_states - 1])
+    got = synthesize(model)
+    assert got.shape == (1, 8)
+    assert np.allclose(got[0], want, atol=1e-14)
 
 
 def compose_one(v_new, background, voxel_mask, v_hat, mode):
@@ -98,10 +95,11 @@ def test_compose_rejects_bad_tiling_and_lengths():
 
 def test_robust_scale_matches_loop_oracle():
     model = toy_model(m=6, d=2, seed=3)
-    rho = robust_scale(model.c, model.lam, DEFAULT_BETA)
-    for k in range(model.m):
+    c, lam = model.c[0], model.lam[0]
+    rho = robust_scale(c, lam, DEFAULT_BETA)
+    for k in range(6):
         want = max(
-            DEFAULT_BETA * np.sqrt(model.lam[j]) * abs(model.c[k, j])
+            DEFAULT_BETA * np.sqrt(lam[j]) * abs(c[k, j])
             for j in range(model.d)
         )
         assert rho[k] == pytest.approx(max(want, RHO_FLOOR), abs=0.0, rel=1e-15)
@@ -131,14 +129,14 @@ def test_weight_strictly_decreasing_in_magnitude():
 
 
 def reweight_one(model, v_bar, beta=DEFAULT_BETA):
-    """``reweight_stack`` for one model: (v_tilde, weights)."""
-    v_tilde, w = reweight_stack(model.c[None], model.lam[None], v_bar[None], beta)
+    """``reweight_stack`` for a one-cell bucket: (v_tilde, weights)."""
+    v_tilde, w = reweight_stack(model.c, model.lam, v_bar[None], beta)
     return v_tilde[0], w[0]
 
 
 def test_robust_reweight_in_span_is_identity():
     model = toy_model()
-    v = model.c @ np.array([2.0, -1.0])
+    v = model.c[0] @ np.array([2.0, -1.0])
     v_tilde, w = reweight_one(model, v)
     assert np.allclose(w, 1.0, atol=1e-12)
     assert np.allclose(v_tilde, v, atol=1e-12)
@@ -146,17 +144,18 @@ def test_robust_reweight_in_span_is_identity():
 
 def test_robust_reweight_shrinks_outliers():
     model = toy_model()
+    c = model.c[0]
     gen = np.random.default_rng(7)
-    off = gen.normal(size=model.m) * 100.0
-    off -= model.c @ (model.c.T @ off)           # purely out-of-span
-    v = model.c @ np.array([2.0, -1.0]) + off
+    off = gen.normal(size=8) * 100.0
+    off -= c @ (c.T @ off)                       # purely out-of-span
+    v = c @ np.array([2.0, -1.0]) + off
     v_tilde, w = reweight_one(model, v)
     assert np.allclose(v_tilde, np.sqrt(w) * v, atol=1e-12)
     assert (w <= 1.0).all()
     # Entries with residuals far beyond the model scale are crushed; the
     # weight of each entry matches the influence function of its residual.
-    r = model.c @ (model.c.T @ v) - v
-    rho = robust_scale(model.c, model.lam, DEFAULT_BETA)
+    r = c @ (c.T @ v) - v
+    rho = robust_scale(c, model.lam[0], DEFAULT_BETA)
     assert np.allclose(w, weight(r, rho), atol=1e-12)
     big = np.abs(r) > 20.0 * rho
     assert big.any()
@@ -218,34 +217,25 @@ def test_orthonormality_does_not_drift_over_many_updates():
     gen = np.random.default_rng(8)
     model = toy_model(m=10, d=3, seed=8, lam=(4.0, 2.0, 1.0))
     for _ in range(300):
-        v = model.c @ gen.normal(size=3) + 0.1 * gen.normal(size=10)
-        update_appearance(model, v, alpha=0.05)
-        err = np.abs(model.c.T @ model.c - np.eye(3)).max()
+        v = model.c[0] @ gen.normal(size=3) + 0.1 * gen.normal(size=10)
+        model.c, model.lam = update_basis_stack(model.c, model.lam, v[None], 0.05)
+        err = np.abs(model.c[0].T @ model.c[0] - np.eye(3)).max()
         assert err < 1e-10
 
 
-def test_update_appearance_validates_inputs():
-    model = toy_model()
-    with pytest.raises(ValueError):
-        update_appearance(model, np.ones(model.m), alpha=1.5)
-    with pytest.raises(ValueError):
-        update_appearance(model, np.ones(model.m + 2))
-
-
-def test_update_appearance_alpha_extremes():
+def test_update_basis_stack_alpha_extremes():
     model = toy_model(m=6, d=2, seed=9)
-    c0 = model.c.copy()
-    lam0 = model.lam.copy()
+    c0 = model.c[0]
+    lam0 = model.lam[0]
     gen = np.random.default_rng(9)
     v = gen.normal(size=6) * 2.0
-    update_appearance(model, v, alpha=0.0)       # pure decay of the old model
-    assert np.allclose(np.abs(np.sum(model.c * c0, axis=0)), 1.0, atol=1e-10)
-    assert np.allclose(model.lam, lam0, atol=1e-10)
+    c, lam = update_basis_stack(model.c, model.lam, v[None], 0.0)      # pure decay of the old model
+    assert np.allclose(np.abs(np.sum(c[0] * c0, axis=0)), 1.0, atol=1e-10)
+    assert np.allclose(lam[0], lam0, atol=1e-10)
 
-    model2 = toy_model(m=6, d=2, seed=9)
-    update_appearance(model2, v, alpha=1.0)      # rank-one replacement
-    assert model2.lam[0] == pytest.approx(np.dot(v, v), rel=1e-10)
-    assert np.abs(model2.lam[1:]).max() < 1e-8
+    _, lam = update_basis_stack(model.c, model.lam, v[None], 1.0)      # rank-one replacement
+    assert lam[0, 0] == pytest.approx(np.dot(v, v), rel=1e-10)
+    assert np.abs(lam[0, 1:]).max() < 1e-8
 
 
 # --- dynamics update: ring append + fit_dynamics_stack ----------------------

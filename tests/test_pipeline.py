@@ -3,10 +3,12 @@
 The deepest test here mirrors grid cells through two engine steps by
 applying the stacked model functions (residuals -> label -> prediction ->
 composition -> robust reweight -> basis update -> ring append -> dynamics
-refit) to a stack of one cut from the engine's buckets, and requires the
-bucketed engine to land on the same model, ring and mask for those cells.
+refit) to the one-cell bucket that ``model_at`` copies out of the engine,
+and requires the bucketed engine to land on the same model, ring and mask
+for those cells.
 """
 
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +30,7 @@ from brickbg.pipeline import (
     step,
 )
 from brickbg.segmentation import classify_stack, residuals_stack
-from brickbg.subspace import InsufficientData, fit_dynamics_stack
+from brickbg.subspace import InsufficientData, ModelBucket, fit_dynamics_stack
 from brickbg.synth import load_scene, render
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
@@ -209,24 +211,6 @@ def test_aux_mean_is_kept_for_the_cs_stltp_gate_only():
 # --- the single-cell mirror ----------------------------------------------------------
 
 
-def cell_slice(state, gx, gy):
-    """Copy of one cell's bucket arrays as a stack of one, ring included."""
-    cell = gy * state.geometry.grid_w + gx
-    for bucket in state.buckets:
-        hits = np.nonzero(bucket.indices == cell)[0]
-        if hits.size:
-            i = slice(int(hits[0]), int(hits[0]) + 1)
-            n = bucket.n_states
-            return {
-                "c": bucket.c[i].copy(), "lam": bucket.lam[i].copy(),
-                "a": bucket.a[i].copy(), "b": bucket.b[i].copy(),
-                "b_pinv": bucket.b_pinv[i].copy(), "d_eps": bucket.d_eps[i].copy(),
-                "z_latest": bucket.states[i, n - 1].copy(),
-                "states": bucket.states[i, :n].copy(), "observed": bucket.observed[i, :n].copy(),
-            }
-    raise KeyError(cell)
-
-
 def cell_descriptor(state, volume, gx, gy, mode, tau):
     geometry = state.geometry
     brick = VideoBrick(
@@ -239,27 +223,31 @@ def cell_descriptor(state, volume, gx, gy, mode, tau):
 
 def mirror_label(cell, v, voxel_shape, config):
     """One cell's labels from the stacked functions: (residuals, background, voxel mask)."""
-    res = residuals_stack(cell["c"], cell["a"], cell["b_pinv"], cell["z_latest"], v[None])
+    res = residuals_stack(cell.c, cell.a, cell.b_pinv, cell.states[:, cell.n_states - 1], v[None])
     background, voxel_mask = classify_stack(
-        res[1], res[2], cell["d_eps"], voxel_shape, config.mode,
+        res[1], res[2], cell.d_eps, voxel_shape, config.mode,
         config.effective_t_omega, config.effective_t_eps,
     )
     return res, background, voxel_mask
 
 
 def mirror_cell_update(cell, v, voxel_shape, config):
-    """One cell's engine step recomputed on a stack of one."""
+    """One cell's engine step recomputed on a one-cell bucket."""
     (_, _, _, predicted), background, voxel_mask = mirror_label(cell, v, voxel_shape, config)
-    v_hat = np.einsum("gmd,gd->gm", cell["c"], predicted)
+    v_hat = np.einsum("gmd,gd->gm", cell.c, predicted)
     v_bar = compose_stack(v[None], v_hat, background, voxel_mask, config.mode)
-    v_tilde, _ = reweight_stack(cell["c"], cell["lam"], v_bar, config.beta)
-    c, lam = update_basis_stack(cell["c"], cell["lam"], v_tilde, config.alpha)
+    v_tilde, _ = reweight_stack(cell.c, cell.lam, v_bar, config.beta)
+    c, lam = update_basis_stack(cell.c, cell.lam, v_tilde, config.alpha)
     z_new = np.einsum("gmd,gm->gd", c, v_tilde)
-    states = np.concatenate([cell["states"], z_new[:, None]], axis=1)[:, -config.history:]
-    observed = np.concatenate([cell["observed"], background[:, None]], axis=1)[:, -config.history:]
+    n = cell.n_states
+    states = np.concatenate([cell.states[:, :n], z_new[:, None]], axis=1)[:, -config.history:]
+    observed = np.concatenate([cell.observed[:, :n], background[:, None]], axis=1)[:, -config.history:]
     a, b, b_pinv, d_eps = fit_dynamics_stack(states, config.t_deps, observed=observed)
-    after = {"c": c, "lam": lam, "a": a, "b": b, "b_pinv": b_pinv, "d_eps": d_eps,
-             "z_latest": z_new, "states": states, "observed": observed}
+    n = states.shape[1]
+    ring, flags = np.zeros_like(cell.states), np.zeros_like(cell.observed)
+    ring[:, :n], flags[:, :n] = states, observed
+    after = ModelBucket(indices=cell.indices, c=c, lam=lam, a=a, b=b, b_pinv=b_pinv, d_eps=d_eps,
+                        states=ring, observed=flags, n_states=n)
     return after, bool(background[0]), voxel_mask[0]
 
 
@@ -278,7 +266,7 @@ def test_engine_step_equals_single_model_mirror(mode):
     painted = video[20:25].copy()
     painted[:, 0:4, 8:12] = 250
     cells = [(0, 0), (2, 0), (1, 1)]
-    mirrors = {cell: cell_slice(state, *cell) for cell in cells}
+    mirrors = {cell: model_at(state, *cell) for cell in cells}
 
     for window, painted_window in ((painted, True), (video[25:30], False)):
         volume = window.astype(np.float64)
@@ -291,13 +279,14 @@ def test_engine_step_equals_single_model_mirror(mode):
             labels[gx, gy] = (background, voxel_mask)
         result = step(state, window)
         for (gx, gy), mirrored in mirrors.items():
-            after = cell_slice(state, gx, gy)
+            after = model_at(state, gx, gy)
             background, voxel_mask = labels[gx, gy]
             assert background == result.brick_background[gy, gx]
-            for key in ("c", "lam", "a", "b", "z_latest", "states"):
-                assert np.allclose(after[key], mirrored[key], atol=1e-8), (gx, gy, key)
-            assert np.array_equal(after["d_eps"], mirrored["d_eps"])
-            assert np.array_equal(after["observed"], mirrored["observed"])
+            assert after.n_states == mirrored.n_states
+            for key in ("c", "lam", "a", "b", "states"):
+                assert np.allclose(getattr(after, key), getattr(mirrored, key), atol=1e-8), (gx, gy, key)
+            assert np.array_equal(after.d_eps, mirrored.d_eps)
+            assert np.array_equal(after.observed, mirrored.observed)
             if mode == "rgb":
                 x0, y0 = int(geometry.x0[gx]), int(geometry.y0[gy])
                 region = result.raw_masks[:, y0 : y0 + 4, x0 : x0 + 4]
@@ -306,7 +295,8 @@ def test_engine_step_equals_single_model_mirror(mode):
         assert labels[2, 0][0] != painted_window
         assert labels[0, 0][0] and labels[1, 1][0]
     # the clean window's refit of cell (2, 0) excluded the synthesized state
-    assert list(mirrors[2, 0]["observed"][0, -2:]) == [False, True]
+    mirrored = mirrors[2, 0]
+    assert list(mirrored.observed[0, mirrored.n_states - 2 : mirrored.n_states]) == [False, True]
 
 
 @pytest.mark.parametrize("mode", ["rgb", "cs_stltp"])
@@ -339,7 +329,7 @@ def test_step_labels_buckets_of_every_kind(mode):
     for cell in range(geometry.locations):
         gx, gy = cell % geometry.grid_w, cell // geometry.grid_w
         v = cell_descriptor(state, volume, gx, gy, mode, config.tau)
-        _, background, voxel_mask = mirror_label(cell_slice(state, gx, gy), v,
+        _, background, voxel_mask = mirror_label(model_at(state, gx, gy), v,
                                                  (5, 4, 4, channels), config)
         expected[gx, gy] = (bool(background[0]), voxel_mask[0])
 
@@ -452,11 +442,17 @@ def test_model_at_bounds_and_copy_semantics():
     with pytest.raises(IndexError):
         model_at(state, 0, 2)
     model = model_at(state, 1, 1)
+    bucket = next(b for b in state.buckets if 4 in b.indices)
+    i = int(np.nonzero(bucket.indices == 4)[0][0])
+    assert model.n_states == bucket.n_states
+    for f in fields(ModelBucket):                # every field, padding and ring included
+        if f.name != "n_states":
+            assert np.array_equal(getattr(model, f.name), getattr(bucket, f.name)[i : i + 1]), f.name
     model.c[:] = 0.0
-    model.z_latest[:] = 99.0
+    model.states[:] = 99.0
     fresh = model_at(state, 1, 1)
     assert not np.allclose(fresh.c, 0.0)         # engine state untouched
-    assert not np.allclose(fresh.z_latest, 99.0)
+    assert not np.allclose(fresh.states, 99.0)
 
 
 def test_background_flags_shape():

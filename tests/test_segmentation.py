@@ -1,8 +1,8 @@
 """Residual computation and brick labeling.
 
 The functions under test are stacked over cells; most cases here are a
-stack of one, built from a single ``SubspaceModel`` the way the engine
-stores it (``b_pinv`` zero-padded to (d, d)).
+one-cell ``ModelBucket``, the record the engine stores (``b`` and
+``b_pinv`` zero-padded to (d, d)).
 """
 
 import numpy as np
@@ -17,31 +17,29 @@ from brickbg.segmentation import (
     classify_stack,
     residuals_stack,
 )
-from brickbg.subspace import SubspaceModel, learn_initial
+from brickbg.subspace import learn_initial, seed_bucket
 
 
 def toy_model(m=6, d=2, d_eps=1, seed=0):
+    """One-cell bucket with one random state in a 10-deep ring."""
     gen = np.random.default_rng(seed)
     c, _ = np.linalg.qr(gen.normal(size=(m, d)))
-    b = np.zeros((d, d_eps))
+    b = np.zeros((d, d))
     b[:d_eps, :d_eps] = np.eye(d_eps) * 2.0
-    return SubspaceModel(
-        c=c,
-        lam=np.ones(d),
-        a=np.eye(d),
-        b=b,
-        b_pinv=np.linalg.pinv(b),
-        z_latest=gen.normal(size=d),
-        history=10,
-    )
+    z = gen.normal(size=d)[None, :, None]
+    identified = (c[None], np.ones((1, d)), z, np.eye(d)[None], b[None],
+                  np.linalg.pinv(b)[None], np.array([d_eps]))
+    return seed_bucket(np.zeros(1, dtype=np.intp), identified, history=10)
+
+
+def newest(model):
+    return model.states[0, model.n_states - 1]
 
 
 def residuals_one(model, v):
-    """``residuals_stack`` for one model: (z_prime, omega, epsilon, predicted)."""
-    b_pinv = np.zeros((model.d, model.d))
-    b_pinv[: model.d_eps] = model.b_pinv
+    """``residuals_stack`` for a one-cell bucket: (z_prime, omega, epsilon, predicted)."""
     out = residuals_stack(
-        model.c[None], model.a[None], b_pinv[None], model.z_latest[None],
+        model.c, model.a, model.b_pinv, model.states[:, model.n_states - 1],
         np.asarray(v, dtype=np.float64)[None],
     )
     return tuple(x[0] for x in out)
@@ -68,16 +66,16 @@ def classify_one(omega, epsilon, voxel_shape, mode, t_omega=None, t_eps=None):
 def test_omega_is_orthogonal_to_basis():
     model = toy_model()
     gen = np.random.default_rng(1)
-    v = gen.normal(size=model.m) * 10.0
+    v = gen.normal(size=6) * 10.0
     z_prime, omega, _, _ = residuals_one(model, v)
-    assert np.allclose(model.c.T @ omega, 0.0, atol=1e-12)
+    assert np.allclose(model.c[0].T @ omega, 0.0, atol=1e-12)
     # omega + C z' rebuilds the input exactly
-    assert np.allclose(omega + model.c @ z_prime, v, atol=1e-12)
+    assert np.allclose(omega + model.c[0] @ z_prime, v, atol=1e-12)
 
 
 def test_in_span_vector_has_zero_omega():
     model = toy_model()
-    v = model.c @ np.array([3.0, -1.5])
+    v = model.c[0] @ np.array([3.0, -1.5])
     z_prime, omega, _, _ = residuals_one(model, v)
     assert np.abs(omega).max() < 1e-12
     assert np.allclose(z_prime, [3.0, -1.5], atol=1e-12)
@@ -85,28 +83,29 @@ def test_in_span_vector_has_zero_omega():
 
 def test_epsilon_is_innovation_in_noise_coordinates():
     model = toy_model(d=2, d_eps=1)
-    # Next state = A z_latest + B * 1.5 : innovation must read back as 1.5.
-    z_next = model.a @ model.z_latest + model.b @ np.array([1.5])
-    v = model.c @ z_next
+    # Next state = A z + B * 1.5, z the newest state: innovation must read back as 1.5.
+    z_next = model.a[0] @ newest(model) + model.b[0][:, :1] @ np.array([1.5])
+    v = model.c[0] @ z_next
     _, _, epsilon, predicted = residuals_one(model, v)
     assert epsilon.shape == (2,)                 # padded to d
     assert np.allclose(epsilon[:1], [1.5], atol=1e-12)
     assert epsilon[1] == 0.0
-    assert np.array_equal(predicted, model.a @ model.z_latest)
+    assert np.array_equal(predicted, model.a[0] @ newest(model))
 
 
 def test_epsilon_empty_without_noise_dimensions():
     model = toy_model(d_eps=1)
-    model.b = np.zeros((2, 0))
-    model.b_pinv = np.zeros((0, 2))
-    _, _, epsilon, _ = residuals_one(model, np.ones(model.m))
+    model.d_eps[:] = 0
+    model.b[:] = 0.0
+    model.b_pinv[:] = 0.0
+    _, _, epsilon, _ = residuals_one(model, np.ones(6))
     assert (epsilon == 0.0).all()                # padded coordinates are exact zeros
 
 
 def test_descriptor_length_checked():
     model = toy_model()
     with pytest.raises(ValueError):
-        residuals_one(model, np.ones(model.m + 1))
+        residuals_one(model, np.ones(7))
     with pytest.raises(ValueError):
         residuals_one(model, np.ones((2, 3)))
 
@@ -197,10 +196,10 @@ def test_identified_model_accepts_its_own_process():
     model = learn_initial(window, t_d=0.5)
     typical = base + gen.normal(scale=0.5, size=12)
     _, omega, epsilon, _ = residuals_one(model, typical)
-    background, _ = classify_one(omega, epsilon[: model.d_eps], (1, 1, 12, 1), "cs_stltp")
+    background, _ = classify_one(omega, epsilon[: model.d_eps[0]], (1, 1, 12, 1), "cs_stltp")
     assert background
 
     foreign = base + 40.0 * gen.normal(size=12)
     _, omega, epsilon, _ = residuals_one(model, foreign)
-    background, _ = classify_one(omega, epsilon[: model.d_eps], (1, 1, 12, 1), "cs_stltp")
+    background, _ = classify_one(omega, epsilon[: model.d_eps[0]], (1, 1, 12, 1), "cs_stltp")
     assert not background

@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
 from brickbg import linalg
+from brickbg.pipeline import _ring_append
 from brickbg.subspace import (
     InsufficientData,
-    SubspaceModel,
     fit_dynamics_stack,
     learn_initial,
     select_dim,
@@ -81,9 +81,9 @@ def test_learn_initial_recovers_planted_subspace(seed):
     # without coupling the test to the trajectory's singular-value spread.
     model = learn_initial([w[:, i] for i in range(w.shape[1])], t_d=1e-6)
     assert model.d == 3
-    angle = subspace_angles(model.c, basis).max()
+    angle = subspace_angles(model.c[0], basis).max()
     assert angle < 1e-8
-    got = np.sort_complex(np.linalg.eigvals(model.a))
+    got = np.sort_complex(np.linalg.eigvals(model.a[0]))
     want = np.sort_complex(np.linalg.eigvals(transition))
     assert np.allclose(got, want, atol=1e-8)
 
@@ -93,35 +93,38 @@ def test_learn_initial_noisy_recovery_stays_close():
     w = planted_descriptors(basis, transition, gen, n=60, sigma=0.01)
     model = learn_initial([w[:, i] for i in range(w.shape[1])], t_d=0.01)
     assert model.d >= 3
-    assert subspace_angles(model.c[:, :3], basis).max() < 0.05
+    assert subspace_angles(model.c[0][:, :3], basis).max() < 0.05
 
 
 def test_learn_initial_exact_dynamics_have_no_noise_dimension():
     basis, transition, gen = planted_system(7, m=20, d=2)
     w = planted_descriptors(basis, transition, gen, n=30)
     model = learn_initial([w[:, i] for i in range(w.shape[1])], t_d=1e-6)
-    assert model.d_eps == 0
-    assert model.b.shape == (model.d, 0)
+    assert model.d_eps[0] == 0
+    assert (model.b == 0.0).all() and (model.b_pinv == 0.0).all()
 
 
 def test_learn_initial_noisy_dynamics_get_noise_dimensions():
     basis, transition, gen = planted_system(8, m=20, d=2)
     w = planted_descriptors(basis, transition, gen, n=30, sigma=0.5)
     model = learn_initial([w[:, i] for i in range(w.shape[1])])
-    assert model.d_eps >= 1
-    assert model.b_pinv.shape == (model.d_eps, model.d)
+    de = int(model.d_eps[0])
+    assert de >= 1
+    assert model.b_pinv.shape == (1, model.d, model.d)
+    assert (model.b_pinv[0, :de] != 0.0).any() and (model.b_pinv[0, de:] == 0.0).all()
 
 
 def test_learn_initial_ring_buffer_seeding():
     basis, transition, gen = planted_system(9, m=10, d=2)
     w = planted_descriptors(basis, transition, gen, n=12)
     model = learn_initial([w[:, i] for i in range(w.shape[1])], t_d=1e-6, history=8)
-    assert len(model.states) == 8
-    assert model.states.maxlen == 8
-    assert np.array_equal(model.states[-1], model.z_latest)
-    # states reproduce the descriptors through the basis
-    rebuilt = model.c @ model.z_latest
-    assert np.allclose(rebuilt, w[:, -1], atol=1e-8)
+    assert model.n_states == 8
+    assert model.states.shape == (1, 8, 2)
+    assert model.observed.all()
+    # the ring holds the newest 8 states, oldest first: they reproduce the
+    # last 8 descriptors through the basis
+    rebuilt = model.states[0] @ model.c[0].T
+    assert np.allclose(rebuilt, w[:, -8:].T, atol=1e-8)
 
 
 def test_learn_initial_input_validation():
@@ -285,11 +288,9 @@ def test_b_padding_and_pinv_agree():
 
 
 def test_subspace_model_ring_respects_history():
-    model = SubspaceModel(
-        c=np.eye(3)[:, :2], lam=np.ones(2), a=np.eye(2), b=np.zeros((2, 0)),
-        b_pinv=np.zeros((0, 2)), z_latest=np.zeros(2), history=4,
-    )
+    model = learn_initial([np.ones(3), 2.0 * np.ones(3)], history=4)
+    assert model.n_states == 2
     for i in range(10):
-        model.states.append(np.full(2, float(i)))
-    assert len(model.states) == 4
-    assert model.states[0][0] == 6.0
+        _ring_append(model, np.full((1, 1), float(i)), np.array([True]))
+    assert model.n_states == 4 and model.states.shape == (1, 4, 1)
+    assert model.states[0, 0, 0] == 6.0
