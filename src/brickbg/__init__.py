@@ -23,9 +23,6 @@ from .features import (
     MODE_CS,
     MODE_RGB,
     MODES,
-    BrickDescriptor,
-    TernaryPattern,
-    VideoBrick,
     brick_descriptor,
     cs_stltp_pixel,
     pattern_to_bin,
@@ -59,7 +56,6 @@ from .synth import MovingRect, SceneScript, illumination_scene, load_scene, pars
 __version__ = "0.1.0"
 
 __all__ = [
-    "BrickDescriptor",
     "ConfigError",
     "EngineConfig",
     "EngineState",
@@ -75,8 +71,6 @@ __all__ = [
     "NumericalFailure",
     "SceneScript",
     "StepResult",
-    "TernaryPattern",
-    "VideoBrick",
     "background_flags",
     "batch_descriptors",
     "brick_descriptor",

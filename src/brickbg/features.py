@@ -20,11 +20,14 @@ frames.  Two descriptor flavours are supported:
 Neighbour lookups clamp to the edges of the supplied frame volume, so the
 first/last frames and the image border reuse their nearest voxels;
 ``bin_volume`` implements the clamp as one edge padding of the volume.
+
+Patterns and descriptors are plain arrays: ``cs_stltp_pixel`` returns the
+16 int8 trits of one voxel and ``brick_descriptor`` the (m,) vector of one
+brick, both per-cell views of the path the engine runs (``bin_volume``
+then ``cell_histograms``).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,20 +76,6 @@ def ternary_sign(p_m: float, p_s: float, tau: float) -> int:
     return 0
 
 
-@dataclass
-class TernaryPattern:
-    """16 trits for one voxel: four planes x four center-symmetric pairs."""
-
-    trits: np.ndarray
-
-    def __post_init__(self):
-        self.trits = np.asarray(self.trits, dtype=np.int8)
-        if self.trits.shape != (PATTERN_LENGTH,):
-            raise ValueError(f"expected {PATTERN_LENGTH} trits, got {self.trits.shape}")
-        if not np.isin(self.trits, (-1, 0, 1)).all():
-            raise ValueError("trits must be -1, 0 or +1")
-
-
 def _check_volume(volume) -> np.ndarray:
     volume = np.asarray(volume, dtype=np.float64)
     if volume.ndim != 3:
@@ -94,8 +83,10 @@ def _check_volume(volume) -> np.ndarray:
     return volume
 
 
-def cs_stltp_pixel(volume, x: int, y: int, t: int, tau: float = DEFAULT_TAU) -> TernaryPattern:
-    """Ternary pattern of the voxel at (x, y, t) in a single-channel volume.
+def cs_stltp_pixel(volume, x: int, y: int, t: int, tau: float = DEFAULT_TAU) -> np.ndarray:
+    """16 int8 trits of the voxel at (x, y, t) in a single-channel volume.
+
+    The trits run plane-major: four planes x four center-symmetric pairs.
 
     ``volume`` is indexed (t, y, x); out-of-range neighbours clamp to the
     nearest edge, including before frame 0.
@@ -117,20 +108,21 @@ def cs_stltp_pixel(volume, x: int, y: int, t: int, tau: float = DEFAULT_TAU) -> 
             min(max(x - dx, 0), nx - 1),
         ]
         trits[i] = ternary_sign(pm, ps, tau)
-    return TernaryPattern(trits)
+    return trits
 
 
-def pattern_to_bin(pattern) -> int:
+def pattern_to_bin(trits) -> int:
     """Quantize a 16-trit pattern to one of 48 histogram bins.
 
     Bin index is ``transitions * 3 + sign + 1`` where ``transitions``
     counts adjacent unequal trits (0..15) and ``sign`` is the sign of the
-    trit sum.
+    trit sum.  Every trit must be -1, 0 or +1.
     """
-    if isinstance(pattern, TernaryPattern):
-        trits = pattern.trits
-    else:
-        trits = TernaryPattern(np.asarray(pattern)).trits
+    trits = np.asarray(trits, dtype=np.int8)
+    if trits.shape != (PATTERN_LENGTH,):
+        raise ValueError(f"expected {PATTERN_LENGTH} trits, got {trits.shape}")
+    if not np.isin(trits, (-1, 0, 1)).all():
+        raise ValueError("trits must be -1, 0 or +1")
     transitions = int(np.count_nonzero(trits[1:] != trits[:-1]))
     s = int(np.sign(trits.sum()))
     return transitions * 3 + s + 1
@@ -179,82 +171,36 @@ def cell_histograms(bins: np.ndarray, window_y: np.ndarray, window_x: np.ndarray
     return counts.astype(np.float64) * COUNTS_PER_VOXEL
 
 
-@dataclass
-class VideoBrick:
-    """A w x h x t voxel window into a batch of frames.
+def brick_descriptor(
+    volume, x0: int, y0: int, width: int, height: int, mode: str = MODE_CS, tau: float = DEFAULT_TAU
+) -> np.ndarray:
+    """Descriptor (m,) of the width x height brick at (x0, y0) of a volume.
 
-    ``volume`` holds the full frames (t, y, x, channels) the brick was cut
-    from; descriptor extraction reads neighbours from it so bricks see
-    across their own spatial boundary.
-    """
-
-    grid_x: int
-    grid_y: int
-    frame_start: int
-    x0: int
-    y0: int
-    width: int
-    height: int
-    volume: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.volume = np.asarray(self.volume, dtype=np.float64)
-        if self.volume.ndim == 3:
-            self.volume = self.volume[..., None]
-        if self.volume.ndim != 4:
-            raise ValueError(f"volume must be (t, y, x[, c]), got {self.volume.shape}")
-        nt, ny, nx, _ = self.volume.shape
-        if self.width < 1 or self.height < 1 or nt < 1:
-            raise ValueError("brick dimensions must be positive")
-        if not (0 <= self.x0 and self.x0 + self.width <= nx):
-            raise ValueError("brick x-window outside volume")
-        if not (0 <= self.y0 and self.y0 + self.height <= ny):
-            raise ValueError("brick y-window outside volume")
-
-    @property
-    def depth(self) -> int:
-        return self.volume.shape[0]
-
-    @property
-    def channels(self) -> int:
-        return self.volume.shape[3]
-
-    @property
-    def voxels(self) -> np.ndarray:
-        """(t, h, w, channels) view of the brick's own voxels."""
-        return self.volume[:, self.y0 : self.y0 + self.height, self.x0 : self.x0 + self.width, :]
-
-
-@dataclass
-class BrickDescriptor:
-    """Feature vector of one brick plus the mode that produced it."""
-
-    values: np.ndarray
-    mode: str
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 1:
-            raise ValueError("descriptor values must be a vector")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown descriptor mode {self.mode!r}")
-
-
-def brick_descriptor(brick: VideoBrick, mode: str = MODE_CS, tau: float = DEFAULT_TAU) -> BrickDescriptor:
-    """Descriptor of one brick.
-
+    ``volume`` holds the full frames, (t, y, x) or (t, y, x, c), the brick
+    is cut from; cs_stltp reads neighbours from it, so a brick sees across
+    its own spatial boundary.
     cs_stltp: 48 raw histogram counts per channel, concatenated channel by
     channel; every voxel contributes four counts to its pattern's bin.
     rgb: voxel intensities flattened in (t, y, x, channel) order.
     """
+    volume = np.asarray(volume, dtype=np.float64)
+    if volume.ndim == 3:
+        volume = volume[..., None]
+    if volume.ndim != 4:
+        raise ValueError(f"volume must be (t, y, x[, c]), got {volume.shape}")
+    nt, ny, nx, channels = volume.shape
+    if width < 1 or height < 1 or nt < 1:
+        raise ValueError("brick dimensions must be positive")
+    if not (0 <= x0 and x0 + width <= nx):
+        raise ValueError("brick x-window outside volume")
+    if not (0 <= y0 and y0 + height <= ny):
+        raise ValueError("brick y-window outside volume")
     if mode == MODE_RGB:
-        return BrickDescriptor(brick.voxels.reshape(-1).copy(), MODE_RGB)
+        return volume[:, y0 : y0 + height, x0 : x0 + width, :].reshape(-1).copy()
     if mode != MODE_CS:
         raise ValueError(f"unknown descriptor mode {mode!r}")
-    rows = np.arange(brick.y0, brick.y0 + brick.height)[None]
-    cols = np.arange(brick.x0, brick.x0 + brick.width)[None]
-    chunks = [
-        cell_histograms(bin_volume(brick.volume[..., c], tau), rows, cols)[0]
-        for c in range(brick.channels)
-    ]
-    return BrickDescriptor(np.concatenate(chunks), MODE_CS)
+    rows = np.arange(y0, y0 + height)[None]
+    cols = np.arange(x0, x0 + width)[None]
+    return np.concatenate(
+        [cell_histograms(bin_volume(volume[..., c], tau), rows, cols)[0] for c in range(channels)]
+    )

@@ -5,10 +5,11 @@ the rest of the package relies on: descending spectra, deterministic
 singular-vector signs, a shared zero cutoff for rank decisions, and one
 relative cutoff (``PINV_RTOL``) for pseudo-inverse reciprocals; ``pinv``
 takes no tolerance of its own.
-Every routine also exists in a stacked form (leading batch dimension) so
-the pipeline can run one call across many spatial locations; the
-single-matrix API is a stack of one, which keeps both paths numerically
-identical.
+Every routine works on stacks (leading batch dimension) so the pipeline
+can run one call across many spatial locations.  ``svd`` and ``pinv`` are
+single-matrix views, a stack of one, which keeps both paths numerically
+identical; the symmetric eigendecomposition exists only as ``eigh_stack``,
+whose one caller is the stacked basis update.
 """
 
 from __future__ import annotations
@@ -23,10 +24,6 @@ ZERO_CUTOFF = 1e-12
 
 # Relative cutoff for pseudo-inverse reciprocals.
 PINV_RTOL = 1e-10
-
-# Largest asymmetry, relative to the matrix magnitude, that ``eig_sym``
-# accepts as symmetric.
-SYM_RTOL = 1e-9
 
 # How many stacked matrices to hand to LAPACK at once; keeps transient
 # buffers small without changing any per-matrix result.
@@ -118,25 +115,6 @@ def _eigh_chunk(s: np.ndarray):
 def eigh_stack(s: np.ndarray):
     """Symmetric eigendecomposition of a stack, eigenvalues descending."""
     return _chunked(_eigh_chunk, s)
-
-
-def eig_sym(s):
-    """Eigendecomposition of a symmetric matrix.
-
-    Returns ``(values, vectors)`` with values sorted non-increasing and
-    orthonormal eigenvector columns.  Inputs asymmetric beyond ``SYM_RTOL``
-    (relative to the matrix magnitude) are rejected.
-    """
-    s = _validated(s, "eig_sym input")
-    if s.shape[0] != s.shape[1]:
-        raise ValueError(f"eig_sym needs a square matrix, got {s.shape}")
-    scale = max(1.0, float(np.abs(s).max()))
-    asym = float(np.abs(s - s.T).max())
-    if asym > SYM_RTOL * scale:
-        raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
-    sym = 0.5 * (s + s.T)
-    vals, vecs = eigh_stack(sym[None])
-    return vals[0], vecs[0]
 
 
 def _pinv_chunk(a: np.ndarray):

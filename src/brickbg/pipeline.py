@@ -47,6 +47,11 @@ from .subspace import (
 
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
 
+# Open band of median gains the cs_stltp pixel gate follows; a ratio
+# outside it (a blackout gives 0) is not an illumination change, and the
+# running mean is left unscaled for that window.
+GAIN_BAND = (0.5, 2.0)
+
 
 @dataclass
 class GridGeometry:
@@ -308,7 +313,9 @@ def step(state: EngineState, window) -> StepResult:
         # far less than half the frame).
         steady = state.aux_mean > 1.0
         if steady.any():
-            state.aux_mean *= np.median(window_mean[steady] / state.aux_mean[steady])
+            gain = np.median(window_mean[steady] / state.aux_mean[steady])
+            if GAIN_BAND[0] < gain < GAIN_BAND[1]:
+                state.aux_mean *= gain
         # Histograms only localize to brick granularity; cut flagged bricks
         # down to the pixels that differ from the running background mean.
         difference = np.abs(volume - state.aux_mean).max(axis=-1)

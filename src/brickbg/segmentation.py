@@ -16,9 +16,11 @@ A brick counts as background only when every innovation coordinate stays
 below the threshold; when the model has no noise dimensions (d_eps = 0)
 the appearance residual alone decides.  Non-background bricks are refined
 to voxel granularity: in rgb mode each voxel is foreground when any of its
-channels' appearance residuals exceed the threshold, in cs_stltp mode the
-histogram is not voxel-separable so the whole brick is marked (the
-pipeline re-refines it against a running pixel mean).
+channels' appearance residuals exceed the threshold, and a brick with no
+such voxel (flagged through its innovation alone, as in a blackout, where
+omega is 0) is marked whole; in cs_stltp mode the histogram is not
+voxel-separable so the whole brick is marked (the pipeline re-refines it
+against a running pixel mean).
 """
 
 from __future__ import annotations
@@ -71,6 +73,7 @@ def classify_stack(omega, epsilon, d_eps, voxel_shape, mode: str, t_omega: float
     if mode == MODE_RGB:
         voxel_mask = (np.abs(omega).reshape(-1, t, h, w, channels) > t_omega).any(axis=-1)
         voxel_mask[background] = False
+        voxel_mask[~background & ~voxel_mask.any(axis=(1, 2, 3))] = True
     else:
         voxel_mask = np.broadcast_to(
             (~background)[:, None, None, None], (background.size, t, h, w)

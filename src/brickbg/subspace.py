@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .features import BrickDescriptor
 
 DEFAULT_T_D = 0.5
 DEFAULT_T_DEPS = 0.5
@@ -122,7 +121,7 @@ def seed_bucket(indices: np.ndarray, identified, history: int) -> ModelBucket:
 def _descriptor_matrix(descriptors) -> np.ndarray:
     cols = []
     for item in descriptors:
-        vec = item.values if isinstance(item, BrickDescriptor) else np.asarray(item, dtype=np.float64)
+        vec = np.asarray(item, dtype=np.float64)
         if vec.ndim != 1:
             raise ValueError("each descriptor must be a vector")
         cols.append(vec)

@@ -17,8 +17,6 @@ from brickbg.features import (
     HISTOGRAM_BINS,
     PAIR_OFFSETS,
     PATTERN_LENGTH,
-    TernaryPattern,
-    VideoBrick,
     bin_volume,
     brick_descriptor,
     cs_stltp_pixel,
@@ -60,9 +58,9 @@ def test_ternary_sign_scale_invariance(p_s, tau, ratio):
 
 def test_pattern_validation():
     with pytest.raises(ValueError):
-        TernaryPattern(np.zeros(15, dtype=np.int8))
+        pattern_to_bin(np.zeros(15, dtype=np.int8))
     with pytest.raises(ValueError):
-        TernaryPattern(np.full(16, 2, dtype=np.int8))
+        pattern_to_bin(np.full(16, 2, dtype=np.int8))
 
 
 # --- pattern quantization ----------------------------------------------
@@ -109,8 +107,8 @@ def test_pair_offsets_layout():
 
 def test_uniform_volume_gives_zero_trits():
     vol = np.full((5, 4, 4), 57.0)
-    pat = cs_stltp_pixel(vol, 2, 2, 2)
-    assert (pat.trits == 0).all()
+    trits = cs_stltp_pixel(vol, 2, 2, 2)
+    assert (trits == 0).all()
 
 
 def test_cs_stltp_pixel_bounds_check():
@@ -130,7 +128,7 @@ def test_edge_clamping_matches_padding_oracle(seed):
     for (x, y, t) in ((0, 0, 0), (3, 0, 2), (0, 3, 1), (3, 3, 2)):
         direct = cs_stltp_pixel(vol, x, y, t)
         via_pad = cs_stltp_pixel(padded, x + 1, y + 1, t + 1)
-        assert np.array_equal(direct.trits, via_pad.trits)
+        assert np.array_equal(direct, via_pad)
 
 
 @given(st.integers(0, 2**31 - 1))
@@ -153,114 +151,105 @@ def test_bin_volume_matches_scalar_reference(seed):
 # --- brick descriptors --------------------------------------------------
 
 
-def make_brick(seed, channels=1, t=5, size=4, frame=8):
+def make_volume(seed, channels=1, t=5, frame=8):
     gen = np.random.default_rng(seed)
-    vol = gen.uniform(20, 200, size=(t, frame, frame, channels))
-    return VideoBrick(
-        grid_x=0, grid_y=0, frame_start=0, x0=2, y0=2,
-        width=size, height=size, volume=vol,
-    )
+    return gen.uniform(20, 200, size=(t, frame, frame, channels))
+
+
+def centre_descriptor(vol, mode):
+    """Descriptor of the 4x4 brick at (2, 2) of an 8x8 volume."""
+    return brick_descriptor(vol, 2, 2, 4, 4, mode)
 
 
 @given(st.integers(0, 2**31 - 1))
 def test_histogram_mass_is_four_counts_per_voxel(seed):
-    brick = make_brick(seed)
-    desc = brick_descriptor(brick, "cs_stltp")
-    assert desc.values.shape == (HISTOGRAM_BINS,)
-    assert desc.values.sum() == COUNTS_PER_VOXEL * 4 * 4 * 5  # = 320
-    assert (desc.values >= 0).all()
-    assert (desc.values % COUNTS_PER_VOXEL == 0).all()
+    desc = centre_descriptor(make_volume(seed), "cs_stltp")
+    assert desc.shape == (HISTOGRAM_BINS,)
+    assert desc.sum() == COUNTS_PER_VOXEL * 4 * 4 * 5  # = 320
+    assert (desc >= 0).all()
+    assert (desc % COUNTS_PER_VOXEL == 0).all()
 
 
 def test_cs_descriptor_matches_scalar_histogram():
-    brick = make_brick(5, channels=2)
-    desc = brick_descriptor(brick, "cs_stltp")
+    volume = make_volume(5, channels=2)
+    desc = centre_descriptor(volume, "cs_stltp")
     want = np.zeros(2 * HISTOGRAM_BINS)
     for c in range(2):
-        vol = brick.volume[..., c]
-        for t in range(brick.depth):
-            for y in range(brick.y0, brick.y0 + brick.height):
-                for x in range(brick.x0, brick.x0 + brick.width):
+        vol = volume[..., c]
+        for t in range(volume.shape[0]):
+            for y in range(2, 6):
+                for x in range(2, 6):
                     want[c * HISTOGRAM_BINS + pattern_to_bin(cs_stltp_pixel(vol, x, y, t))] += COUNTS_PER_VOXEL
-    assert np.array_equal(desc.values, want)
+    assert np.array_equal(desc, want)
 
 
 def test_histogram_mass_per_channel():
-    brick = make_brick(7, channels=3)
-    desc = brick_descriptor(brick, "cs_stltp")
-    assert desc.values.shape == (3 * HISTOGRAM_BINS,)
-    per_channel = desc.values.reshape(3, HISTOGRAM_BINS).sum(axis=1)
+    desc = centre_descriptor(make_volume(7, channels=3), "cs_stltp")
+    assert desc.shape == (3 * HISTOGRAM_BINS,)
+    per_channel = desc.reshape(3, HISTOGRAM_BINS).sum(axis=1)
     assert (per_channel == 320).all()
 
 
 def test_multichannel_descriptor_concatenates_channels():
-    brick = make_brick(8, channels=3)
-    desc = brick_descriptor(brick, "cs_stltp")
+    volume = make_volume(8, channels=3)
+    desc = centre_descriptor(volume, "cs_stltp")
     for c in range(3):
-        single = VideoBrick(
-            grid_x=0, grid_y=0, frame_start=0, x0=2, y0=2, width=4, height=4,
-            volume=brick.volume[..., c],
-        )
-        part = brick_descriptor(single, "cs_stltp").values
-        assert np.array_equal(desc.values[c * HISTOGRAM_BINS : (c + 1) * HISTOGRAM_BINS], part)
+        part = centre_descriptor(volume[..., c], "cs_stltp")
+        assert np.array_equal(desc[c * HISTOGRAM_BINS : (c + 1) * HISTOGRAM_BINS], part)
 
 
 def test_uniform_brick_concentrates_in_zero_pattern_bin():
-    vol = np.full((5, 8, 8, 1), 90.0)
-    brick = VideoBrick(grid_x=0, grid_y=0, frame_start=0, x0=2, y0=2,
-                       width=4, height=4, volume=vol)
-    desc = brick_descriptor(brick, "cs_stltp")
-    assert desc.values[1] == 320
-    assert desc.values.sum() == 320
+    desc = centre_descriptor(np.full((5, 8, 8, 1), 90.0), "cs_stltp")
+    assert desc[1] == 320
+    assert desc.sum() == 320
 
 
 def test_rgb_descriptor_is_flattened_voxels():
     vol = np.arange(5 * 8 * 8 * 3, dtype=np.float64).reshape(5, 8, 8, 3)
-    brick = VideoBrick(grid_x=0, grid_y=0, frame_start=0, x0=1, y0=3,
-                       width=4, height=4, volume=vol)
-    desc = brick_descriptor(brick, "rgb")
+    desc = brick_descriptor(vol, 1, 3, 4, 4, "rgb")
     expected = vol[:, 3:7, 1:5, :].reshape(-1)
-    assert np.array_equal(desc.values, expected)
+    assert np.array_equal(desc, expected)
 
 
 @given(st.integers(0, 2**31 - 1), st.sampled_from([0.5, 0.8, 1.25]))
 def test_cs_descriptor_scale_invariance(seed, scale):
-    brick = make_brick(seed)
-    scaled = VideoBrick(
-        grid_x=0, grid_y=0, frame_start=0, x0=2, y0=2, width=4, height=4,
-        volume=brick.volume * scale,
-    )
-    a = brick_descriptor(brick, "cs_stltp").values
-    b = brick_descriptor(scaled, "cs_stltp").values
+    volume = make_volume(seed)
+    a = centre_descriptor(volume, "cs_stltp")
+    b = centre_descriptor(volume * scale, "cs_stltp")
     assert np.array_equal(a, b)
 
 
 def test_rgb_descriptor_not_scale_invariant():
-    brick = make_brick(3)
-    scaled = VideoBrick(
-        grid_x=0, grid_y=0, frame_start=0, x0=2, y0=2, width=4, height=4,
-        volume=brick.volume * 1.25,
-    )
-    a = brick_descriptor(brick, "rgb").values
-    b = brick_descriptor(scaled, "rgb").values
+    volume = make_volume(3)
+    a = centre_descriptor(volume, "rgb")
+    b = centre_descriptor(volume * 1.25, "rgb")
     assert not np.array_equal(a, b)
 
 
-def test_video_brick_validation():
+def test_brick_descriptor_validation():
     vol = np.zeros((5, 8, 8))
-    brick = VideoBrick(grid_x=0, grid_y=0, frame_start=0, x0=0, y0=0,
-                       width=4, height=4, volume=vol)
-    assert brick.channels == 1          # 3-D volume means one channel
-    assert brick.voxels.shape == (5, 4, 4, 1)
-    with pytest.raises(ValueError):
-        VideoBrick(grid_x=0, grid_y=0, frame_start=0, x0=6, y0=0,
-                   width=4, height=4, volume=vol)
-    with pytest.raises(ValueError):
-        VideoBrick(grid_x=0, grid_y=0, frame_start=0, x0=0, y0=0,
-                   width=0, height=4, volume=vol)
+    # a 3-D volume means one channel
+    assert brick_descriptor(vol, 0, 0, 4, 4, "rgb").shape == (5 * 4 * 4,)
+    assert brick_descriptor(vol, 0, 0, 4, 4, "cs_stltp").shape == (HISTOGRAM_BINS,)
+    for mode in ("cs_stltp", "rgb"):
+        with pytest.raises(ValueError):
+            brick_descriptor(vol, 6, 0, 4, 4, mode)       # x-window outside
+        with pytest.raises(ValueError):
+            brick_descriptor(vol, 0, 5, 4, 4, mode)       # y-window outside
+        with pytest.raises(ValueError):
+            brick_descriptor(vol, -1, 0, 4, 4, mode)      # negative origin
+        with pytest.raises(ValueError):
+            brick_descriptor(vol, 0, 0, 0, 4, mode)       # empty width
+        with pytest.raises(ValueError):
+            brick_descriptor(vol, 0, 0, 4, 0, mode)       # empty height
+        with pytest.raises(ValueError):
+            brick_descriptor(np.zeros((0, 8, 8)), 0, 0, 4, 4, mode)   # no frames
+        with pytest.raises(ValueError):
+            brick_descriptor(np.zeros((8, 8)), 0, 0, 4, 4, mode)      # 2-D
+        with pytest.raises(ValueError):
+            brick_descriptor(np.zeros((5, 8, 8, 1, 1)), 0, 0, 4, 4, mode)  # 5-D
 
 
 def test_unknown_mode_rejected():
-    brick = make_brick(4)
     with pytest.raises(ValueError):
-        brick_descriptor(brick, "hsv")
+        centre_descriptor(make_volume(4), "hsv")

@@ -114,34 +114,19 @@ def test_chunked_stack_matches_unchunked(monkeypatch):
     assert np.array_equal(q0, q1)
 
 
-# --- eig_sym -----------------------------------------------------------
+# --- eigh_stack --------------------------------------------------------
 
 
 @given(st.tuples(st.integers(0, 2**31 - 1), st.integers(1, 8)))
-def test_eig_sym_reconstructs(params):
+def test_eigh_stack_reconstructs(params):
     seed, n = params
     a = random_matrix(seed, n, n)
     s = a + a.T
-    vals, vecs = linalg.eig_sym(s)
+    vals, vecs = linalg.eigh_stack(s[None])
+    vals, vecs = vals[0], vecs[0]
     assert np.allclose(vecs @ np.diag(vals) @ vecs.T, s, atol=1e-9 * max(1.0, np.abs(s).max()))
     assert np.allclose(vecs.T @ vecs, np.eye(n), atol=1e-12)
     assert (np.diff(vals) <= 0).all()
-
-
-def test_eig_sym_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        linalg.eig_sym(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-
-def test_eig_sym_rejects_non_square():
-    with pytest.raises(ValueError):
-        linalg.eig_sym(np.zeros((2, 3)))
-
-
-def test_eig_sym_accepts_tiny_asymmetry():
-    s = np.array([[2.0, 1.0], [1.0 + 1e-12, 2.0]])
-    vals, vecs = linalg.eig_sym(s)
-    assert vals.shape == (2,)
 
 
 # --- pinv --------------------------------------------------------------

@@ -15,10 +15,12 @@ import numpy as np
 import pytest
 
 from brickbg.config import EngineConfig
-from brickbg.features import VideoBrick, brick_descriptor
+from brickbg.evaluation import evaluate
+from brickbg.features import brick_descriptor
 from brickbg.imageio import FrameFormatError
 from brickbg.maintenance import compose_stack, reweight_stack, update_basis_stack
 from brickbg.pipeline import (
+    GAIN_BAND,
     EngineState,
     background_flags,
     batch_descriptors,
@@ -93,13 +95,10 @@ def test_batch_descriptors_match_per_brick(mode, channels):
     batch = batch_descriptors(geometry, volume, mode, tau=0.2)
     for cell in range(geometry.locations):
         gx, gy = cell % geometry.grid_w, cell // geometry.grid_w
-        brick = VideoBrick(
-            grid_x=gx, grid_y=gy, frame_start=0,
-            x0=int(geometry.x0[gx]), y0=int(geometry.y0[gy]),
-            width=4, height=4, volume=volume,
+        single = brick_descriptor(
+            volume, int(geometry.x0[gx]), int(geometry.y0[gy]), 4, 4, mode=mode, tau=0.2
         )
-        single = brick_descriptor(brick, mode=mode, tau=0.2)
-        assert np.array_equal(batch[cell], single.values), f"cell {cell}"
+        assert np.array_equal(batch[cell], single), f"cell {cell}"
 
 
 def test_batch_descriptors_rejects_unknown_mode():
@@ -213,12 +212,10 @@ def test_aux_mean_is_kept_for_the_cs_stltp_gate_only():
 
 def cell_descriptor(state, volume, gx, gy, mode, tau):
     geometry = state.geometry
-    brick = VideoBrick(
-        grid_x=gx, grid_y=gy, frame_start=0,
-        x0=int(geometry.x0[gx]), y0=int(geometry.y0[gy]),
-        width=geometry.brick_width, height=geometry.brick_height, volume=volume,
+    return brick_descriptor(
+        volume, int(geometry.x0[gx]), int(geometry.y0[gy]),
+        geometry.brick_width, geometry.brick_height, mode=mode, tau=tau,
     )
-    return brick_descriptor(brick, mode=mode, tau=tau).values
 
 
 def mirror_label(cell, v, voxel_shape, config):
@@ -363,6 +360,38 @@ def test_non_finite_frames_are_rejected(mode):
     frames[60, 10, 10] = np.inf
     with pytest.raises(FrameFormatError):
         initialize(frames[55:105], config)
+
+
+# --- blackout -------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", ["cs_stltp", "rgb"])
+def test_blackout_is_marked_and_not_learned(mode):
+    """Ten black frames used to leave every mask empty in both modes (rgb:
+    omega is 0 for an all-zero window; cs_stltp: the median gain scaled the
+    pixel gate's mean to 0), and quality after the blackout dropped."""
+    frames, truth = render(load_scene(SCENES / "occlusion.scene"))
+    config = EngineConfig(mode=mode)
+    clean, _ = process_video(frames, config)
+    frames[120:130] = 0
+    masks, _ = process_video(frames, config)
+    assert (masks[120:130] | ~truth[120:130]).all()     # every truth pixel is marked
+    after = evaluate(masks[150:200], truth[150:200]).fscore
+    assert after >= evaluate(clean[150:200], truth[150:200]).fscore - 0.01
+
+
+def test_pixel_gate_ignores_gain_outside_band():
+    """A median gain outside GAIN_BAND leaves aux_mean unscaled; quiet
+    pixels still blend towards the window mean."""
+    video, _ = noisy_video(20, 8, 12, seed=7)
+    config = EngineConfig(init_frames=20, mode="cs_stltp")
+    state = initialize(video, config)
+    before = state.aux_mean.copy()
+    result = step(state, np.zeros((5, 8, 12), dtype=video.dtype))
+    quiet = ~result.raw_masks.any(axis=0)
+    assert np.array_equal(state.aux_mean[~quiet], before[~quiet])
+    assert np.allclose(state.aux_mean[quiet], (1.0 - config.alpha) * before[quiet])
+    assert GAIN_BAND[0] < 1.0 < GAIN_BAND[1]
 
 
 # --- streaming ------------------------------------------------------------------------

@@ -151,6 +151,17 @@ def test_rgb_voxels_marked_per_channel_any():
     assert np.array_equal(mask, expected)
 
 
+def test_rgb_brick_flagged_with_quiet_omega_is_marked_whole():
+    # A blackout window has omega = 0 but trips the innovation test: with
+    # no voxel above t_omega the whole flagged brick is foreground.
+    background, mask = classify_one(np.zeros(12), [99.0], (1, 2, 2, 3), "rgb")
+    assert not background
+    assert mask.all()
+    background, mask = classify_one(np.zeros(12), [0.1], (1, 2, 2, 3), "rgb")
+    assert background
+    assert not mask.any()
+
+
 def test_cs_marks_whole_brick():
     _, mask = classify_one(np.full(8, 9.0), [99.0], (2, 2, 2, 1), "cs_stltp")
     assert mask.all()
