@@ -50,7 +50,7 @@ from .pipeline import (
     remove_small_components,
     step,
 )
-from .subspace import InsufficientData, ModelBucket, learn_initial, select_dim
+from .subspace import InsufficientData, ModelBucket, learn_initial
 from .synth import MovingRect, SceneScript, illumination_scene, load_scene, parse_scene_text, render
 
 __version__ = "0.1.0"
@@ -95,7 +95,6 @@ __all__ = [
     "read_report",
     "remove_small_components",
     "render",
-    "select_dim",
     "step",
     "synthesize",
     "weight",

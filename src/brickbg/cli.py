@@ -56,6 +56,8 @@ def _print_scores(predicted, truth, report_path) -> None:
 
 
 def _cmd_run(args) -> int:
+    if args.report and not args.truth:
+        raise ConfigError("--report needs --truth to score against")
     config = _load_engine_config(args)
     frames = load_frames(args.input)
     started = time.perf_counter()

@@ -39,6 +39,10 @@ class EngineConfig:
             raise ConfigError("brick dimensions must be positive")
         if self.tau < 0:
             raise ConfigError("tau must be non-negative")
+        if not (self.t_d >= 0 and self.t_deps >= 0):   # NaN fails too
+            raise ConfigError("t_d and t_deps must be non-negative")
+        if not self.beta > 0:
+            raise ConfigError("beta must be positive")
         if self.history < 2:
             raise ConfigError("history must be at least 2")
         if self.init_frames < 1:

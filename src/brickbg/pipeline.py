@@ -4,7 +4,9 @@ The frame area is tiled by a fixed grid of bricks (edge bricks anchor
 inward so every brick is full-size; each pixel is owned by exactly one
 grid cell, with overlap only where a clamped edge brick reaches back into
 its neighbour's area).  One linear model per grid cell is identified from
-an initial frame window; the engine then consumes the video in
+an initial frame window: ``initialize`` takes one stacked SVD of every
+cell's descriptor matrix and hands it to ``subspace.identify_stack``, which
+returns the seeded buckets.  The engine then consumes the video in
 brick-depth windows.  Per window it gathers descriptors for all cells at
 once, classifies them with the appearance/innovation residual tests,
 assembles pixel masks, and updates every model from its
@@ -41,8 +43,6 @@ from .subspace import (
     ModelBucket,
     fit_dynamics_stack,
     identify_stack,
-    seed_bucket,
-    select_dims,
 )
 
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
@@ -194,18 +194,11 @@ def initialize(frames, config: EngineConfig) -> EngineState:
     ]
     w = np.stack(columns, axis=2)                     # (locations, m, n_windows)
     u, sigma, q = linalg.svd_stack(w)
-    dims = select_dims(sigma, config.t_d * sigma[:, :1], floor=1)
-
-    buckets = []
-    for d in np.unique(dims):
-        idx = np.nonzero(dims == d)[0]
-        identified = identify_stack(u[idx], sigma[idx], q[idx], int(d), config.t_deps)
-        buckets.append(seed_bucket(idx, identified, config.history))
     return EngineState(
         config=config,
         geometry=geometry,
         channels=channels,
-        buckets=buckets,
+        buckets=identify_stack(u, sigma, q, config.t_d, config.t_deps, config.history),
         aux_mean=init.mean(axis=0),
         brick_background=np.ones(geometry.locations, dtype=bool),
     )

@@ -12,8 +12,11 @@ state pairs, and the noise shaping matrix comes from the SVD of the
 prediction residuals.
 
 ``ModelBucket`` is the one model record, stacked over the cells that
-share a state dimension; ``seed_bucket`` builds it from ``identify_stack``'s
-output for both the engine and ``learn_initial``.
+share a state dimension.  ``identify_stack`` is the one identification
+path: from the stacked SVD factors of g descriptor windows it cuts each
+rank, fits the dynamics and seeds the rings, returning one bucket per
+state dimension.  ``pipeline.initialize`` calls it on every grid cell and
+``learn_initial`` is its one-cell view.
 """
 
 from __future__ import annotations
@@ -43,29 +46,11 @@ class InsufficientData(ValueError):
     """Too few descriptors to identify a model."""
 
 
-def select_dim(singular_values, threshold: float, floor: int = 0) -> int:
-    """Number of leading values strictly above ``threshold``.
-
-    ``singular_values`` must be non-increasing and non-negative.  The
-    result is clamped to ``[floor, len(singular_values)]``; appearance
-    selection uses ``floor=1`` so a basis always has at least one column,
-    noise-dimension selection uses ``floor=0``.
-    """
-    vals = np.asarray(singular_values, dtype=np.float64)
-    if vals.ndim != 1 or vals.size == 0:
-        raise ValueError("singular values must be a non-empty vector")
-    if (vals < 0).any() or (np.diff(vals) > 0).any():
-        raise ValueError("singular values must be non-increasing and >= 0")
-    if not 0 <= floor <= vals.size:
-        raise ValueError("floor out of range")
-    return int(select_dims(vals, threshold, floor))
-
-
 def select_dims(singular_values: np.ndarray, threshold, floor: int = 0) -> np.ndarray:
-    """Stacked ``select_dim`` over the last axis, unchecked.
+    """Count of values above ``threshold`` along the last axis, clamped to [floor, r].
 
-    ``threshold`` broadcasts against ``singular_values``, e.g. a (g, 1)
-    column of per-row thresholds for (g, r) spectra.
+    Spectra are non-increasing and unchecked; ``threshold`` broadcasts, e.g.
+    a (g, 1) column of per-row thresholds for (g, r) spectra.
     """
     count = (singular_values > threshold).sum(axis=-1)
     return np.clip(count, floor, singular_values.shape[-1])
@@ -97,40 +82,6 @@ class ModelBucket:
     @property
     def d(self) -> int:
         return self.c.shape[2]
-
-
-def seed_bucket(indices: np.ndarray, identified, history: int) -> ModelBucket:
-    """A ``ModelBucket`` from ``identify_stack``'s output.
-
-    The ring holds ``history`` states; it is seeded with the newest
-    ``min(history, n)`` of the n identified states, all flagged observed.
-    """
-    c, lam, z, a, b, b_pinv, d_eps = identified
-    g, d, n = z.shape
-    seed = min(history, n)
-    ring = np.zeros((g, history, d))
-    ring[:, :seed] = np.swapaxes(z, 1, 2)[:, n - seed :]
-    flags = np.zeros((g, history), dtype=bool)
-    flags[:, :seed] = True
-    return ModelBucket(
-        indices=indices, c=c, lam=lam, a=a, b=b, b_pinv=b_pinv, d_eps=d_eps,
-        states=ring, observed=flags, n_states=seed,
-    )
-
-
-def _descriptor_matrix(descriptors) -> np.ndarray:
-    cols = []
-    for item in descriptors:
-        vec = np.asarray(item, dtype=np.float64)
-        if vec.ndim != 1:
-            raise ValueError("each descriptor must be a vector")
-        cols.append(vec)
-    if len(cols) < 2:
-        raise InsufficientData(f"need at least 2 descriptors, got {len(cols)}")
-    lengths = {c.shape[0] for c in cols}
-    if len(lengths) != 1:
-        raise ValueError(f"descriptor lengths differ: {sorted(lengths)}")
-    return np.stack(cols, axis=1)
 
 
 def fit_dynamics_stack(states: np.ndarray, t_deps: float, observed=None):
@@ -220,43 +171,53 @@ def fit_dynamics_stack(states: np.ndarray, t_deps: float, observed=None):
     return a, b, b_pinv, d_eps
 
 
-def identify_stack(u: np.ndarray, sigma: np.ndarray, q: np.ndarray, d: int, t_deps: float):
-    """Model parameters from a stacked thin SVD of descriptor windows.
+def identify_stack(u, sigma, q, t_d: float, t_deps: float, history: int) -> list[ModelBucket]:
+    """Seeded models from the stacked thin SVD of g descriptor matrices.
 
-    Inputs are the (g, m, r), (g, r), (g, n, r) factors of g descriptor
-    matrices with n columns each; ``d`` is the shared appearance dimension.
-    Returns ``(c, lam, z, a, b, b_pinv, d_eps)`` with ``z`` shaped
-    (g, d, n) and ``b`` zero-padded to (g, d, d).
+    Inputs are the (g, m, r), (g, r), (g, n, r) factors.  A cell keeps the
+    singular values above ``t_d`` times its largest (at least 1) and the
+    residual ones above ``t_deps`` times the largest residual (possibly 0).
+    Returns one ``ModelBucket`` per appearance dimension d, ascending, with
+    stack positions as ``indices``; each ring of ``history`` states holds
+    the newest ``min(history, n)`` identified states, flagged observed.
     """
     n = q.shape[1]
-    c = u[:, :, :d]
-    lam = sigma[:, :d] ** 2 / n
-    z = sigma[:, :d, None] * np.swapaxes(q, 1, 2)[:, :d, :]   # (g, d, n)
-    a, b, b_pinv, d_eps = fit_dynamics_stack(np.swapaxes(z, 1, 2), t_deps)
-    return c, lam, z, a, b, b_pinv, d_eps
+    seed = min(history, n)
+    dims = select_dims(sigma, t_d * sigma[:, :1], floor=1)
+    buckets = []
+    for d in np.unique(dims).tolist():
+        idx = np.nonzero(dims == d)[0]
+        z = sigma[idx][:, :d, None] * np.swapaxes(q[idx], 1, 2)[:, :d, :]   # (g, d, n)
+        states = np.swapaxes(z, 1, 2)
+        a, b, b_pinv, d_eps = fit_dynamics_stack(states, t_deps)
+        ring = np.zeros((idx.size, history, d))
+        ring[:, :seed] = states[:, n - seed :]
+        observed = np.zeros((idx.size, history), dtype=bool)
+        observed[:, :seed] = True
+        buckets.append(ModelBucket(
+            indices=idx, c=u[idx][:, :, :d], lam=sigma[idx][:, :d] ** 2 / n,
+            a=a, b=b, b_pinv=b_pinv, d_eps=d_eps,
+            states=ring, observed=observed, n_states=seed,
+        ))
+    return buckets
 
 
 def learn_initial(
-    descriptors,
+    w,
     t_d: float = DEFAULT_T_D,
     t_deps: float = DEFAULT_T_DEPS,
     history: int = DEFAULT_HISTORY,
 ) -> ModelBucket:
-    """Identify a model from an initial window of descriptors.
+    """One-cell ``identify_stack`` (cell id 0) of an (m, n) descriptor matrix.
 
-    ``t_d`` and ``t_deps`` are fractions of the respective dominant singular
-    values.  The appearance dimension is the count of singular values above
-    ``t_d`` times the largest one (at least 1); the noise dimension is the
-    count of residual singular values above ``t_deps`` times the largest
-    residual one (possibly 0, in which case the state-innovation test
-    degenerates and callers fall back to the appearance residual).  Returns
-    a one-cell ``ModelBucket`` (cell id 0) whose ring is seeded with the
-    last ``min(history, n)`` states.
+    ``w`` holds one descriptor column per window, as in ``initialize``.
     """
-    w = _descriptor_matrix(descriptors)
+    w = np.asarray(w, dtype=np.float64)
+    if w.ndim != 2:
+        raise ValueError(f"descriptor matrix must be 2-D, got shape {w.shape}")
+    if w.shape[1] < 2:
+        raise InsufficientData(f"need at least 2 descriptors, got {w.shape[1]}")
     if history < 2:
         raise ValueError("history must be at least 2")
     res = linalg.svd(w)
-    d = select_dim(res.sigma, t_d * float(res.sigma[0]), floor=1)
-    identified = identify_stack(res.u[None], res.sigma[None], res.q[None], d, t_deps)
-    return seed_bucket(np.zeros(1, dtype=np.intp), identified, history)
+    return identify_stack(res.u[None], res.sigma[None], res.q[None], t_d, t_deps, history)[0]

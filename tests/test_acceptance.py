@@ -145,7 +145,7 @@ def _planted(seed, m, d, n, sigma):
         z = transition @ z
         if sigma:
             z = z + gen.normal(scale=sigma, size=d)
-    return basis, transition, [c for c in np.stack(cols, axis=1).T]
+    return basis, transition, np.stack(cols, axis=1)
 
 
 def test_criterion_02_planted_identification(announce):

@@ -70,6 +70,12 @@ def test_engine_config_validation():
     for kwargs in (
         dict(brick_width=0),
         dict(tau=-0.1),
+        dict(t_d=-0.5),
+        dict(t_deps=-0.5),
+        dict(beta=0.0),
+        dict(beta=-1.0),
+        dict(beta=float("nan")),
+        dict(t_d=float("nan")),
         dict(history=1),
         dict(init_frames=0),
         dict(min_area=-1),
@@ -243,6 +249,16 @@ def test_cli_exit_code_for_bad_config(tmp_path, scene_file, config_file):
     assert main(["run", "--input", str(frames_dir), "--output",
                  str(tmp_path / "m"), "--config", str(config_file),
                  "--stride", "9"]) == 2
+
+
+def test_cli_report_needs_truth(tmp_path, scene_file, capsys):
+    frames_dir = tmp_path / "frames"
+    main(["synth", "--scene", str(scene_file), "--output", str(frames_dir)])
+    report = tmp_path / "report.csv"
+    assert main(["run", "--input", str(frames_dir), "--output", str(tmp_path / "m"),
+                 "--report", str(report)]) == 2
+    assert "--truth" in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_cli_exit_code_for_missing_input(tmp_path):

@@ -27,17 +27,22 @@ from brickbg.maintenance import (
 )
 from brickbg.config import EngineConfig
 from brickbg.pipeline import initialize, step
-from brickbg.subspace import fit_dynamics_stack, seed_bucket
+from brickbg.subspace import ModelBucket, fit_dynamics_stack
 
 
 def toy_model(m=8, d=2, seed=0, lam=(4.0, 1.0)):
     """One-cell bucket, no noise dimension, one state in a 12-deep ring."""
     gen = np.random.default_rng(seed)
     c, _ = np.linalg.qr(gen.normal(size=(m, d)))
-    z = np.arange(1.0, d + 1.0)[None, :, None]
-    identified = (c[None], np.asarray(lam, dtype=np.float64)[None], z, 0.5 * np.eye(d)[None],
-                  np.zeros((1, d, d)), np.zeros((1, d, d)), np.zeros(1, dtype=np.int64))
-    return seed_bucket(np.zeros(1, dtype=np.intp), identified, history=12)
+    ring = np.zeros((1, 12, d))
+    ring[0, 0] = np.arange(1.0, d + 1.0)
+    observed = np.zeros((1, 12), dtype=bool)
+    observed[0, 0] = True
+    return ModelBucket(
+        indices=np.zeros(1, dtype=np.intp), c=c[None], lam=np.asarray(lam, dtype=np.float64)[None],
+        a=0.5 * np.eye(d)[None], b=np.zeros((1, d, d)), b_pinv=np.zeros((1, d, d)),
+        d_eps=np.zeros(1, dtype=np.int64), states=ring, observed=observed, n_states=1,
+    )
 
 
 # --- synthesize / compose -------------------------------------------------

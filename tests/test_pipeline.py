@@ -32,7 +32,7 @@ from brickbg.pipeline import (
     step,
 )
 from brickbg.segmentation import classify_stack, residuals_stack
-from brickbg.subspace import InsufficientData, ModelBucket, fit_dynamics_stack
+from brickbg.subspace import InsufficientData, ModelBucket, fit_dynamics_stack, learn_initial
 from brickbg.synth import load_scene, render
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
@@ -482,6 +482,30 @@ def test_model_at_bounds_and_copy_semantics():
     fresh = model_at(state, 1, 1)
     assert not np.allclose(fresh.c, 0.0)         # engine state untouched
     assert not np.allclose(fresh.states, 99.0)
+
+
+@pytest.mark.parametrize("mode", ["cs_stltp", "rgb"])
+def test_learn_initial_is_one_cell_of_initialize(mode):
+    """``learn_initial`` on a cell's init-window descriptor matrix is the
+    engine's model for that cell, bit for bit (cell id aside)."""
+    frames, _ = render(load_scene(SCENES / "occlusion.scene"))
+    config = EngineConfig(mode=mode)
+    state = initialize(frames, config)
+    geometry = state.geometry
+    init = frames[: config.init_frames].astype(np.float64)
+    depth = config.brick_depth
+    w = np.stack([
+        batch_descriptors(geometry, init[i : i + depth], mode, config.tau)
+        for i in range(0, config.init_frames, depth)
+    ], axis=2)                                    # (locations, m, 10)
+    for cell in (0, 5, 100, 255):
+        learned = learn_initial(w[cell], config.t_d, config.t_deps, config.history)
+        engine = model_at(state, cell % geometry.grid_w, cell // geometry.grid_w)
+        assert list(learned.indices) == [0] and list(engine.indices) == [cell]
+        assert learned.n_states == engine.n_states
+        for f in fields(ModelBucket):
+            if f.name not in ("indices", "n_states"):
+                assert np.array_equal(getattr(learned, f.name), getattr(engine, f.name)), (cell, f.name)
 
 
 def test_background_flags_shape():

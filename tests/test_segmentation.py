@@ -17,7 +17,7 @@ from brickbg.segmentation import (
     classify_stack,
     residuals_stack,
 )
-from brickbg.subspace import learn_initial, seed_bucket
+from brickbg.subspace import ModelBucket, learn_initial
 
 
 def toy_model(m=6, d=2, d_eps=1, seed=0):
@@ -26,10 +26,15 @@ def toy_model(m=6, d=2, d_eps=1, seed=0):
     c, _ = np.linalg.qr(gen.normal(size=(m, d)))
     b = np.zeros((d, d))
     b[:d_eps, :d_eps] = np.eye(d_eps) * 2.0
-    z = gen.normal(size=d)[None, :, None]
-    identified = (c[None], np.ones((1, d)), z, np.eye(d)[None], b[None],
-                  np.linalg.pinv(b)[None], np.array([d_eps]))
-    return seed_bucket(np.zeros(1, dtype=np.intp), identified, history=10)
+    ring = np.zeros((1, 10, d))
+    ring[0, 0] = gen.normal(size=d)
+    observed = np.zeros((1, 10), dtype=bool)
+    observed[0, 0] = True
+    return ModelBucket(
+        indices=np.zeros(1, dtype=np.intp), c=c[None], lam=np.ones((1, d)), a=np.eye(d)[None],
+        b=b[None], b_pinv=np.linalg.pinv(b)[None], d_eps=np.array([d_eps]),
+        states=ring, observed=observed, n_states=1,
+    )
 
 
 def newest(model):
@@ -204,7 +209,7 @@ def test_identified_model_accepts_its_own_process():
     gen = np.random.default_rng(42)
     base = 100.0 + 10.0 * gen.normal(size=12)
     window = [base + gen.normal(scale=0.5, size=12) for _ in range(20)]
-    model = learn_initial(window, t_d=0.5)
+    model = learn_initial(np.stack(window, axis=1), t_d=0.5)
     typical = base + gen.normal(scale=0.5, size=12)
     _, omega, epsilon, _ = residuals_one(model, typical)
     background, _ = classify_one(omega, epsilon[: model.d_eps[0]], (1, 1, 12, 1), "cs_stltp")

@@ -22,7 +22,7 @@ from brickbg.subspace import (
     InsufficientData,
     fit_dynamics_stack,
     learn_initial,
-    select_dim,
+    select_dims,
 )
 
 
@@ -48,26 +48,15 @@ def planted_descriptors(basis, transition, gen, n, sigma=0.0, z_scale=10.0):
     return np.stack(cols, axis=1)      # (m, n)
 
 
-# --- select_dim ---------------------------------------------------------
+# --- select_dims --------------------------------------------------------
 
 
 def test_select_dim_examples():
     vals = np.array([10.0, 5.0, 1.0])
-    assert select_dim(vals, 5.0) == 1          # strictly above
-    assert select_dim(vals, 0.5) == 3
-    assert select_dim(vals, 20.0, floor=1) == 1
-    assert select_dim(vals, 20.0, floor=0) == 0
-
-
-def test_select_dim_validation():
-    with pytest.raises(ValueError):
-        select_dim(np.array([1.0, 2.0]), 0.5)      # increasing
-    with pytest.raises(ValueError):
-        select_dim(np.array([-1.0]), 0.5)          # negative
-    with pytest.raises(ValueError):
-        select_dim(np.array([]), 0.5)
-    with pytest.raises(ValueError):
-        select_dim(np.array([1.0]), 0.5, floor=2)
+    assert select_dims(vals, 5.0) == 1         # strictly above
+    assert select_dims(vals, 0.5) == 3
+    assert select_dims(vals, 20.0, floor=1) == 1
+    assert select_dims(vals, 20.0, floor=0) == 0
 
 
 # --- planted recovery ----------------------------------------------------
@@ -79,7 +68,7 @@ def test_learn_initial_recovers_planted_subspace(seed):
     w = planted_descriptors(basis, transition, gen, n=40)
     # Exactly rank-3 data: any tiny threshold selects the true dimension
     # without coupling the test to the trajectory's singular-value spread.
-    model = learn_initial([w[:, i] for i in range(w.shape[1])], t_d=1e-6)
+    model = learn_initial(w, t_d=1e-6)
     assert model.d == 3
     angle = subspace_angles(model.c[0], basis).max()
     assert angle < 1e-8
@@ -91,7 +80,7 @@ def test_learn_initial_recovers_planted_subspace(seed):
 def test_learn_initial_noisy_recovery_stays_close():
     basis, transition, gen = planted_system(123, m=48, d=3)
     w = planted_descriptors(basis, transition, gen, n=60, sigma=0.01)
-    model = learn_initial([w[:, i] for i in range(w.shape[1])], t_d=0.01)
+    model = learn_initial(w, t_d=0.01)
     assert model.d >= 3
     assert subspace_angles(model.c[0][:, :3], basis).max() < 0.05
 
@@ -99,7 +88,7 @@ def test_learn_initial_noisy_recovery_stays_close():
 def test_learn_initial_exact_dynamics_have_no_noise_dimension():
     basis, transition, gen = planted_system(7, m=20, d=2)
     w = planted_descriptors(basis, transition, gen, n=30)
-    model = learn_initial([w[:, i] for i in range(w.shape[1])], t_d=1e-6)
+    model = learn_initial(w, t_d=1e-6)
     assert model.d_eps[0] == 0
     assert (model.b == 0.0).all() and (model.b_pinv == 0.0).all()
 
@@ -107,7 +96,7 @@ def test_learn_initial_exact_dynamics_have_no_noise_dimension():
 def test_learn_initial_noisy_dynamics_get_noise_dimensions():
     basis, transition, gen = planted_system(8, m=20, d=2)
     w = planted_descriptors(basis, transition, gen, n=30, sigma=0.5)
-    model = learn_initial([w[:, i] for i in range(w.shape[1])])
+    model = learn_initial(w)
     de = int(model.d_eps[0])
     assert de >= 1
     assert model.b_pinv.shape == (1, model.d, model.d)
@@ -117,7 +106,7 @@ def test_learn_initial_noisy_dynamics_get_noise_dimensions():
 def test_learn_initial_ring_buffer_seeding():
     basis, transition, gen = planted_system(9, m=10, d=2)
     w = planted_descriptors(basis, transition, gen, n=12)
-    model = learn_initial([w[:, i] for i in range(w.shape[1])], t_d=1e-6, history=8)
+    model = learn_initial(w, t_d=1e-6, history=8)
     assert model.n_states == 8
     assert model.states.shape == (1, 8, 2)
     assert model.observed.all()
@@ -129,11 +118,11 @@ def test_learn_initial_ring_buffer_seeding():
 
 def test_learn_initial_input_validation():
     with pytest.raises(InsufficientData):
-        learn_initial([np.ones(5)])
+        learn_initial(np.ones((5, 1)))
     with pytest.raises(ValueError):
-        learn_initial([np.ones(5), np.ones(6)])
+        learn_initial(np.ones(5))                  # not a matrix
     with pytest.raises(ValueError):
-        learn_initial([np.ones(5), np.ones(5)], history=1)
+        learn_initial(np.ones((5, 2)), history=1)
 
 
 # --- dynamics refit ------------------------------------------------------
@@ -288,7 +277,7 @@ def test_b_padding_and_pinv_agree():
 
 
 def test_subspace_model_ring_respects_history():
-    model = learn_initial([np.ones(3), 2.0 * np.ones(3)], history=4)
+    model = learn_initial(np.stack([np.ones(3), 2.0 * np.ones(3)], axis=1), history=4)
     assert model.n_states == 2
     for i in range(10):
         _ring_append(model, np.full((1, 1), float(i)), np.array([True]))
