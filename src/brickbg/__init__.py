@@ -11,10 +11,8 @@ so parked foreground never bleeds into the background model.
 from .config import ConfigError, EngineConfig, load_config, with_overrides
 from .evaluation import (
     EvalReport,
-    confusion,
     evaluate,
     per_frame_fscores,
-    pr_sweep,
     read_report,
     write_report,
 )
@@ -41,7 +39,6 @@ from .maintenance import synthesize, weight
 from .pipeline import (
     EngineState,
     StepResult,
-    background_flags,
     batch_descriptors,
     initialize,
     make_grid,
@@ -51,7 +48,7 @@ from .pipeline import (
     step,
 )
 from .subspace import InsufficientData, ModelBucket, learn_initial
-from .synth import MovingRect, SceneScript, illumination_scene, load_scene, parse_scene_text, render
+from .synth import MovingRect, SceneScript, load_scene, parse_scene_text, render
 
 __version__ = "0.1.0"
 
@@ -71,13 +68,10 @@ __all__ = [
     "NumericalFailure",
     "SceneScript",
     "StepResult",
-    "background_flags",
     "batch_descriptors",
     "brick_descriptor",
-    "confusion",
     "cs_stltp_pixel",
     "evaluate",
-    "illumination_scene",
     "initialize",
     "learn_initial",
     "load_config",
@@ -89,7 +83,6 @@ __all__ = [
     "parse_scene_text",
     "pattern_to_bin",
     "per_frame_fscores",
-    "pr_sweep",
     "process_video",
     "read_image",
     "read_report",

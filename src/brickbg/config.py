@@ -37,10 +37,13 @@ class EngineConfig:
         self.mode = normalize_mode(self.mode)
         if min(self.brick_width, self.brick_height, self.brick_depth) < 1:
             raise ConfigError("brick dimensions must be positive")
-        if self.tau < 0:
+        if not self.tau >= 0:   # NaN fails too, here and below
             raise ConfigError("tau must be non-negative")
-        if not (self.t_d >= 0 and self.t_deps >= 0):   # NaN fails too
+        if not (self.t_d >= 0 and self.t_deps >= 0):
             raise ConfigError("t_d and t_deps must be non-negative")
+        set_thresholds = [x for x in (self.t_omega, self.t_eps) if x is not None]
+        if not all(x >= 0 for x in [*set_thresholds, self.t_rgb]):
+            raise ConfigError("t_omega, t_eps and t_rgb must be non-negative")
         if not self.beta > 0:
             raise ConfigError("beta must be positive")
         if self.history < 2:
@@ -127,18 +130,24 @@ _INT_KEYS = {"l": "history", "history": "history", "init_frames": "init_frames",
 
 def config_from_mapping(pairs: dict) -> EngineConfig:
     kwargs = {}
+    set_by = {}   # field name -> the key that set it
     for key, value in pairs.items():
         if key == "brick":
             w, h, t = _parse_brick(value)
-            kwargs.update(brick_width=w, brick_height=h, brick_depth=t)
+            update = dict(brick_width=w, brick_height=h, brick_depth=t)
         elif key == "mode":
-            kwargs["mode"] = normalize_mode(value)
+            update = {"mode": normalize_mode(value)}
         elif key in _FLOAT_KEYS:
-            kwargs[key] = _to_float(key, value)
+            update = {key: _to_float(key, value)}
         elif key in _INT_KEYS:
-            kwargs[_INT_KEYS[key]] = _to_int(key, value)
+            update = {_INT_KEYS[key]: _to_int(key, value)}
         else:
             raise ConfigError(f"unknown config key {key!r}")
+        for name in update:
+            if name in set_by:
+                raise ConfigError(f"keys {set_by[name]!r} and {key!r} both set {name}")
+            set_by[name] = key
+        kwargs.update(update)
     return EngineConfig(**kwargs)
 
 

@@ -1,4 +1,7 @@
-"""Mask quality scoring: confusion tallies, F-score, precision/recall sweeps.
+"""Mask quality scoring: pixel tallies, F-score, and the CSV report format.
+
+The report can carry (recall, precision) sweep points; ``brickbg eval
+--sweep`` scores one mask sequence per threshold setting to produce them.
 
 Conventions for empty denominators: precision and recall are 1.0 when their
 denominator is zero, and the F-score of a frame with no foreground in either
@@ -36,8 +39,8 @@ class EvalReport:
         return 2 * self.true_positives / denom if denom else 1.0
 
 
-def confusion(predicted: np.ndarray, truth: np.ndarray) -> EvalReport:
-    """Pixel tallies over any matching pair of boolean arrays."""
+def evaluate(predicted: np.ndarray, truth: np.ndarray) -> EvalReport:
+    """Pixel tallies over a matching pair of boolean masks: a frame or an (F, H, W) stack."""
     predicted = np.asarray(predicted)
     truth = np.asarray(truth)
     if predicted.shape != truth.shape:
@@ -50,11 +53,6 @@ def confusion(predicted: np.ndarray, truth: np.ndarray) -> EvalReport:
     return EvalReport(tp, fp, fn)
 
 
-def evaluate(predicted: np.ndarray, truth: np.ndarray) -> EvalReport:
-    """Aggregate report over a whole (F, H, W) mask sequence."""
-    return confusion(predicted, truth)
-
-
 def per_frame_fscores(predicted: np.ndarray, truth: np.ndarray) -> np.ndarray:
     """F-score of each frame of an (F, H, W) pair."""
     predicted = np.asarray(predicted)
@@ -62,21 +60,8 @@ def per_frame_fscores(predicted: np.ndarray, truth: np.ndarray) -> np.ndarray:
     if predicted.shape != truth.shape or predicted.ndim != 3:
         raise ValueError("expected matching (F, H, W) mask stacks")
     return np.array(
-        [confusion(predicted[f], truth[f]).fscore for f in range(predicted.shape[0])]
+        [evaluate(predicted[f], truth[f]).fscore for f in range(predicted.shape[0])]
     )
-
-
-def pr_sweep(mask_sets, truth: np.ndarray):
-    """(recall, precision) operating points for several mask sequences.
-
-    ``mask_sets`` is an iterable of (F, H, W) predictions, one per threshold
-    setting; all are scored against the same truth.
-    """
-    points = []
-    for masks in mask_sets:
-        report = confusion(np.asarray(masks), truth)
-        points.append((report.recall, report.precision))
-    return points
 
 
 def write_report(path, report: EvalReport, points=None):

@@ -3,18 +3,14 @@
 Thin wrappers around LAPACK (through numpy) that pin down the conventions
 the rest of the package relies on: descending spectra, deterministic
 singular-vector signs, a shared zero cutoff for rank decisions, and one
-relative cutoff (``PINV_RTOL``) for pseudo-inverse reciprocals; ``pinv``
-takes no tolerance of its own.
+relative cutoff (``PINV_RTOL``) for pseudo-inverse reciprocals.
 Every routine works on stacks (leading batch dimension) so the pipeline
-can run one call across many spatial locations.  ``svd`` and ``pinv`` are
-single-matrix views, a stack of one, which keeps both paths numerically
-identical; the symmetric eigendecomposition exists only as ``eigh_stack``,
-whose one caller is the stacked basis update.
+can run one call across many spatial locations; a single matrix is a
+stack of one.  The symmetric eigendecomposition's one caller is the
+stacked basis update.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,17 +28,6 @@ _CHUNK = 1024
 
 class NumericalFailure(RuntimeError):
     """An iterative LAPACK driver failed to converge."""
-
-
-def _validated(a, name: str = "matrix") -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {a.shape}")
-    if a.shape[0] < 1 or a.shape[1] < 1:
-        raise ValueError(f"{name} must have at least one row and column")
-    if not np.isfinite(a).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    return a
 
 
 def _chunked(fn, stack):
@@ -85,25 +70,6 @@ def svd_stack(w: np.ndarray):
     return _chunked(_svd_chunk, w)
 
 
-@dataclass
-class SvdResult:
-    u: np.ndarray
-    sigma: np.ndarray
-    q: np.ndarray  # right singular vectors, as columns
-
-
-def svd(w) -> SvdResult:
-    """Thin SVD with non-increasing singular values.
-
-    Columns of ``u``/``q`` are sign-normalized so results are reproducible
-    run to run; singular values below ``ZERO_CUTOFF`` times the largest
-    are snapped to exact zero.
-    """
-    w = _validated(w, "svd input")
-    u, s, q = svd_stack(w[None])
-    return SvdResult(u[0], s[0], q[0])
-
-
 def _eigh_chunk(s: np.ndarray):
     try:
         vals, vecs = np.linalg.eigh(s)
@@ -127,12 +93,3 @@ def _pinv_chunk(a: np.ndarray):
 def pinv_stack(a: np.ndarray):
     return _chunked(_pinv_chunk, a)
 
-
-def pinv(a) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse via the SVD.
-
-    Reciprocals of singular values at or below ``PINV_RTOL`` times the
-    largest singular value are zeroed.
-    """
-    a = _validated(a, "pinv input")
-    return pinv_stack(a[None])[0]

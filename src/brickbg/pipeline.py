@@ -120,7 +120,6 @@ class EngineState:
     channels: int
     buckets: list
     aux_mean: np.ndarray           # (H, W, C) running background mean; cs_stltp steps only
-    brick_background: np.ndarray   # (locations,) labels from the last step
     steps: int = 0
     timings: dict = field(default_factory=dict)
 
@@ -200,7 +199,6 @@ def initialize(frames, config: EngineConfig) -> EngineState:
         channels=channels,
         buckets=identify_stack(u, sigma, q, config.t_d, config.t_deps, config.history),
         aux_mean=init.mean(axis=0),
-        brick_background=np.ones(geometry.locations, dtype=bool),
     )
 
 
@@ -321,7 +319,6 @@ def step(state: EngineState, window) -> StepResult:
     cleaned = np.stack([remove_small_components(m, config.min_area) for m in frame_masks])
     timings["postprocess"] = time.perf_counter() - tick
 
-    state.brick_background = background
     state.steps += 1
     for key, value in timings.items():
         state.timings[key] = state.timings.get(key, 0.0) + value
@@ -379,9 +376,3 @@ def model_at(state: EngineState, grid_x: int, grid_y: int) -> ModelBucket:
             for f in fields(bucket) if f.name != "n_states"
         })
     raise KeyError(f"no model stored for grid cell ({grid_x}, {grid_y})")
-
-
-def background_flags(state: EngineState) -> np.ndarray:
-    """(grid_h, grid_w) bool: True where the last step judged background."""
-    geometry = state.geometry
-    return state.brick_background.reshape(geometry.grid_h, geometry.grid_w).copy()

@@ -219,5 +219,6 @@ def learn_initial(
         raise InsufficientData(f"need at least 2 descriptors, got {w.shape[1]}")
     if history < 2:
         raise ValueError("history must be at least 2")
-    res = linalg.svd(w)
-    return identify_stack(res.u[None], res.sigma[None], res.q[None], t_d, t_deps, history)[0]
+    if w.shape[0] < 1 or not np.isfinite(w).all():
+        raise ValueError("descriptor matrix needs at least one row and finite entries")
+    return identify_stack(*linalg.svd_stack(w[None]), t_d, t_deps, history)[0]

@@ -17,7 +17,7 @@ Background processes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -109,6 +109,9 @@ def _check_bounds(script: SceneScript):
             raise ConfigError(f"object {i}: size must be positive")
         if rect.jump < 0:
             raise ConfigError(f"object {i}: jump must be non-negative")
+        size = np.asarray(rect.color, dtype=np.float64).size
+        if size not in (1, script.channels):
+            raise ConfigError(f"object color has {size} channels, scene has {script.channels}")
         last = script.frame_count if rect.exit is None else min(rect.exit, script.frame_count)
         for f in range(max(rect.enter, 0), last):
             x, y = rect.position(f)
@@ -177,22 +180,20 @@ def render(script: SceneScript):
         patterns, _, states = planted_model(script)
         arma_terms = (states @ patterns.T).reshape(n, h, w, ch)
 
+    colors = [
+        np.broadcast_to(np.asarray(rect.color, dtype=np.float64).reshape(-1), (ch,))
+        for rect in script.objects
+    ]
     frames = np.empty((n, h, w, ch), dtype=np.float64)
     truth = np.zeros((n, h, w), dtype=bool)
     for f in range(n):
         frame = base.copy()
         if arma_terms is not None:
             frame += arma_terms[f]
-        for rect in script.objects:
+        for rect, color in zip(script.objects, colors):
             if not rect.alive(f):
                 continue
             x, y = rect.position(f)
-            raw = np.atleast_1d(np.asarray(rect.color, dtype=np.float64))
-            if raw.size not in (1, ch):
-                raise ConfigError(
-                    f"object color has {raw.size} channels, scene has {ch}"
-                )
-            color = np.broadcast_to(raw, (ch,)) if raw.size == 1 else raw
             frame[y : y + rect.height, x : x + rect.width, :] = color
             truth[f, y : y + rect.height, x : x + rect.width] = True
         if script.noise_sigma:
@@ -211,11 +212,6 @@ def render(script: SceneScript):
     if script.quantize:
         frames = np.clip(np.rint(frames), 0, 255).astype(np.uint8)
     return frames, truth
-
-
-def illumination_scene(script: SceneScript, gain: float, step_frame: int, ramp: int = 0) -> SceneScript:
-    """Copy of a scene with a multiplicative illumination change added."""
-    return replace(script, gain=float(gain), gain_frame=int(step_frame), gain_ramp=int(ramp))
 
 
 # --- script files ----------------------------------------------------------

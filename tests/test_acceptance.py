@@ -9,6 +9,7 @@ without an illumination step) are computed once per session and shared.
 """
 
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -20,9 +21,9 @@ from brickbg.config import EngineConfig
 from brickbg.evaluation import EvalReport, per_frame_fscores
 from brickbg.features import brick_descriptor
 from brickbg.maintenance import synthesize, update_basis_stack, weight
-from brickbg.pipeline import background_flags, initialize, model_at, process_video, step
+from brickbg.pipeline import initialize, model_at, process_video, step
 from brickbg.subspace import learn_initial
-from brickbg.synth import MovingRect, SceneScript, illumination_scene, render
+from brickbg.synth import MovingRect, SceneScript, render
 
 
 @pytest.fixture
@@ -67,7 +68,7 @@ def scene_runs():
     ):
         scene = reference_scene(channels)
         if gain is not None:
-            scene = illumination_scene(scene, gain=gain, step_frame=100)
+            scene = replace(scene, gain=gain, gain_frame=100)
         frames, truth = render(scene)
         config = EngineConfig(mode=mode)
         started = time.perf_counter()
@@ -97,11 +98,11 @@ def test_criterion_01_numeric_kernels(announce):
             a = gen.normal(size=(rows, rank)) @ gen.normal(size=(rank, cols))
         scale = np.linalg.norm(a) or 1.0
 
-        res = linalg.svd(a)
-        recon = (res.u * res.sigma) @ res.q.T
+        [u], [sigma], [q] = linalg.svd_stack(a[None])
+        recon = (u * sigma) @ q.T
         worst_svd = max(worst_svd, np.linalg.norm(recon - a) / scale)
 
-        p = linalg.pinv(a)
+        p = linalg.pinv_stack(a[None])[0]
         worst_pinv = max(
             worst_pinv,
             np.linalg.norm(a @ p @ a - a) / scale,
@@ -342,8 +343,7 @@ def test_criterion_08_occlusion_coasting(announce):
 
     recovered_after = None
     for k, start in enumerate(range(180, 200, 5), start=1):
-        step(state, video[start : start + 5])
-        if background_flags(state)[cell[1], cell[0]]:
+        if step(state, video[start : start + 5]).brick_background[cell[1], cell[0]]:
             recovered_after = k
             break
     ok = (flagged_first and flagged_last and drift < 0.05

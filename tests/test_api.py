@@ -1,16 +1,19 @@
 """Public surface: every exported name exists, every script imports and
-runs end to end on the occlusion scene, and the README lists the scene
-kinds the parser accepts."""
+runs end to end on the occlusion scene, and the README's scene kinds,
+imports and commands match the package."""
 
+import ast
+import importlib
 import importlib.util
 import re
+import shlex
 import sys
 from pathlib import Path
 
 import pytest
 
 import brickbg
-from brickbg import synth
+from brickbg import cli, synth
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
@@ -91,3 +94,32 @@ def test_readme_scene_kinds_match_parser():
             listed[key.strip()] = [k.strip() for k in rest.split("#", 1)[1].split("|")]
     assert sorted(listed["background"]) == sorted(synth.BACKGROUND_KINDS)
     assert sorted(listed["base"]) == sorted(synth.BASE_KINDS)
+
+
+def readme_blocks(language):
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return re.findall(rf"```{language}\n(.*?)```", text, flags=re.DOTALL)
+
+
+def test_readme_names_and_commands():
+    """Every brickbg name the README's python block imports resolves, and
+    every brickbg command in its sh blocks parses."""
+    [block] = readme_blocks("python")
+    imports = [node for node in ast.walk(ast.parse(block)) if isinstance(node, ast.ImportFrom)]
+    names = [(node.module, alias.name) for node in imports for alias in node.names
+             if node.module.split(".")[0] == "brickbg"]
+    assert names
+    missing = [f"{module}.{name}" for module, name in names
+               if not hasattr(importlib.import_module(module), name)]
+    assert not missing
+
+    parser = cli.build_parser()
+    commands = []
+    for block in readme_blocks("sh"):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["brickbg"]:
+                commands.append(argv[1:])
+    for argv in commands:
+        assert callable(parser.parse_args(argv).func), argv
+    assert {argv[0] for argv in commands} == {"run", "eval", "synth", "bench"}

@@ -20,7 +20,7 @@ from brickbg.config import (
     parse_kv_text,
     with_overrides,
 )
-from brickbg.evaluation import pr_sweep, read_report
+from brickbg.evaluation import evaluate, read_report
 from brickbg.imageio import list_frames, load_masks, write_masks
 
 # --- key=value parsing -------------------------------------------------------
@@ -60,6 +60,8 @@ def test_config_from_mapping_full():
     ({"tau": "soft"}, "number"),
     ({"history": "many"}, "integer"),
     ({"mode": "luma"}, "mode must be"),
+    ({"l": "10", "history": "60"}, "keys 'l' and 'history' both set history"),
+    ({"history": "60", "l": "10"}, "keys 'history' and 'l' both set history"),
 ])
 def test_config_from_mapping_errors(pairs, message):
     with pytest.raises(ConfigError, match=message):
@@ -83,6 +85,13 @@ def test_engine_config_validation():
         dict(stride=0),
         dict(stride=6),            # beyond default brick depth 5
         dict(mode="luma"),
+        dict(tau=float("nan")),
+        dict(t_omega=float("nan")),
+        dict(t_eps=float("nan")),
+        dict(t_rgb=float("nan")),
+        dict(t_omega=-1.0),
+        dict(t_eps=-1.0),
+        dict(t_rgb=-1.0),
     ):
         with pytest.raises(ConfigError):
             EngineConfig(**kwargs)
@@ -225,8 +234,9 @@ def test_cli_eval_sweep(tmp_path, rng, capsys):
     assert "loose:" in out and "tight:" in out
     best, points = read_report(report)
     assert best.fscore == 1.0                   # the exact-match point wins
-    expected = pr_sweep([np.ones_like(truth), truth], truth)   # subdirectories in name order
-    assert points == [(float(f"{r:.6f}"), float(f"{p:.6f}")) for r, p in expected]
+    # one point per subdirectory, in name order: loose, then tight
+    expected = [evaluate(m, truth) for m in (np.ones_like(truth), truth)]
+    assert points == [(float(f"{r.recall:.6f}"), float(f"{r.precision:.6f}")) for r in expected]
 
 
 def test_cli_bench_scene(scene_file, config_file, capsys):
@@ -242,6 +252,9 @@ def test_cli_exit_code_for_bad_config(tmp_path, scene_file, config_file):
     bad.write_text("tau = -1\n")
     frames_dir = tmp_path / "frames"
     main(["synth", "--scene", str(scene_file), "--output", str(frames_dir)])
+    assert main(["run", "--input", str(frames_dir), "--output",
+                 str(tmp_path / "m"), "--config", str(bad)]) == 2
+    bad.write_text("t_rgb = nan\n")
     assert main(["run", "--input", str(frames_dir), "--output",
                  str(tmp_path / "m"), "--config", str(bad)]) == 2
     assert main(["run", "--input", str(frames_dir), "--output",

@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 
 from brickbg.evaluation import (
     EvalReport,
-    confusion,
     evaluate,
     per_frame_fscores,
-    pr_sweep,
     read_report,
     write_report,
 )
@@ -69,22 +67,22 @@ def test_fscore_decreases_with_more_false_positives(tp, fp, fn):
     assert EvalReport(tp, fp + 1, fn).fscore <= EvalReport(tp, fp, fn).fscore
 
 
-# --- confusion counting -------------------------------------------------------
+# --- pixel tallies ------------------------------------------------------------
 
 
 def test_confusion_counts_exactly():
     predicted = np.array([[True, True], [False, False]])
     truth = np.array([[True, False], [True, False]])
-    report = confusion(predicted, truth)
+    report = evaluate(predicted, truth)
     assert (report.true_positives, report.false_positives,
             report.false_negatives) == (1, 1, 1)
 
 
 def test_confusion_validates():
     with pytest.raises(ValueError, match="shape"):
-        confusion(np.zeros((2, 2), bool), np.zeros((2, 3), bool))
+        evaluate(np.zeros((2, 2), bool), np.zeros((2, 3), bool))
     with pytest.raises(ValueError, match="boolean"):
-        confusion(np.zeros((2, 2), np.uint8), np.zeros((2, 2), bool))
+        evaluate(np.zeros((2, 2), np.uint8), np.zeros((2, 2), bool))
 
 
 @given(st.integers(0, 2**31 - 1))
@@ -92,7 +90,7 @@ def test_confusion_partitions_pixels(seed):
     gen = np.random.default_rng(seed)
     predicted = gen.random((4, 6)) > 0.5
     truth = gen.random((4, 6)) > 0.5
-    r = confusion(predicted, truth)
+    r = evaluate(predicted, truth)
     tn = int(np.count_nonzero(~predicted & ~truth))
     assert r.true_positives + r.false_positives + r.false_negatives + tn == 24
 
@@ -118,17 +116,6 @@ def test_per_frame_fscores():
     assert scores == pytest.approx([1.0, 2 / 3, 1.0])
     with pytest.raises(ValueError):
         per_frame_fscores(predicted[0], truth[0])
-
-
-def test_pr_sweep_points():
-    truth = np.zeros((1, 2, 2), dtype=bool)
-    truth[0, 0] = True                             # two truth pixels
-    loose = np.ones((1, 2, 2), dtype=bool)         # recall 1, precision 1/2
-    tight = np.zeros((1, 2, 2), dtype=bool)
-    tight[0, 0, 0] = True                          # recall 1/2, precision 1
-    points = pr_sweep([loose, tight], truth)
-    assert points[0] == pytest.approx((1.0, 0.5))
-    assert points[1] == pytest.approx((0.5, 1.0))
 
 
 # --- report files ----------------------------------------------------------------

@@ -22,7 +22,6 @@ from brickbg.maintenance import compose_stack, reweight_stack, update_basis_stac
 from brickbg.pipeline import (
     GAIN_BAND,
     EngineState,
-    background_flags,
     batch_descriptors,
     initialize,
     make_grid,
@@ -169,7 +168,6 @@ def test_step_masks_and_labels_are_consistent():
     assert result.raw_masks.shape == (5, 8, 12)
     assert not (result.masks & ~result.raw_masks).any()   # cleaning only removes
     assert result.brick_background.shape == (2, 3)
-    assert np.array_equal(background_flags(state), result.brick_background)
     assert state.steps == 1
     assert set(result.timings) == {
         "descriptors", "segmentation", "maintenance", "assembly", "postprocess",
@@ -506,11 +504,3 @@ def test_learn_initial_is_one_cell_of_initialize(mode):
         for f in fields(ModelBucket):
             if f.name not in ("indices", "n_states"):
                 assert np.array_equal(getattr(learned, f.name), getattr(engine, f.name)), (cell, f.name)
-
-
-def test_background_flags_shape():
-    video, _ = noisy_video(20, 8, 12, seed=13)
-    state = initialize(video, EngineConfig(init_frames=20))
-    flags = background_flags(state)
-    assert flags.shape == (2, 3)
-    assert flags.all()                           # nothing streamed yet

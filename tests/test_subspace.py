@@ -123,6 +123,12 @@ def test_learn_initial_input_validation():
         learn_initial(np.ones(5))                  # not a matrix
     with pytest.raises(ValueError):
         learn_initial(np.ones((5, 2)), history=1)
+    with pytest.raises(ValueError):
+        learn_initial(np.zeros((0, 3)))            # no rows
+    with pytest.raises(ValueError):
+        learn_initial(np.array([[1.0, np.nan], [0.0, 1.0]]))
+    with pytest.raises(ValueError):
+        learn_initial(np.array([[1.0, np.inf], [0.0, 1.0]]))
 
 
 # --- dynamics refit ------------------------------------------------------
@@ -272,7 +278,7 @@ def test_b_padding_and_pinv_agree():
                 assert err <= 1e-13 * np.abs(oracle[i]).max(), (case, i, err)
                 if de:
                     # pinv of the padded matrix equals pinv of the live columns
-                    lead = linalg.pinv(b[i][:, :de])
+                    lead = linalg.pinv_stack(b[i][None, :, :de])[0]
                     assert np.allclose(b_pinv[i][:de], lead, rtol=0, atol=1e-10 * np.abs(lead).max())
 
 

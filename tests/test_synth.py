@@ -1,5 +1,7 @@
 """Scene generator: determinism, exact truth masks, planted processes."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from brickbg.features import brick_descriptor
 from brickbg.synth import (
     MovingRect,
     SceneScript,
-    illumination_scene,
     parse_scene_text,
     planted_model,
     render,
@@ -106,6 +107,12 @@ def test_object_color_must_match_channels():
     assert (frames[0, 0, 0] == [10, 10, 10]).all()     # scalar broadcasts
 
 
+def test_object_color_checked_even_if_never_alive():
+    late = MovingRect(width=2, height=2, color=(1.0, 2.0), start=(0, 0), enter=20)
+    with pytest.raises(ConfigError, match="object color has 2 channels, scene has 1"):
+        render(simple_scene(frame_count=10, objects=[late]))
+
+
 def test_out_of_frame_trajectory_rejected():
     rect = MovingRect(width=4, height=4, color=(0.0,), start=(28, 0),
                       velocity=(1.0, 0.0))
@@ -185,7 +192,7 @@ def test_planted_arma_step_holds_state():
 
 def test_gain_step_scales_frames():
     base = simple_scene(quantize=False, frame_count=10)
-    stepped = illumination_scene(base, gain=1.5, step_frame=6)
+    stepped = replace(base, gain=1.5, gain_frame=6)
     plain, _ = render(base)
     lit, _ = render(stepped)
     assert np.allclose(lit[:6], plain[:6], atol=1e-12)
@@ -194,7 +201,7 @@ def test_gain_step_scales_frames():
 
 def test_gain_ramp_interpolates():
     base = simple_scene(quantize=False, frame_count=10, base_value=100.0)
-    ramped = illumination_scene(base, gain=2.0, step_frame=4, ramp=4)
+    ramped = replace(base, gain=2.0, gain_frame=4, gain_ramp=4)
     lit, _ = render(ramped)
     want = [100, 100, 100, 100, 125, 150, 175, 200, 200, 200]
     got = [lit[f, 0, 0, 0] for f in range(10)]
@@ -208,7 +215,7 @@ def test_descriptor_invariance_to_gain_on_synthetic_frames():
                           base_kind="texture", base_low=60.0, base_high=180.0,
                           seed=9, quantize=False)
     plain, _ = render(script)
-    lit, _ = render(illumination_scene(script, gain=1.25, step_frame=0))
+    lit, _ = render(replace(script, gain=1.25, gain_frame=0))
     cs_a = brick_descriptor(plain[0:5], 4, 4, 6, 6, mode="cs_stltp")
     cs_b = brick_descriptor(lit[0:5], 4, 4, 6, 6, mode="cs_stltp")
     assert np.array_equal(cs_a, cs_b)
