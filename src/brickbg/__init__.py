@@ -8,7 +8,7 @@ updated online from occlusion-composed, robustly reweighted observations,
 so parked foreground never bleeds into the background model.
 """
 
-from .config import ConfigError, EngineConfig, load_config, with_overrides
+from .config import ConfigError, EngineConfig, load_config
 from .evaluation import (
     EvalReport,
     evaluate,
@@ -91,7 +91,6 @@ __all__ = [
     "step",
     "synthesize",
     "weight",
-    "with_overrides",
     "write_frames",
     "write_image",
     "write_masks",

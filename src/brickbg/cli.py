@@ -16,11 +16,12 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, EngineConfig, load_config, with_overrides
+from .config import ConfigError, EngineConfig, load_config
 from .evaluation import evaluate, per_frame_fscores, write_report
 from .imageio import FrameFormatError, load_frames, load_masks, write_frames, write_masks
 from .linalg import NumericalFailure
@@ -34,7 +35,8 @@ RUNTIME_ERROR = 3
 
 def _load_engine_config(args) -> EngineConfig:
     config = load_config(args.config) if args.config else EngineConfig()
-    return with_overrides(config, mode=args.mode, stride=args.stride)
+    overrides = {"mode": args.mode, "stride": args.stride}
+    return replace(config, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _add_engine_options(sub):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .features import DEFAULT_TAU, MODE_CS, MODE_RGB, MODES
 from .maintenance import DEFAULT_ALPHA, DEFAULT_BETA
@@ -136,7 +136,7 @@ def config_from_mapping(pairs: dict) -> EngineConfig:
             w, h, t = _parse_brick(value)
             update = dict(brick_width=w, brick_height=h, brick_depth=t)
         elif key == "mode":
-            update = {"mode": normalize_mode(value)}
+            update = {"mode": value}
         elif key in _FLOAT_KEYS:
             update = {key: _to_float(key, value)}
         elif key in _INT_KEYS:
@@ -158,34 +158,4 @@ def load_config(path) -> EngineConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     return config_from_mapping(parse_kv_text(text))
-
-
-def with_overrides(config: EngineConfig, mode: str | None = None, stride: int | None = None) -> EngineConfig:
-    out = config
-    if mode is not None:
-        out = replace(out, mode=normalize_mode(mode))
-    if stride is not None:
-        out = replace(out, stride=stride)
-    return out
-
-
-def config_to_text(config: EngineConfig) -> str:
-    """Render a config back into the key=value file format."""
-    lines = [
-        f"mode = {config.mode}",
-        f"brick = {config.brick_width}x{config.brick_height}x{config.brick_depth}",
-        f"tau = {config.tau}",
-        f"t_d = {config.t_d}",
-        f"t_deps = {config.t_deps}",
-        f"t_omega = {config.effective_t_omega}",
-        f"t_eps = {config.effective_t_eps}",
-        f"t_rgb = {config.t_rgb}",
-        f"alpha = {config.alpha}",
-        f"beta = {config.beta}",
-        f"l = {config.history}",
-        f"init_frames = {config.init_frames}",
-        f"min_area = {config.min_area}",
-        f"stride = {config.effective_stride}",
-    ]
-    return "\n".join(lines) + "\n"
 

@@ -1,29 +1,30 @@
 """Synthetic test scenes with exact ground-truth masks.
 
-A scene script fixes the frame geometry, a background process, an optional
+A scene script fixes the frame geometry, the background, an optional
 illumination gain change, and a set of moving rectangles.  Rendering is a
 pure function of the script (seeded generator), so the same script always
 produces bit-identical frames and truth masks.
 
-Background processes:
+The background is built from three parts, each switched on by its numbers:
 
-* flat or per-pixel random static base image
-* i.i.d. Gaussian sensor noise per frame (applied after objects are drawn)
-* an optional planted low-dimensional linear process: a random pattern
-  matrix maps a slowly evolving state vector to a per-frame additive term,
-  so rendered frames follow a known subspace model exactly when noise and
-  quantization are turned off.
+* a static base image, flat or drawn per pixel (``base_kind``)
+* an ARMA process planted when ``arma_dim >= 1``: a random pattern matrix
+  maps a slowly evolving state vector to a per-frame additive term, so
+  rendered frames follow a known subspace model exactly when noise and
+  quantization are turned off
+* i.i.d. Gaussian sensor noise per frame when ``noise_sigma > 0`` (applied
+  after objects are drawn)
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ConfigError, parse_kv_text
+from .config import ConfigError, _to_float, _to_int, parse_kv_text
 
-BACKGROUND_KINDS = ("constant", "gaussian_noise", "planted_arma")
 BASE_KINDS = ("flat", "texture", "two_tone", "three_tone")
 
 
@@ -66,7 +67,6 @@ class SceneScript:
     frame_count: int = 100
     channels: int = 1
     seed: int = 0
-    background: str = "constant"
     base_kind: str = "flat"
     base_value: float = 120.0
     base_low: float = 60.0
@@ -83,32 +83,35 @@ class SceneScript:
     objects: list = field(default_factory=list)
 
     def __post_init__(self):
-        if self.background not in BACKGROUND_KINDS:
-            raise ConfigError(f"background must be one of {BACKGROUND_KINDS}")
         if self.base_kind not in BASE_KINDS:
             raise ConfigError(f"base must be one of {BASE_KINDS}")
         if self.channels not in (1, 3):
             raise ConfigError("channels must be 1 or 3")
         if self.width < 1 or self.height < 1 or self.frame_count < 1:
             raise ConfigError("scene dimensions must be positive")
-        if self.noise_sigma < 0:
-            raise ConfigError("noise_sigma must be non-negative")
-        if self.background == "gaussian_noise" and self.noise_sigma == 0:
-            raise ConfigError("gaussian_noise background needs noise_sigma > 0")
-        if self.background == "planted_arma" and self.arma_dim < 1:
-            raise ConfigError("planted_arma background needs arma_dim >= 1")
+        for name in ("base_value", "base_low", "base_high", "arma_amplitude", "arma_radius"):
+            if not abs(getattr(self, name)) < math.inf:   # NaN fails too, here and below
+                raise ConfigError(f"{name} must be finite")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ConfigError("noise_sigma must be finite and non-negative")
+        if not 0 < self.gain < math.inf:
+            raise ConfigError("gain must be finite and positive")
+        if min(self.seed, self.arma_dim, self.gain_frame, self.gain_ramp) < 0:
+            raise ConfigError("seed, arma_dim, gain_frame and gain_ramp must be non-negative")
         if self.arma_step < 1:
             raise ConfigError("arma_step must be positive")
-        if self.gain <= 0:
-            raise ConfigError("gain must be positive")
+        _check_objects(self)
 
 
-def _check_bounds(script: SceneScript):
+def _check_objects(script: SceneScript):
     for i, rect in enumerate(script.objects):
         if rect.width < 1 or rect.height < 1:
             raise ConfigError(f"object {i}: size must be positive")
         if rect.jump < 0:
             raise ConfigError(f"object {i}: jump must be non-negative")
+        numbers = np.array([*rect.start, *rect.velocity, *np.ravel(rect.color)], dtype=np.float64)
+        if not (np.abs(numbers) < math.inf).all():
+            raise ConfigError(f"object {i}: start, velocity and color must be finite")
         size = np.asarray(rect.color, dtype=np.float64).size
         if size not in (1, script.channels):
             raise ConfigError(f"object color has {size} channels, scene has {script.channels}")
@@ -136,8 +139,8 @@ def planted_model(script: SceneScript):
     (H*W*channels, arma_dim) and ``states`` is (frame_count, arma_dim);
     the background of frame f is ``base + (patterns @ states[f]).reshape``.
     """
-    if script.background != "planted_arma":
-        raise ConfigError("scene has no planted background process")
+    if script.arma_dim < 1:
+        raise ConfigError("scene has no planted background process (arma_dim < 1)")
     rng = np.random.default_rng(script.seed + 1)
     npix = script.height * script.width * script.channels
     patterns = rng.normal(size=(npix, script.arma_dim)) * script.arma_amplitude
@@ -159,7 +162,6 @@ def render(script: SceneScript):
     frames: (F, H, W, channels) uint8 (float64 when ``quantize`` is off);
     truth: (F, H, W) bool, True where a live object covers the pixel.
     """
-    _check_bounds(script)
     h, w, ch, n = script.height, script.width, script.channels, script.frame_count
     rng = np.random.default_rng(script.seed)
 
@@ -176,7 +178,7 @@ def render(script: SceneScript):
         base = rng.uniform(script.base_low, script.base_high, size=(h, w, ch))
 
     arma_terms = None
-    if script.background == "planted_arma":
+    if script.arma_dim >= 1:
         patterns, _, states = planted_model(script)
         arma_terms = (states @ patterns.T).reshape(n, h, w, ch)
 
@@ -201,7 +203,7 @@ def render(script: SceneScript):
         frames[f] = frame
 
     if script.gain != 1.0:
-        ramp = max(int(script.gain_ramp), 0)
+        ramp = script.gain_ramp
         for f in range(script.gain_frame, n):
             if ramp and f < script.gain_frame + ramp:
                 g = 1.0 + (script.gain - 1.0) * (f - script.gain_frame + 1) / ramp
@@ -226,21 +228,14 @@ _SCENE_INTS = {
 
 
 def _num_pair(key, value):
-    parts = [p.strip() for p in value.split(",")]
+    parts = value.split(",")
     if len(parts) != 2:
         raise ConfigError(f"{key} must be 'x,y', got {value!r}")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError:
-        raise ConfigError(f"{key} must be numeric, got {value!r}") from None
+    return _to_float(key, parts[0]), _to_float(key, parts[1])
 
 
-def _color(value):
-    parts = [p.strip() for p in value.split(",")]
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError:
-        raise ConfigError(f"color must be numeric, got {value!r}") from None
+def _color(key, value):
+    return tuple(_to_float(key, p) for p in value.split(","))
 
 
 def parse_scene_text(text: str) -> SceneScript:
@@ -253,17 +248,9 @@ def parse_scene_text(text: str) -> SceneScript:
             objects.setdefault(name, {})[prop] = value
             continue
         if key in _SCENE_INTS:
-            try:
-                kwargs[_SCENE_INTS[key]] = int(value)
-            except ValueError:
-                raise ConfigError(f"{key} must be an integer, got {value!r}") from None
+            kwargs[_SCENE_INTS[key]] = _to_int(key, value)
         elif key in _SCENE_FLOATS:
-            try:
-                kwargs[key] = float(value)
-            except ValueError:
-                raise ConfigError(f"{key} must be a number, got {value!r}") from None
-        elif key == "background":
-            kwargs["background"] = value
+            kwargs[key] = _to_float(key, value)
         elif key == "base":
             kwargs["base_kind"] = value
         elif key == "quantize":
@@ -287,19 +274,15 @@ def parse_scene_text(text: str) -> SceneScript:
         size = props["size"].lower().split("x")
         if len(size) != 2:
             raise ConfigError(f"{name}.size must be 'WxH', got {props['size']!r}")
-        try:
-            rw, rh = int(size[0]), int(size[1])
-        except ValueError:
-            raise ConfigError(f"{name}.size must be integers") from None
         rect = MovingRect(
-            width=rw,
-            height=rh,
-            color=_color(props["color"]),
+            width=_to_int(f"{name}.size", size[0]),
+            height=_to_int(f"{name}.size", size[1]),
+            color=_color(f"{name}.color", props["color"]),
             start=_num_pair(f"{name}.start", props["start"]),
             velocity=_num_pair(f"{name}.velocity", props["velocity"]) if "velocity" in props else (0.0, 0.0),
-            enter=int(props.get("enter", 0)),
-            exit=None if props.get("exit", "").strip() in ("", "none", "-1") else int(props["exit"]),
-            jump=int(props.get("jump", 0)),
+            enter=_to_int(f"{name}.enter", props.get("enter", 0)),
+            exit=None if props.get("exit", "") in ("", "none", "-1") else _to_int(f"{name}.exit", props["exit"]),
+            jump=_to_int(f"{name}.jump", props.get("jump", 0)),
         )
         rects.append(rect)
     kwargs["objects"] = rects

@@ -49,7 +49,7 @@ def reference_scene(channels: int) -> SceneScript:
     """
     return SceneScript(
         width=352, height=288, frame_count=200, channels=channels, seed=2,
-        background="gaussian_noise", base_kind="three_tone",
+        base_kind="three_tone",
         base_low=70.0, base_high=160.0, noise_sigma=5.0,
         objects=[MovingRect(width=24, height=24, color=(240.0,) * channels,
                             start=(8, 32), velocity=(0.8, 0.8), enter=50, jump=5)],
@@ -318,7 +318,7 @@ def test_criterion_07_illumination_step(scene_runs, announce):
 def test_criterion_08_occlusion_coasting(announce):
     scene = SceneScript(
         width=64, height=64, frame_count=200, seed=4,
-        background="gaussian_noise", base_kind="three_tone",
+        base_kind="three_tone",
         base_low=70.0, base_high=160.0, noise_sigma=5.0,
     )
     video, _ = render(scene)

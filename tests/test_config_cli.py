@@ -14,11 +14,9 @@ from brickbg.config import (
     ConfigError,
     EngineConfig,
     config_from_mapping,
-    config_to_text,
     load_config,
     normalize_mode,
     parse_kv_text,
-    with_overrides,
 )
 from brickbg.evaluation import evaluate, read_report
 from brickbg.imageio import list_frames, load_masks, write_masks
@@ -115,23 +113,6 @@ def test_normalize_mode_aliases():
         normalize_mode("luma")
 
 
-def test_config_text_round_trip():
-    config = EngineConfig(mode="rgb", tau=0.25, history=30, stride=2)
-    back = config_from_mapping(parse_kv_text(config_to_text(config)))
-    assert back.mode == config.mode
-    assert back.tau == config.tau
-    assert back.history == config.history
-    assert back.effective_stride == 2
-    assert back.effective_t_eps == config.effective_t_eps
-
-
-def test_with_overrides():
-    base = EngineConfig()
-    assert with_overrides(base, mode="rgb").mode == "rgb"
-    assert with_overrides(base, stride=3).effective_stride == 3
-    assert with_overrides(base) is base
-
-
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(tmp_path / "none.cfg")
@@ -144,7 +125,6 @@ width = 48
 height = 36
 frames = 60
 seed = 5
-background = gaussian_noise
 base = three_tone
 base_low = 70
 base_high = 160
@@ -245,6 +225,13 @@ def test_cli_bench_scene(scene_file, config_file, capsys):
     out = capsys.readouterr().out
     assert "fps" in out
     assert "descriptors" in out                 # per-stage timings listed
+    assert "(cs_stltp, stride 5)" in out        # the config file's values
+
+
+def test_cli_bench_overrides(scene_file, config_file, capsys):
+    assert main(["bench", "--scene", str(scene_file), "--config", str(config_file),
+                 "--mode", "rgb", "--stride", "1"]) == 0
+    assert "(rgb, stride 1)" in capsys.readouterr().out
 
 
 def test_cli_exit_code_for_bad_config(tmp_path, scene_file, config_file):

@@ -1,6 +1,7 @@
 """Scene generator: determinism, exact truth masks, planted processes."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,16 +11,19 @@ from brickbg.features import brick_descriptor
 from brickbg.synth import (
     MovingRect,
     SceneScript,
+    load_scene,
     parse_scene_text,
     planted_model,
     render,
 )
 
+SCENES = sorted((Path(__file__).resolve().parent.parent / "scenes").glob("*.scene"))
+
 
 def simple_scene(**overrides):
     kwargs = dict(
         width=32, height=24, frame_count=12, seed=3,
-        background="constant", base_kind="flat", base_value=100.0,
+        base_kind="flat", base_value=100.0,
     )
     kwargs.update(overrides)
     return SceneScript(**kwargs)
@@ -29,8 +33,7 @@ def simple_scene(**overrides):
 
 
 def test_render_is_deterministic():
-    script = simple_scene(background="gaussian_noise", noise_sigma=4.0,
-                          base_kind="texture")
+    script = simple_scene(noise_sigma=4.0, base_kind="texture")
     a_frames, a_truth = render(script)
     b_frames, b_truth = render(script)
     assert np.array_equal(a_frames, b_frames)
@@ -132,8 +135,7 @@ def test_out_of_frame_trajectory_rejected():
 
 
 def test_gaussian_noise_statistics():
-    script = simple_scene(background="gaussian_noise", noise_sigma=5.0,
-                          frame_count=40, quantize=False)
+    script = simple_scene(noise_sigma=5.0, frame_count=40, quantize=False)
     frames, _ = render(script)
     residual = frames - 100.0
     assert abs(residual.mean()) < 0.1
@@ -159,7 +161,7 @@ def test_texture_base_within_bounds():
 
 
 def test_planted_background_follows_model_exactly():
-    script = simple_scene(background="planted_arma", arma_dim=3,
+    script = simple_scene(arma_dim=3,
                           base_kind="flat", base_value=128.0,
                           quantize=False, frame_count=20)
     patterns, transition, states = planted_model(script)
@@ -180,7 +182,7 @@ def test_planted_model_requires_planted_background():
 
 
 def test_planted_arma_step_holds_state():
-    script = simple_scene(background="planted_arma", arma_dim=2, arma_step=5,
+    script = simple_scene(arma_dim=2, arma_step=5,
                           quantize=False, frame_count=15)
     _, _, states = planted_model(script)
     for f in range(15):
@@ -240,7 +242,6 @@ height = 36
 frames = 30
 channels = 1
 seed = 7
-background = gaussian_noise
 base = three_tone
 base_low = 70
 base_high = 160
@@ -261,7 +262,6 @@ def test_parse_scene_text_full():
     script = parse_scene_text(SCENE_TEXT)
     assert script.width == 48 and script.height == 36
     assert script.frame_count == 30
-    assert script.background == "gaussian_noise"
     assert script.base_kind == "three_tone"
     assert script.noise_sigma == 5.0
     assert script.gain == 1.5 and script.gain_frame == 15
@@ -286,6 +286,18 @@ def test_parse_scene_text_full():
     ("box.size = 8x6", "missing"),
     ("box.size = 86\nbox.color = 3\nbox.start = 0,0", "WxH"),
     ("box.size = 8x6\nbox.color = 3\nbox.start = 0", "x,y"),
+    ("background = gaussian_noise", "unknown scene key"),
+    ("seed = -1", "seed, arma_dim, gain_frame and gain_ramp must be non-negative"),
+    ("noise_sigma = nan", "noise_sigma must be finite"),
+    ("box.size = 8x6.5\nbox.color = 3\nbox.start = 0,0", "box.size must be an integer"),
+    ("box.size = 8x6\nbox.color = 3\nbox.start = 0,0\nbox.enter = abc", "box.enter must be an integer"),
+    ("box.size = 8x6\nbox.color = 3\nbox.start = 0,0\nbox.exit = 9.5", "box.exit must be an integer"),
+    ("box.size = 8x6\nbox.color = 3\nbox.start = 0,0\nbox.jump = 1.5", "box.jump must be an integer"),
+    ("box.size = 8x6\nbox.color = 3\nbox.start = 0,y", "box.start must be a number"),
+    ("box.size = 8x6\nbox.color = 3\nbox.start = 0,0\nbox.velocity = 1,fast", "box.velocity must be a number"),
+    ("box.size = 8x6\nbox.color = grey\nbox.start = 0,0", "box.color must be a number"),
+    ("box.size = 8x6\nbox.color = 3\nbox.start = nan, 1", "object 0: start, velocity and color must be finite"),
+    ("box.size = 8x6\nbox.color = inf\nbox.start = 0,0", "object 0: start, velocity and color must be finite"),
 ])
 def test_parse_scene_text_errors(line, message):
     with pytest.raises(ConfigError, match=message):
@@ -300,15 +312,45 @@ def test_parse_scene_defaults_round_trip():
 
 
 def test_scene_validation():
-    with pytest.raises(ConfigError):
-        SceneScript(background="perlin")
-    with pytest.raises(ConfigError):
-        SceneScript(background="gaussian_noise", noise_sigma=0.0)
-    with pytest.raises(ConfigError):
-        SceneScript(background="planted_arma", arma_dim=0)
-    with pytest.raises(ConfigError):
-        SceneScript(channels=2)
-    with pytest.raises(ConfigError):
-        SceneScript(gain=0.0)
-    with pytest.raises(ConfigError):
-        SceneScript(width=0)
+    nan, inf = float("nan"), float("inf")
+    for kwargs in (
+        dict(base_kind="perlin"),
+        dict(channels=2),
+        dict(gain=0.0),
+        dict(width=0),
+        dict(arma_step=0),
+        dict(noise_sigma=-1.0),
+        dict(noise_sigma=nan),
+        dict(noise_sigma=inf),
+        dict(gain=nan),
+        dict(gain=inf),
+        dict(base_value=nan),
+        dict(base_low=-inf),
+        dict(base_high=inf),
+        dict(arma_amplitude=nan),
+        dict(arma_radius=nan),
+        dict(seed=-1),
+        dict(arma_dim=-1),
+        dict(gain_frame=-3),
+        dict(gain_ramp=-1),
+        dict(objects=[MovingRect(width=2, height=2, color=(9.0,), start=(nan, 1.0))]),
+        dict(objects=[MovingRect(width=2, height=2, color=(9.0,), start=(0.0, 0.0),
+                                 velocity=(inf, 0.0))]),
+        dict(objects=[MovingRect(width=2, height=2, color=(nan,), start=(0.0, 0.0))]),
+    ):
+        with pytest.raises(ConfigError):
+            SceneScript(**kwargs)
+
+
+
+
+def test_bundled_scenes_load_and_render():
+    """Every scenes/*.scene file parses and renders its first ten frames."""
+    assert [p.stem for p in SCENES] == [
+        "illumination_step", "moving_box", "moving_box_rgb", "occlusion"]
+    for path in SCENES:
+        script = load_scene(path)
+        frames, truth = render(replace(script, frame_count=10))
+        assert frames.shape == (10, script.height, script.width, script.channels)
+        assert frames.dtype == np.uint8
+        assert truth.shape == frames.shape[:3]
