@@ -2,12 +2,15 @@
 
 Thin wrappers around LAPACK (through numpy) that pin down the conventions
 the rest of the package relies on: descending spectra, deterministic
-singular-vector signs, a shared zero cutoff for rank decisions, and one
-relative cutoff (``PINV_RTOL``) for pseudo-inverse reciprocals.
+singular- and eigenvector signs, a zero cutoff for the SVD's rank
+decisions, and one relative cutoff (``PINV_RTOL``) for pseudo-inverse
+reciprocals.
 Every routine works on stacks (leading batch dimension) so the pipeline
 can run one call across many spatial locations; a single matrix is a
-stack of one.  The symmetric eigendecomposition's one caller is the
-stacked basis update.
+stack of one.  The SVD's engine caller is initialization; every per-step
+factorization is a symmetric eigendecomposition of a small Gram matrix
+(the dynamics refit's d x d Grams and the basis update's (d+1) x (d+1)
+one).
 """
 
 from __future__ import annotations
@@ -41,16 +44,17 @@ def _chunked(fn, stack):
     return np.concatenate(parts, axis=0)
 
 
-def _fix_signs(u: np.ndarray, q: np.ndarray):
-    """Make the largest-magnitude entry of every left vector positive.
+def _fix_signs(u: np.ndarray, *partners: np.ndarray):
+    """Make the largest-magnitude entry of every column of ``u`` positive.
 
-    The matching right vector is flipped with it so the factorization is
-    unchanged.  Ties and zero columns resolve to +1 deterministically.
+    The matching columns of each partner (an SVD's right vectors) are
+    flipped with it so the factorization is unchanged.  Ties and zero
+    columns resolve to +1 deterministically.
     """
     k = np.argmax(np.abs(u), axis=-2)
     picked = np.take_along_axis(u, k[..., None, :], axis=-2)[..., 0, :]
-    signs = np.where(picked < 0.0, -1.0, 1.0)
-    return u * signs[..., None, :], q * signs[..., None, :]
+    signs = np.where(picked < 0.0, -1.0, 1.0)[..., None, :]
+    return tuple(x * signs for x in (u, *partners))
 
 
 def _svd_chunk(w: np.ndarray):
@@ -75,11 +79,15 @@ def _eigh_chunk(s: np.ndarray):
         vals, vecs = np.linalg.eigh(s)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericalFailure(f"eigendecomposition failed: {exc}") from None
-    return vals[..., ::-1].copy(), vecs[..., ::-1].copy()
+    return vals[..., ::-1].copy(), _fix_signs(vecs[..., ::-1])[0]
 
 
 def eigh_stack(s: np.ndarray):
-    """Symmetric eigendecomposition of a stack, eigenvalues descending."""
+    """Symmetric eigendecomposition of a stack, eigenvalues descending.
+
+    Eigenvectors follow the SVD's sign convention: the largest-magnitude
+    entry of each is positive.
+    """
     return _chunked(_eigh_chunk, s)
 
 

@@ -11,11 +11,13 @@ background model.  The composed vector is then down-weighted entrywise by
 a robust influence function before a rank-one basis update and a dynamics
 refit over the state ring buffer.
 
-The basis update avoids any m x m work: with Y = [sqrt((1-alpha) lam_j) c_j,
+The basis update avoids any m x m work.  With Y = [sqrt((1-alpha) lam_j) c_j,
 sqrt(alpha) v~], the eigendecomposition of the small (d+1) x (d+1) Gram
-matrix Y^T Y yields the updated spectrum, and mapping its eigenvectors
-through Y recovers the new basis, which is re-orthonormalized and kept
-sign-continuous with the previous one.
+matrix Y^T Y yields the updated spectrum.  Since C^T C = I, that Gram is
+built from diag((1-alpha) lam), z = C^T v~ and |v~|^2 alone, and the top
+eigenvectors W map to the new basis as C (sqrt((1-alpha) lam) W_top) +
+sqrt(alpha) v~ w_last^T, so Y itself is never formed.  The new basis is
+re-orthonormalized and kept sign-continuous with the previous one.
 """
 
 from __future__ import annotations
@@ -97,23 +99,23 @@ def update_basis_stack(c: np.ndarray, lam: np.ndarray, v_tilde: np.ndarray, alph
     and each column keeps the orientation of its predecessor.
     """
     g, m, d = c.shape
-    y = np.concatenate(
-        [np.sqrt((1.0 - alpha) * np.maximum(lam, 0.0))[:, None, :] * c,
-         np.sqrt(alpha) * v_tilde[:, :, None]],
-        axis=2,
-    )                                           # (g, m, d+1)
-    gram = np.swapaxes(y, 1, 2) @ y
-    gram = 0.5 * (gram + np.swapaxes(gram, 1, 2))
+    kept = (1.0 - alpha) * np.maximum(lam, 0.0)         # (g, d)
+    root_kept, root_alpha = np.sqrt(kept), np.sqrt(alpha)
+    cross = root_alpha * root_kept * np.einsum("gmd,gm->gd", c, v_tilde)
+    gram = np.zeros((g, d + 1, d + 1))                  # Y^T Y
+    diag = np.arange(d)
+    gram[:, diag, diag] = kept
+    gram[:, :d, d] = cross
+    gram[:, d, :d] = cross
+    gram[:, d, d] = alpha * np.einsum("gm,gm->g", v_tilde, v_tilde)
     vals, vecs = linalg.eigh_stack(gram)        # descending
     top_vals = vals[:, :d]
-    mapped = y @ vecs[:, :, :d]                 # (g, m, d)
-    norms = np.linalg.norm(mapped, axis=1)
-    mapped = np.where(norms[:, None, :] > 0.0, mapped / np.where(norms == 0.0, 1.0, norms)[:, None, :], 0.0)
+    mapped = c @ (root_kept[:, :, None] * vecs[:, :d, :d])                  # Y W_top
+    mapped += (root_alpha * v_tilde)[:, :, None] * vecs[:, None, d, :d]     # (g, m, d)
     q, r = np.linalg.qr(mapped)
-    diag = np.diagonal(r, axis1=1, axis2=2)
-    signs = np.where(diag < 0.0, -1.0, 1.0)
-    q = q * signs[:, None, :]
-    cont = np.where(np.sum(q * c, axis=1) < 0.0, -1.0, 1.0)
-    q = q * cont[:, None, :]
-    return q, np.maximum(top_vals, 0.0)
-
+    # Each column keeps the orientation of its predecessor; where the two
+    # are exactly orthogonal, R's diagonal is made non-negative instead.
+    overlap = np.einsum("gmd,gmd->gd", q, c)
+    diag_sign = np.where(np.diagonal(r, axis1=1, axis2=2) < 0.0, -1.0, 1.0)
+    signs = np.where(overlap < 0.0, -1.0, np.where(overlap > 0.0, 1.0, diag_sign))
+    return q * signs[:, None, :], np.maximum(top_vals, 0.0)

@@ -6,10 +6,13 @@ Each spatial location keeps a model
     z_(i+1) = A z_i + B e_i   (state dynamics, noise input B, d x d_eps)
 
 identified from a window of descriptors by thin SVD: the basis is the top
-left singular vectors, states are the corresponding scaled right singular
-vectors, the transition matrix is a least-squares fit over consecutive
-state pairs, and the noise shaping matrix comes from the SVD of the
-prediction residuals.
+left singular vectors and states are the corresponding scaled right
+singular vectors.  The dynamics are refitted from d x d Gram matrices of
+the state ring: the transition matrix is the least-squares fit over
+consecutive state pairs, A = (Z2 Z1^T)(Z1 Z1^T)^+, and the noise shaping
+matrix comes from the eigendecomposition of the prediction residuals'
+Gram R R^T, whose eigenvalues are the squared singular values of R.  No
+factorization ever sees a ring-sized matrix.
 
 ``ModelBucket`` is the one model record, stacked over the cells that
 share a state dimension.  ``identify_stack`` is the one identification
@@ -35,6 +38,13 @@ DEFAULT_HISTORY = 60
 # the state magnitude are treated as exactly predictable dynamics (d_eps = 0)
 # rather than as a noise basis of floating-point dust.
 EXACT_DYNAMICS_RTOL = 1e-9
+
+# Eigenvalues of a Gram matrix at or below this fraction of its largest are
+# exact zeros.  ``eigh`` resolves a Gram's eigenvalues only to about 1e-16 of
+# the largest, so anything smaller is rounding; in singular-value terms the
+# cut sits at about 3e-7 of the largest.  It serves both the pseudo-inverse
+# of Z1 Z1^T and the residual spectrum.
+GRAM_RTOL = 1e-13
 
 # Widest band below 1 within which a fitted spectral radius may be snapped to
 # exactly 1; the actual band is the fit's relative residual, capped here so a
@@ -92,10 +102,14 @@ def fit_dynamics_stack(states: np.ndarray, t_deps: float, observed=None):
     per-slice selected noise dimension; rows of ``b_pinv`` beyond it are
     exactly zero.
 
-    B is the residual SVD's U scaled column by column (``scale_j =
+    Both fits work on d x d Grams formed from the ring.  A is
+    ``(Z2 Z1^T) V diag(1/mu) V^T`` from the eigendecomposition
+    ``Z1 Z1^T = V diag(mu) V^T``.  The residual R's singular values are
+    ``s = sqrt(mu)`` and its left singular vectors U the eigenvectors of
+    ``R R^T``; eigenvalues at or below ``GRAM_RTOL`` times the largest count
+    as zero in both.  B is U scaled column by column (``scale_j =
     s_j / sqrt(n)``), so its pseudo-inverse needs no second factorization:
-    row j of ``b_pinv`` is ``u_j^T / scale_j``, with reciprocals cut below
-    ``linalg.PINV_RTOL`` times the largest scale as ``linalg.pinv`` cuts them.
+    row j of ``b_pinv`` is ``u_j^T / scale_j``.
 
     ``t_deps`` is a fraction of the dominant residual singular value: a noise
     direction is kept while its singular value exceeds ``t_deps`` times the
@@ -128,47 +142,61 @@ def fit_dynamics_stack(states: np.ndarray, t_deps: float, observed=None):
     z = np.swapaxes(states, 1, 2)          # (g, d, k)
     z1 = z[:, :, :-1]
     z2 = z[:, :, 1:]
-    a = z2 @ linalg.pinv_stack(z1)
-    rough = z2 - a @ z1
+    z1t = np.swapaxes(z1, 1, 2)
+    g11 = z1 @ z1t
+    mu, v = _gram_spectrum(g11)
+    g21v = z2 @ z1t @ v                    # (Z2 Z1^T) V
+    live = mu[:, None, :] > 0.0
+    a = np.divide(g21v, mu[:, None, :], out=np.zeros_like(g21v), where=live) @ np.swapaxes(v, 1, 2)
+    fitted = a @ z1                        # both residuals below subtract it
+    rough = z2 - fitted
     radius = np.abs(np.linalg.eigvals(a)).max(axis=1)
+    # |Z1|_F^2 is the trace of Z1 Z1^T.
     scale_norm = np.maximum(
-        np.linalg.norm(z1.reshape(g, -1), axis=1), np.finfo(np.float64).tiny
+        np.sqrt(np.trace(g11, axis1=1, axis2=2)), np.finfo(np.float64).tiny
     )
     tolerance = np.minimum(
-        np.linalg.norm(rough.reshape(g, -1), axis=1) / scale_norm,
+        np.sqrt(np.einsum("gij,gij->g", rough, rough)) / scale_norm,
         UNIT_RADIUS_BAND,
     )
     snap = radius >= 1.0 - tolerance
     divisor = np.where(snap & (radius > 0), radius, 1.0)
     a = a / divisor[:, None, None]
-    resid = z2 - a @ z1                    # (g, d, k-1)
+    resid = z2 - fitted / divisor[:, None, None]      # (g, d, k-1)
     if observed is None:
         n_eff = np.full(g, k - 1)
     else:
         real = np.asarray(observed, dtype=bool)
         if real.shape != (g, k):
             raise ValueError(f"observed must be shaped {(g, k)}, got {real.shape}")
-        resid = resid * real[:, None, 1:]
+        resid *= real[:, None, 1:]
         n_eff = real[:, 1:].sum(axis=1)
-    u, s, _ = linalg.svd_stack(resid)
+    mu, u = _gram_spectrum(resid @ np.swapaxes(resid, 1, 2))
+    s = np.sqrt(mu)
     magnitude = np.abs(states).max(axis=(1, 2))
     floor = EXACT_DYNAMICS_RTOL * np.maximum(magnitude, np.finfo(np.float64).tiny)
     top = s[:, 0]
     counted = select_dims(s, t_deps * top[:, None])
     d_eps = np.where(top > floor, counted, 0).astype(np.int64)
-    r = s.shape[1]
-    keep = np.arange(r)[None, :] < d_eps[:, None]
+    keep = np.arange(d)[None, :] < d_eps[:, None]
     scale = np.where(
         keep, s / np.sqrt(np.maximum(n_eff, 1))[:, None], 0.0
     )
     b = u * scale[:, None, :]
-    live = scale > linalg.PINV_RTOL * scale[:, :1]
-    inv = np.divide(1.0, scale, out=np.zeros_like(scale), where=live)
+    inv = np.divide(1.0, scale, out=np.zeros_like(scale), where=scale > 0.0)
     b_pinv = inv[:, :, None] * np.swapaxes(u, 1, 2)
-    if r < d:  # pad so every slice is (d, d)
-        b = np.concatenate([b, np.zeros((g, d, d - r))], axis=2)
-        b_pinv = np.concatenate([b_pinv, np.zeros((g, d - r, d))], axis=1)
     return a, b, b_pinv, d_eps
+
+
+def _gram_spectrum(gram: np.ndarray):
+    """Descending eigenpairs of stacked PSD Grams, rounding cut to exact zeros.
+
+    Eigenvalues at or below ``GRAM_RTOL`` times the largest (negative
+    rounding included) become 0; eigenvectors keep ``linalg``'s sign
+    convention.
+    """
+    mu, vecs = linalg.eigh_stack(gram)
+    return np.where(mu > GRAM_RTOL * mu[:, :1], mu, 0.0), vecs
 
 
 def identify_stack(u, sigma, q, t_d: float, t_deps: float, history: int) -> list[ModelBucket]:
@@ -187,7 +215,8 @@ def identify_stack(u, sigma, q, t_d: float, t_deps: float, history: int) -> list
     buckets = []
     for d in np.unique(dims).tolist():
         idx = np.nonzero(dims == d)[0]
-        z = sigma[idx][:, :d, None] * np.swapaxes(q[idx], 1, 2)[:, :d, :]   # (g, d, n)
+        top = sigma[idx, :d]
+        z = top[:, :, None] * np.swapaxes(q[idx, :, :d], 1, 2)   # (g, d, n)
         states = np.swapaxes(z, 1, 2)
         a, b, b_pinv, d_eps = fit_dynamics_stack(states, t_deps)
         ring = np.zeros((idx.size, history, d))
@@ -195,7 +224,7 @@ def identify_stack(u, sigma, q, t_d: float, t_deps: float, history: int) -> list
         observed = np.zeros((idx.size, history), dtype=bool)
         observed[:, :seed] = True
         buckets.append(ModelBucket(
-            indices=idx, c=u[idx][:, :, :d], lam=sigma[idx][:, :d] ** 2 / n,
+            indices=idx, c=u[idx, :, :d], lam=top ** 2 / n,
             a=a, b=b, b_pinv=b_pinv, d_eps=d_eps,
             states=ring, observed=observed, n_states=seed,
         ))

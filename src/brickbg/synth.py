@@ -92,6 +92,9 @@ class SceneScript:
         for name in ("base_value", "base_low", "base_high", "arma_amplitude", "arma_radius"):
             if not abs(getattr(self, name)) < math.inf:   # NaN fails too, here and below
                 raise ConfigError(f"{name} must be finite")
+        if self.base_kind == "three_tone" and self.base_low * self.base_high < 0:
+            # the middle tone is the geometric mean of the outer two
+            raise ConfigError("three_tone needs base_low and base_high of the same sign")
         if not 0 <= self.noise_sigma < math.inf:
             raise ConfigError("noise_sigma must be finite and non-negative")
         if not 0 < self.gain < math.inf:

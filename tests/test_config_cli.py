@@ -201,6 +201,14 @@ def test_cli_synth_script_alias(tmp_path, scene_file):
     assert len(list_frames(out)) == 60
 
 
+def test_cli_synth_refuses_three_tone_of_opposite_sign(tmp_path):
+    scene = tmp_path / "three_tone.scene"
+    scene.write_text("width = 16\nheight = 16\nframes = 4\nbase = three_tone\nbase_low = -10\n")
+    out = tmp_path / "frames"
+    assert main(["synth", "--scene", str(scene), "--output", str(out)]) == 2
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_cli_eval_sweep(tmp_path, rng, capsys):
     truth = rng.random((2, 6, 6)) > 0.6
     write_masks(tmp_path / "truth", truth)

@@ -7,7 +7,9 @@ followed by ``fit_dynamics_stack`` over the ring.
 The incremental basis update is checked against an independent oracle:
 the full m x m eigendecomposition of the blended covariance
 (1-alpha) C diag(lam) C^T + alpha v v^T, whose top-d eigenpairs the
-small-Gram update must reproduce.
+small-Gram update must reproduce.  A second oracle (``y_form_update``)
+forms Y = [sqrt((1-alpha) lam_j) c_j, sqrt(alpha) v] and its Gram
+explicitly, as the update did before it used C^T C = I.
 """
 
 import numpy as np
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from brickbg import linalg
 from brickbg.maintenance import (
     DEFAULT_BETA,
     RHO_FLOOR,
@@ -241,6 +244,52 @@ def test_update_basis_stack_alpha_extremes():
     _, lam = update_basis_stack(model.c, model.lam, v[None], 1.0)      # rank-one replacement
     assert lam[0, 0] == pytest.approx(np.dot(v, v), rel=1e-10)
     assert np.abs(lam[0, 1:]).max() < 1e-8
+
+
+def y_form_update(c, lam, v_tilde, alpha):
+    """The basis update through Y = [sqrt((1-alpha) lam_j) c_j, sqrt(alpha) v~]:
+    the Gram Y^T Y multiplied out, the eigenvectors mapped through Y and
+    normalized, then QR with both sign rules."""
+    d = c.shape[2]
+    y = np.concatenate([np.sqrt((1.0 - alpha) * np.maximum(lam, 0.0))[:, None, :] * c,
+                        np.sqrt(alpha) * v_tilde[:, :, None]], axis=2)
+    gram = np.swapaxes(y, 1, 2) @ y
+    vals, vecs = linalg.eigh_stack(0.5 * (gram + np.swapaxes(gram, 1, 2)))
+    mapped = y @ vecs[:, :, :d]
+    norms = np.linalg.norm(mapped, axis=1)[:, None, :]
+    mapped = np.where(norms > 0.0, mapped / np.where(norms == 0.0, 1.0, norms), 0.0)
+    q, r = np.linalg.qr(mapped)
+    q = q * np.where(np.diagonal(r, axis1=1, axis2=2) < 0.0, -1.0, 1.0)[:, None, :]
+    q = q * np.where(np.sum(q * c, axis=1) < 0.0, -1.0, 1.0)[:, None, :]
+    return q, np.maximum(vals[:, :d], 0.0)
+
+
+def test_gram_update_matches_y_oracle():
+    """The Gram-form update gives the Y form's basis and spectrum to the
+    1e-8 of acceptance 03: generic observations, none, in-span ones, and a
+    zero eigenvalue, for d = 1..5 and m from d to 60."""
+    for d in range(1, 6):
+        for m in (d, 10, 60):
+            gen = np.random.default_rng(50 * d + m)
+            g = 8
+            c = np.linalg.qr(gen.normal(size=(g, m, d)))[0]
+            lam = np.sort(gen.uniform(0.5, 4.0, size=(g, d)), axis=1)[:, ::-1].copy()
+            v = 3.0 * gen.normal(size=(g, m))
+            v[1] = 0.0
+            v[2] = c[2] @ gen.normal(size=d)
+            lam[3, -1] = 0.0
+            for alpha in (0.05, 0.5):
+                got_c, got_lam = update_basis_stack(c, lam, v, alpha)
+                want_c, want_lam = y_form_update(c, lam, v, alpha)
+                case = (d, m, alpha)
+                assert np.abs(got_lam - want_lam).max() < 1e-8, case
+                # Columns with a nonzero eigenvalue are unique up to sign, and
+                # both forms orient them the same way.
+                live = (want_lam > 1e-6)[:, None, :]
+                assert np.abs(np.where(live, got_c - want_c, 0.0)).max() < 1e-8, case
+                projector = got_c @ np.swapaxes(got_c, 1, 2)
+                want_p = want_c @ np.swapaxes(want_c, 1, 2)
+                assert np.abs(projector - want_p).max() < 1e-8, case
 
 
 # --- dynamics update: ring append + fit_dynamics_stack ----------------------

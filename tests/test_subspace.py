@@ -5,7 +5,9 @@ generates exact data from them, and checks identification recovers the
 subspace (principal angles) and the transition spectrum.  Dynamics-refit
 tests pin the behaviors the streaming engine depends on: synthesized
 states must not shrink the noise estimate, and near-unit spectral radii
-must coast instead of drifting.
+must coast instead of drifting.  The Gram-form refit is checked against
+the SVD form of the same fit (``svd_form_fit``) on well-conditioned,
+rank-deficient and exactly predictable rings.
 """
 
 import itertools
@@ -19,8 +21,12 @@ from scipy.linalg import subspace_angles
 from brickbg import linalg
 from brickbg.pipeline import _ring_append
 from brickbg.subspace import (
+    EXACT_DYNAMICS_RTOL,
+    GRAM_RTOL,
+    UNIT_RADIUS_BAND,
     InsufficientData,
     fit_dynamics_stack,
+    identify_stack,
     learn_initial,
     select_dims,
 )
@@ -245,7 +251,8 @@ def b_test_states(gen, k, d):
     innovations, and two with exactly predictable dynamics (d_eps = 0)."""
     noisy = gen.normal(size=(3, k, d)) * 8.0
     # Innovations along one direction plus a 1e-11 trace along another: the
-    # trace's residual singular value sits between ZERO_CUTOFF and PINV_RTOL.
+    # trace's residual singular value sits below the Gram form's resolution
+    # (sqrt(GRAM_RTOL)) and below PINV_RTOL.
     thin = np.cumsum(
         gen.normal(size=(k, 1)) * np.eye(d)[0] + 1e-11 * gen.normal(size=(k, 1)) * np.eye(d)[-1],
         axis=0,
@@ -255,7 +262,7 @@ def b_test_states(gen, k, d):
 
 
 def test_b_padding_and_pinv_agree():
-    """B+ derived from the residual SVD matches the pseudo-inverse of B:
+    """B+ derived from the residual Gram's eigenvectors matches the pseudo-inverse of B:
     bit for bit at d = 1, to 1e-13 relative otherwise."""
     for d, k, t_deps in itertools.product(range(1, 6), (3, 10, 60), (0.0, 1e-12, 0.5)):
         gen = np.random.default_rng(11 + 100 * d + k)
@@ -280,6 +287,124 @@ def test_b_padding_and_pinv_agree():
                     # pinv of the padded matrix equals pinv of the live columns
                     lead = linalg.pinv_stack(b[i][None, :, :de])[0]
                     assert np.allclose(b_pinv[i][:de], lead, rtol=0, atol=1e-10 * np.abs(lead).max())
+
+
+# --- Gram-form refit against the SVD-form oracle ---------------------------
+
+
+def svd_form_fit(states, t_deps, observed=None):
+    """The refit as the SVD of the ring-sized matrices: A = Z2 pinv(Z1), and
+    B from the SVD of the residual.  Returns ``(a, b, b_pinv, d_eps, snap)``."""
+    g, k, d = states.shape
+    z = np.swapaxes(states, 1, 2)
+    z1, z2 = z[:, :, :-1], z[:, :, 1:]
+    a = z2 @ linalg.pinv_stack(z1)
+    rough = z2 - a @ z1
+    radius = np.abs(np.linalg.eigvals(a)).max(axis=1)
+    tiny = np.finfo(np.float64).tiny
+    scale_norm = np.maximum(np.linalg.norm(z1.reshape(g, -1), axis=1), tiny)
+    tolerance = np.minimum(np.linalg.norm(rough.reshape(g, -1), axis=1) / scale_norm,
+                           UNIT_RADIUS_BAND)
+    snap = radius >= 1.0 - tolerance
+    a = a / np.where(snap & (radius > 0), radius, 1.0)[:, None, None]
+    resid = z2 - a @ z1
+    n_eff = np.full(g, k - 1)
+    if observed is not None:
+        resid = resid * observed[:, None, 1:]
+        n_eff = observed[:, 1:].sum(axis=1)
+    u, s, _ = linalg.svd_stack(resid)
+    floor = EXACT_DYNAMICS_RTOL * np.maximum(np.abs(states).max(axis=(1, 2)), tiny)
+    top = s[:, 0]
+    d_eps = np.where(top > floor, select_dims(s, t_deps * top[:, None]), 0)
+    r = s.shape[1]
+    keep = np.arange(r)[None, :] < d_eps[:, None]
+    scale = np.where(keep, s / np.sqrt(np.maximum(n_eff, 1))[:, None], 0.0)
+    live = scale > linalg.PINV_RTOL * scale[:, :1]
+    inv = np.divide(1.0, scale, out=np.zeros_like(scale), where=live)
+    b = np.zeros((g, d, d))
+    b_pinv = np.zeros((g, d, d))
+    b[:, :, :r] = u * scale[:, None, :]
+    b_pinv[:, :r, :] = inv[:, :, None] * np.swapaxes(u, 1, 2)
+    return a, b, b_pinv, d_eps, snap
+
+
+def oracle_rings(gen, k, d):
+    """Named (g, k, d) state rings: well-conditioned noisy ones, exactly
+    rank-deficient ones (a zero coordinate, collinear states), exact
+    dynamics, near-constant ones that snap to unit radius, and all zeros."""
+    noisy = 8.0 * gen.normal(size=(4, k, d)) + 20.0 * gen.normal(size=(4, 1, d))
+    zero_coord = noisy.copy()
+    zero_coord[:, :, -1] = 0.0
+    collinear = gen.normal(size=(2, k, 1)) * 5.0 * gen.normal(size=(2, 1, d))
+    transition = 0.9 * np.linalg.qr(gen.normal(size=(d, d)))[0]
+    exact = np.empty((2, k, d))
+    exact[:, 0] = 10.0 * gen.normal(size=(2, d))
+    for i in range(1, k):
+        exact[:, i] = exact[:, i - 1] @ transition.T
+    constant = 50.0 + 0.5 * gen.normal(size=(2, k, d))
+    return {
+        "noisy": noisy, "zero_coord": zero_coord, "collinear": collinear,
+        "exact": exact, "constant": constant, "zeros": np.zeros((1, k, d)),
+    }
+
+
+def test_gram_refit_matches_svd_oracle():
+    """Every d_eps, snap decision and B/B+ zero column is the oracle's; A
+    agrees to 1e-9 relative on well-conditioned rings, B and B+ up to sign.
+
+    ``t_deps`` stays above sqrt(GRAM_RTOL): below it d_eps counts the
+    residual's numerical rank, which the Gram form resolves only to that
+    level (see the test after this one).
+    """
+    assert np.sqrt(GRAM_RTOL) < 1e-6
+    for d, k in itertools.product(range(1, 6), (3, 10, 60)):
+        gen = np.random.default_rng(1000 + 10 * d + k)
+        for kind, states in oracle_rings(gen, k, d).items():
+            g = states.shape[0]
+            flags = gen.random(size=(g, k)) < 0.7
+            for observed, t_deps in itertools.product((None, flags), (1e-6, 0.5)):
+                case = (d, k, kind, observed is not None, t_deps)
+                a, b, b_pinv, d_eps = fit_dynamics_stack(states, t_deps, observed)
+                a_o, b_o, b_pinv_o, d_eps_o, snap_o = svd_form_fit(states, t_deps, observed)
+                assert np.array_equal(d_eps, d_eps_o), case
+                radius = np.abs(np.linalg.eigvals(a)).max(axis=1)
+                assert np.array_equal(np.abs(radius - 1.0) < 1e-12, snap_o), case
+                for got, want in ((b, b_o), (np.swapaxes(b_pinv, 1, 2), np.swapaxes(b_pinv_o, 1, 2))):
+                    zero_cols = (got == 0.0).all(axis=1)
+                    assert np.array_equal(zero_cols, (want == 0.0).all(axis=1)), case
+                    assert np.array_equal(zero_cols, np.arange(d) >= d_eps[:, None]), case
+                    signs = np.where((got * want).sum(axis=1) < 0.0, -1.0, 1.0)
+                    err = np.abs(got * signs[:, None, :] - want).max(axis=(1, 2))
+                    assert (err <= 1e-6 * np.abs(want).max(axis=(1, 2))).all(), (case, err)
+                # Well-conditioned: the nonzero singular values of Z1 span < 1e3.
+                _, s1, _ = linalg.svd_stack(np.swapaxes(states[:, :-1], 1, 2))
+                spread = s1[:, 0] / np.where(s1 > 0.0, s1, np.inf).min(axis=1)
+                rtol = np.where(spread < 1e3, 1e-9, 1e-6)
+                err = np.abs(a - a_o).max(axis=(1, 2))
+                assert (err <= rtol * np.abs(a_o).max(axis=(1, 2))).all(), (case, err)
+
+
+def test_gram_refit_counts_exact_residual_rank():
+    """At t_deps = 0, d_eps is the residual's rank.  Ten 5-D states give
+    nine transition pairs; when the map is not snapped the residual is
+    Z2 (I - P), P the projector on Z1's 5-dimensional row space, of exact
+    rank 9 - 5 = 4.  The SVD form can count rounding left above its 1e-12
+    cut (here ~3e-12 of the top singular value) as a fifth noise direction;
+    the Gram form cuts it."""
+    d, k = 5, 10
+    states = oracle_rings(np.random.default_rng(1000 + 10 * d + k), k, d)["constant"][1:]
+    a, b, _, d_eps = fit_dynamics_stack(states, 0.0)
+    assert np.abs(np.linalg.eigvals(a[0])).max() < 0.999     # not snapped
+    assert d_eps[0] == 4 and (b[0, :, 4] == 0.0).all()
+
+
+def test_identify_stack_copies_only_the_kept_columns():
+    gen = np.random.default_rng(12)
+    w = gen.normal(size=(3, 16, 8))
+    buckets = identify_stack(*linalg.svd_stack(w), t_d=0.5, t_deps=0.5, history=6)
+    for bucket in buckets:
+        assert bucket.d < 8
+        assert bucket.c.flags.c_contiguous and bucket.c.flags.owndata
 
 
 def test_subspace_model_ring_respects_history():

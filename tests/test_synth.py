@@ -153,6 +153,15 @@ def test_two_tone_and_three_tone_values():
     assert values == {70.0, middle, 160.0}
 
 
+def test_three_tone_refuses_tones_of_opposite_sign():
+    """The middle tone is sqrt(low * high); a negative product has none."""
+    with pytest.raises(ConfigError, match="same sign"):
+        SceneScript(width=16, height=16, base_kind="three_tone", base_low=-10.0)
+    frames, _ = render(simple_scene(base_kind="three_tone", base_low=0.0,
+                                    base_high=160.0, quantize=False))
+    assert set(np.unique(frames)) == {0.0, 160.0}
+
+
 def test_texture_base_within_bounds():
     frames, _ = render(simple_scene(base_kind="texture", base_low=50.0,
                                     base_high=90.0, quantize=False))
