@@ -5,7 +5,9 @@ Subcommands::
     brickbg run    --input FRAMES --output DIR [--config FILE] [options]
     brickbg eval   --truth DIR (--pred DIR | --sweep DIR) [--report FILE]
     brickbg synth  --scene FILE --output DIR [--truth DIR]
-    brickbg bench  (--input FRAMES | --scene FILE) [--config FILE] [options]
+
+``run`` prints the frame count, grid, mode, stride and throughput, then the
+per-stage time totals of ``EngineState.timings``.
 
 Exit codes: 0 on success, 2 for unusable arguments or configuration, 3 for
 runtime failures (missing/short/malformed data, numerical breakdown).
@@ -19,8 +21,6 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .config import ConfigError, EngineConfig, load_config
 from .evaluation import evaluate, per_frame_fscores, write_report
 from .imageio import FrameFormatError, load_frames, load_masks, write_frames, write_masks
@@ -31,18 +31,6 @@ from .synth import load_scene, render
 
 USAGE_ERROR = 2
 RUNTIME_ERROR = 3
-
-
-def _load_engine_config(args) -> EngineConfig:
-    config = load_config(args.config) if args.config else EngineConfig()
-    overrides = {"mode": args.mode, "stride": args.stride}
-    return replace(config, **{k: v for k, v in overrides.items() if v is not None})
-
-
-def _add_engine_options(sub):
-    sub.add_argument("--config", help="key=value config file")
-    sub.add_argument("--mode", help="descriptor mode override (cs_stltp or rgb)")
-    sub.add_argument("--stride", type=int, help="window stride override (1..brick depth)")
 
 
 def _print_scores(predicted, truth, report_path) -> None:
@@ -60,7 +48,9 @@ def _print_scores(predicted, truth, report_path) -> None:
 def _cmd_run(args) -> int:
     if args.report and not args.truth:
         raise ConfigError("--report needs --truth to score against")
-    config = _load_engine_config(args)
+    config = load_config(args.config) if args.config else EngineConfig()
+    overrides = {"mode": args.mode, "stride": args.stride}
+    config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
     frames = load_frames(args.input)
     started = time.perf_counter()
     masks, state = process_video(frames, config)
@@ -69,9 +59,11 @@ def _cmd_run(args) -> int:
     fps = frames.shape[0] / elapsed if elapsed > 0 else float("inf")
     print(
         f"processed {frames.shape[0]} frames "
-        f"({state.geometry.grid_w}x{state.geometry.grid_h} bricks, {config.mode}) "
-        f"in {elapsed:.2f}s ({fps:.1f} fps)"
+        f"({state.geometry.grid_w}x{state.geometry.grid_h} bricks, {config.mode}, "
+        f"stride {config.effective_stride}) in {elapsed:.2f}s ({fps:.1f} fps)"
     )
+    totals = sorted(state.timings.items())
+    print("stage totals: " + "  ".join(f"{stage} {seconds:.3f}s" for stage, seconds in totals))
     if args.truth:
         truth = load_masks(args.truth)
         if truth.shape != masks.shape:
@@ -129,29 +121,6 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    config = _load_engine_config(args)
-    if args.input:
-        frames = load_frames(args.input)
-    else:
-        scene = load_scene(args.scene)
-        frames, _ = render(scene)
-        if frames.dtype != np.uint8:
-            frames = np.clip(np.rint(frames), 0, 255).astype(np.uint8)
-    started = time.perf_counter()
-    masks, state = process_video(frames, config)
-    elapsed = time.perf_counter() - started
-    fps = frames.shape[0] / elapsed if elapsed > 0 else float("inf")
-    print(
-        f"{frames.shape[0]} frames of {frames.shape[2]}x{frames.shape[1]} "
-        f"({config.mode}, stride {config.effective_stride})"
-    )
-    print(f"total {elapsed:.3f}s  {fps:.2f} fps  foreground px {int(masks.sum())}")
-    for phase, seconds in sorted(state.timings.items()):
-        print(f"  {phase:<12s} {seconds:.3f}s")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="brickbg",
@@ -164,13 +133,15 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--output", required=True, help="directory for mask images")
     run.add_argument("--truth", help="optional truth masks to score against")
     run.add_argument("--report", help="optional CSV report path (needs --truth)")
-    _add_engine_options(run)
+    run.add_argument("--config", help="key=value config file")
+    run.add_argument("--mode", help="descriptor mode override (cs_stltp or rgb)")
+    run.add_argument("--stride", type=int, help="window stride override (1..brick depth)")
     run.set_defaults(func=_cmd_run)
 
     ev = sub.add_parser("eval", help="score predicted masks against truth")
     ev.add_argument("--truth", required=True, help="truth mask directory")
     group = ev.add_mutually_exclusive_group(required=True)
-    group.add_argument("--pred", "--masks", dest="pred", help="predicted mask directory")
+    group.add_argument("--pred", help="predicted mask directory")
     group.add_argument(
         "--sweep",
         help="directory whose subdirectories each hold one operating point's masks",
@@ -179,18 +150,11 @@ def build_parser() -> argparse.ArgumentParser:
     ev.set_defaults(func=_cmd_eval)
 
     synth = sub.add_parser("synth", help="render a synthetic scene script")
-    synth.add_argument("--scene", "--script", dest="scene", required=True,
-                       help="scene script file")
+    synth.add_argument("--scene", required=True, help="scene script file")
     synth.add_argument("--output", required=True, help="directory for frames")
     synth.add_argument("--truth", help="optional directory for truth masks")
     synth.set_defaults(func=_cmd_synth)
 
-    bench = sub.add_parser("bench", help="time the engine on frames or a scene")
-    source = bench.add_mutually_exclusive_group(required=True)
-    source.add_argument("--input", help="frame directory or manifest file")
-    source.add_argument("--scene", help="scene script to render and process")
-    _add_engine_options(bench)
-    bench.set_defaults(func=_cmd_bench)
     return parser
 
 

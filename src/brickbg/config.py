@@ -34,7 +34,8 @@ class EngineConfig:
     stride: int | None = None        # None -> brick_depth (non-overlapping)
 
     def __post_init__(self):
-        self.mode = normalize_mode(self.mode)
+        if self.mode not in MODES:
+            raise ConfigError(f"mode must be one of {', '.join(MODES)}; got {self.mode!r}")
         if min(self.brick_width, self.brick_height, self.brick_depth) < 1:
             raise ConfigError("brick dimensions must be positive")
         if not self.tau >= 0:   # NaN fails too, here and below
@@ -48,8 +49,12 @@ class EngineConfig:
             raise ConfigError("beta must be positive")
         if self.history < 2:
             raise ConfigError("history must be at least 2")
-        if self.init_frames < 1:
-            raise ConfigError("init_frames must be positive")
+        windows = self.init_frames // self.brick_depth
+        if windows < 2:
+            raise ConfigError(
+                "initialization needs at least two brick-depth windows "
+                f"({self.init_frames} frames / depth {self.brick_depth} gives {windows})"
+            )
         if self.min_area < 0:
             raise ConfigError("min_area must be non-negative")
         if not 0.0 <= self.alpha <= 1.0:
@@ -68,15 +73,6 @@ class EngineConfig:
     @property
     def effective_t_eps(self) -> float:
         return DEFAULT_T_EPS[self.mode] if self.t_eps is None else self.t_eps
-
-
-def normalize_mode(mode: str) -> str:
-    name = str(mode).strip().lower().replace("-", "_")
-    if name == "cs":
-        name = MODE_CS
-    if name not in MODES:
-        raise ConfigError(f"mode must be one of {', '.join(MODES)}; got {mode!r}")
-    return name
 
 
 def parse_kv_text(text: str) -> dict:
@@ -124,30 +120,23 @@ def _to_float(key, value):
 
 
 _FLOAT_KEYS = {"tau", "t_d", "t_deps", "t_omega", "t_eps", "t_rgb", "alpha", "beta"}
-_INT_KEYS = {"l": "history", "history": "history", "init_frames": "init_frames",
-             "min_area": "min_area", "stride": "stride"}
+_INT_KEYS = {"history", "init_frames", "min_area", "stride"}
 
 
 def config_from_mapping(pairs: dict) -> EngineConfig:
     kwargs = {}
-    set_by = {}   # field name -> the key that set it
     for key, value in pairs.items():
         if key == "brick":
             w, h, t = _parse_brick(value)
-            update = dict(brick_width=w, brick_height=h, brick_depth=t)
+            kwargs.update(brick_width=w, brick_height=h, brick_depth=t)
         elif key == "mode":
-            update = {"mode": value}
+            kwargs["mode"] = value
         elif key in _FLOAT_KEYS:
-            update = {key: _to_float(key, value)}
+            kwargs[key] = _to_float(key, value)
         elif key in _INT_KEYS:
-            update = {_INT_KEYS[key]: _to_int(key, value)}
+            kwargs[key] = _to_int(key, value)
         else:
             raise ConfigError(f"unknown config key {key!r}")
-        for name in update:
-            if name in set_by:
-                raise ConfigError(f"keys {set_by[name]!r} and {key!r} both set {name}")
-            set_by[name] = key
-        kwargs.update(update)
     return EngineConfig(**kwargs)
 
 

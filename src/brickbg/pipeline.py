@@ -179,12 +179,7 @@ def initialize(frames, config: EngineConfig) -> EngineState:
             f"initialization needs {config.init_frames} frames, got {total}"
         )
     depth = config.brick_depth
-    n_windows = config.init_frames // depth
-    if n_windows < 2:
-        raise InsufficientData(
-            "initialization needs at least two brick-depth windows "
-            f"({config.init_frames} frames / depth {depth} gives {n_windows})"
-        )
+    n_windows = config.init_frames // depth          # at least 2, see EngineConfig
     geometry = make_grid(height, width, config.brick_height, config.brick_width)
     init = frames[: n_windows * depth].astype(np.float64)
     columns = [

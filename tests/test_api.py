@@ -8,12 +8,14 @@ import importlib.util
 import re
 import shlex
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 import brickbg
 from brickbg import cli, synth
+from brickbg.config import EngineConfig, config_from_mapping, parse_kv_text
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
@@ -100,6 +102,21 @@ def readme_blocks(language):
     return re.findall(rf"```{language}\n(.*?)```", text, flags=re.DOTALL)
 
 
+def test_readme_config_block_is_the_defaults():
+    """The README's config block names every setting once, parses, and
+    lists the values ``EngineConfig()`` takes; the per-mode thresholds and
+    the stride are compared through their effective values."""
+    [block] = [b for b in readme_blocks("ini") if b.startswith("mode = cs_stltp")]
+    pairs = parse_kv_text(block)
+    settings = {f.name for f in fields(EngineConfig) if not f.name.startswith("brick_")}
+    assert set(pairs) == settings | {"brick"}
+    listed = config_from_mapping(pairs)
+    default = EngineConfig()
+    assert replace(listed, t_omega=None, t_eps=None, stride=None) == default
+    assert (listed.t_omega, listed.t_eps, listed.stride) == (
+        default.effective_t_omega, default.effective_t_eps, default.effective_stride)
+
+
 def test_readme_names_and_commands():
     """Every brickbg name the README's python block imports resolves, and
     every brickbg command in its sh blocks parses."""
@@ -121,4 +138,4 @@ def test_readme_names_and_commands():
                 commands.append(argv[1:])
     for argv in commands:
         assert callable(parser.parse_args(argv).func), argv
-    assert {argv[0] for argv in commands} == {"run", "eval", "synth", "bench"}
+    assert {argv[0] for argv in commands} == {"run", "eval", "synth"}

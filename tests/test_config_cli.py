@@ -15,7 +15,6 @@ from brickbg.config import (
     EngineConfig,
     config_from_mapping,
     load_config,
-    normalize_mode,
     parse_kv_text,
 )
 from brickbg.evaluation import evaluate, read_report
@@ -40,12 +39,12 @@ def test_parse_kv_text_errors():
 
 def test_config_from_mapping_full():
     config = config_from_mapping({
-        "mode": "rgb", "brick": "8x4x5", "tau": "0.3", "l": "40",
+        "mode": "rgb", "brick": "8x4x5", "tau": "0.3", "history": "40",
         "t_omega": "6", "alpha": "0.1", "stride": "2", "min_area": "5",
     })
     assert config.mode == "rgb"
     assert (config.brick_width, config.brick_height, config.brick_depth) == (8, 4, 5)
-    assert config.history == 40                 # 'l' is an alias
+    assert config.history == 40
     assert config.t_omega == 6.0
     assert config.effective_stride == 2
     assert config.min_area == 5
@@ -58,8 +57,8 @@ def test_config_from_mapping_full():
     ({"tau": "soft"}, "number"),
     ({"history": "many"}, "integer"),
     ({"mode": "luma"}, "mode must be"),
-    ({"l": "10", "history": "60"}, "keys 'l' and 'history' both set history"),
-    ({"history": "60", "l": "10"}, "keys 'history' and 'l' both set history"),
+    ({"mode": "cs"}, "mode must be"),           # no short or case-folded spellings
+    ({"l": "40"}, "unknown config key"),        # the history length is 'history'
 ])
 def test_config_from_mapping_errors(pairs, message):
     with pytest.raises(ConfigError, match=message):
@@ -78,6 +77,8 @@ def test_engine_config_validation():
         dict(t_d=float("nan")),
         dict(history=1),
         dict(init_frames=0),
+        dict(init_frames=8),       # one brick-depth window at the default depth 5
+        dict(init_frames=19, brick_depth=10),
         dict(min_area=-1),
         dict(alpha=1.5),
         dict(stride=0),
@@ -105,12 +106,11 @@ def test_effective_defaults_per_mode():
     assert EngineConfig(t_eps=2.0).effective_t_eps == 2.0
 
 
-def test_normalize_mode_aliases():
-    assert normalize_mode("CS-STLTP") == "cs_stltp"
-    assert normalize_mode("cs") == "cs_stltp"
-    assert normalize_mode(" RGB ") == "rgb"
-    with pytest.raises(ConfigError):
-        normalize_mode("luma")
+def test_engine_config_refusal_messages():
+    with pytest.raises(ConfigError, match="mode must be one of cs_stltp, rgb; got 'RGB'"):
+        EngineConfig(mode="RGB")
+    with pytest.raises(ConfigError, match="initialization needs at least two brick-depth"):
+        EngineConfig(init_frames=8)
 
 
 def test_load_config_missing_file(tmp_path):
@@ -187,20 +187,6 @@ def test_cli_synth_run_eval_round_trip(tmp_path, scene_file, config_file, capsys
     assert points == []
 
 
-def test_cli_eval_masks_alias(tmp_path, rng):
-    truth = rng.random((3, 8, 8)) > 0.7
-    write_masks(tmp_path / "truth", truth)
-    write_masks(tmp_path / "pred", truth)
-    assert main(["eval", "--truth", str(tmp_path / "truth"),
-                 "--masks", str(tmp_path / "pred")]) == 0
-
-
-def test_cli_synth_script_alias(tmp_path, scene_file):
-    out = tmp_path / "frames"
-    assert main(["synth", "--script", str(scene_file), "--output", str(out)]) == 0
-    assert len(list_frames(out)) == 60
-
-
 def test_cli_synth_refuses_three_tone_of_opposite_sign(tmp_path):
     scene = tmp_path / "three_tone.scene"
     scene.write_text("width = 16\nheight = 16\nframes = 4\nbase = three_tone\nbase_low = -10\n")
@@ -227,19 +213,37 @@ def test_cli_eval_sweep(tmp_path, rng, capsys):
     assert points == [(float(f"{r.recall:.6f}"), float(f"{r.precision:.6f}")) for r in expected]
 
 
-def test_cli_bench_scene(scene_file, config_file, capsys):
-    assert main(["bench", "--scene", str(scene_file),
+@pytest.fixture
+def frames_dir(tmp_path, scene_file):
+    path = tmp_path / "frames"
+    assert main(["synth", "--scene", str(scene_file), "--output", str(path)]) == 0
+    return path
+
+
+def test_cli_run_prints_settings_and_stage_totals(tmp_path, frames_dir, config_file, capsys):
+    capsys.readouterr()
+    assert main(["run", "--input", str(frames_dir), "--output", str(tmp_path / "m"),
                  "--config", str(config_file)]) == 0
-    out = capsys.readouterr().out
-    assert "fps" in out
-    assert "descriptors" in out                 # per-stage timings listed
-    assert "(cs_stltp, stride 5)" in out        # the config file's values
+    lines = capsys.readouterr().out.splitlines()
+    assert "fps" in lines[0]
+    assert "(12x9 bricks, cs_stltp, stride 5)" in lines[0]   # the config file's values
+    stages = lines[1].removeprefix("stage totals: ").split("  ")
+    assert [entry.split()[0] for entry in stages] == [
+        "assembly", "descriptors", "maintenance", "postprocess", "segmentation",
+    ]
 
 
-def test_cli_bench_overrides(scene_file, config_file, capsys):
-    assert main(["bench", "--scene", str(scene_file), "--config", str(config_file),
-                 "--mode", "rgb", "--stride", "1"]) == 0
-    assert "(rgb, stride 1)" in capsys.readouterr().out
+def test_cli_run_overrides(tmp_path, frames_dir, config_file, capsys):
+    assert main(["run", "--input", str(frames_dir), "--output", str(tmp_path / "m"),
+                 "--config", str(config_file), "--mode", "rgb", "--stride", "1"]) == 0
+    assert "bricks, rgb, stride 1)" in capsys.readouterr().out
+
+
+def test_cli_bench_is_gone(scene_file, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["bench", "--scene", str(scene_file)])
+    assert info.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 def test_cli_exit_code_for_bad_config(tmp_path, scene_file, config_file):
@@ -257,6 +261,10 @@ def test_cli_exit_code_for_bad_config(tmp_path, scene_file, config_file):
     assert main(["run", "--input", str(frames_dir), "--output",
                  str(tmp_path / "m"), "--config", str(config_file),
                  "--stride", "9"]) == 2
+    # a config no data could satisfy is a usage error, not a runtime one
+    bad.write_text("init_frames = 8\n")
+    assert main(["run", "--input", str(frames_dir), "--output",
+                 str(tmp_path / "m"), "--config", str(bad)]) == 2
 
 
 def test_cli_report_needs_truth(tmp_path, scene_file, capsys):

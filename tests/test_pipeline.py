@@ -136,8 +136,6 @@ def test_initialize_insufficient_frames():
     video, _ = noisy_video(30, 8, 8, seed=3)
     with pytest.raises(InsufficientData):
         initialize(video[:10], EngineConfig(init_frames=20))
-    with pytest.raises(InsufficientData):
-        initialize(video[:8], EngineConfig(init_frames=8))  # one window only
 
 
 def test_initialize_rejects_bad_channel_count():
