@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .features import DEFAULT_TAU, MODE_CS, MODE_RGB, MODES
@@ -38,15 +39,15 @@ class EngineConfig:
             raise ConfigError(f"mode must be one of {', '.join(MODES)}; got {self.mode!r}")
         if min(self.brick_width, self.brick_height, self.brick_depth) < 1:
             raise ConfigError("brick dimensions must be positive")
-        if not self.tau >= 0:   # NaN fails too, here and below
-            raise ConfigError("tau must be non-negative")
+        if not 0 <= self.tau < math.inf:   # NaN fails too, here and below
+            raise ConfigError("tau must be finite and non-negative")
         if not (self.t_d >= 0 and self.t_deps >= 0):
             raise ConfigError("t_d and t_deps must be non-negative")
         set_thresholds = [x for x in (self.t_omega, self.t_eps) if x is not None]
         if not all(x >= 0 for x in [*set_thresholds, self.t_rgb]):
             raise ConfigError("t_omega, t_eps and t_rgb must be non-negative")
-        if not self.beta > 0:
-            raise ConfigError("beta must be positive")
+        if not 0 < self.beta < math.inf:
+            raise ConfigError("beta must be finite and positive")
         if self.history < 2:
             raise ConfigError("history must be at least 2")
         windows = self.init_frames // self.brick_depth

@@ -9,7 +9,7 @@ observation rather than the raw one: foreground voxels are replaced by the
 model's own one-step prediction so moving objects never leak into the
 background model.  The composed vector is then down-weighted entrywise by
 a robust influence function before a rank-one basis update and a dynamics
-refit over the state ring buffer.
+refit over the newest ``history`` states.
 
 The basis update avoids any m x m work.  With Y = [sqrt((1-alpha) lam_j) c_j,
 sqrt(alpha) v~], the eigendecomposition of the small (d+1) x (d+1) Gram
@@ -39,7 +39,7 @@ RHO_FLOOR = 1e-9
 
 def synthesize(bucket: ModelBucket) -> np.ndarray:
     """(g, m) one-step predictions of the next descriptors: C A z, z the newest state."""
-    predicted = np.einsum("gde,ge->gd", bucket.a, bucket.states[:, bucket.n_states - 1])
+    predicted = np.einsum("gde,ge->gd", bucket.a, bucket.states[:, -1])
     return np.einsum("gmd,gd->gm", bucket.c, predicted)
 
 

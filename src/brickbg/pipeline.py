@@ -16,7 +16,9 @@ All per-cell maths runs through the stacked functions of ``segmentation``
 (residuals, labels), ``maintenance`` (composition, robust reweighting,
 basis update) and ``subspace`` (dynamics refit), each applied to a bucket
 of cells of equal state dimension, so one step costs a handful of LAPACK
-calls regardless of grid size.  ``step`` is their composition.  Each
+calls regardless of grid size.  ``step`` is their composition: it appends
+each new state to the bucket's states, dropping the oldest once
+``history`` are held, and refits the dynamics from all of them.  Each
 bucket is a ``subspace.ModelBucket``, the one model record; ``model_at``
 returns a one-cell copy of it, which every stacked function (and
 ``maintenance.synthesize``) takes as it is.  ``cs_stltp`` histograms
@@ -197,18 +199,6 @@ def initialize(frames, config: EngineConfig) -> EngineState:
     )
 
 
-def _ring_append(bucket: ModelBucket, z_new: np.ndarray, from_data: np.ndarray):
-    if bucket.n_states < bucket.states.shape[1]:
-        bucket.states[:, bucket.n_states] = z_new
-        bucket.observed[:, bucket.n_states] = from_data
-        bucket.n_states += 1
-    else:
-        bucket.states[:, :-1] = bucket.states[:, 1:]
-        bucket.states[:, -1] = z_new
-        bucket.observed[:, :-1] = bucket.observed[:, 1:]
-        bucket.observed[:, -1] = from_data
-
-
 def _assemble_masks(geometry: GridGeometry, vox_masks: np.ndarray) -> np.ndarray:
     """Scatter (locations, t, h, w) voxel masks to (t, H, W) frame masks."""
     per_pixel = vox_masks[geometry.owner, :, geometry.local_y[:, None], geometry.local_x[None, :]]
@@ -262,7 +252,7 @@ def step(state: EngineState, window) -> StepResult:
         tick = time.perf_counter()
         v = descriptors[bucket.indices]
         _, omega, epsilon, predicted = residuals_stack(
-            bucket.c, bucket.a, bucket.b_pinv, bucket.states[:, bucket.n_states - 1], v
+            bucket.c, bucket.a, bucket.b_pinv, bucket.states[:, -1], v
         )
         bg, vm = classify_stack(
             omega, epsilon, bucket.d_eps, (t, bh, bw, channels), config.mode, t_omega, t_eps
@@ -277,11 +267,11 @@ def step(state: EngineState, window) -> StepResult:
         v_tilde, _ = reweight_stack(bucket.c, bucket.lam, v_bar, config.beta)
         bucket.c, bucket.lam = update_basis_stack(bucket.c, bucket.lam, v_tilde, config.alpha)
         z_new = np.einsum("gmd,gm->gd", bucket.c, v_tilde)
-        _ring_append(bucket, z_new, bg)
+        keep = 1 - config.history        # the newest history - 1 states stay
+        bucket.states = np.concatenate([bucket.states[:, keep:], z_new[:, None]], axis=1)
+        bucket.observed = np.concatenate([bucket.observed[:, keep:], bg[:, None]], axis=1)
         bucket.a, bucket.b, bucket.b_pinv, bucket.d_eps = fit_dynamics_stack(
-            bucket.states[:, : bucket.n_states],
-            config.t_deps,
-            observed=bucket.observed[:, : bucket.n_states],
+            bucket.states, config.t_deps, observed=bucket.observed
         )
         maintain_time += time.perf_counter() - tick
     timings["segmentation"] = seg_time
@@ -354,7 +344,7 @@ def process_video(frames, config: EngineConfig):
 
 
 def model_at(state: EngineState, grid_x: int, grid_y: int) -> ModelBucket:
-    """Copy of the cell's model as a one-cell ``ModelBucket``, ring included."""
+    """Copy of the cell's model as a one-cell ``ModelBucket``, states included."""
     geometry = state.geometry
     if not (0 <= grid_x < geometry.grid_w and 0 <= grid_y < geometry.grid_h):
         raise IndexError(
@@ -367,7 +357,6 @@ def model_at(state: EngineState, grid_x: int, grid_y: int) -> ModelBucket:
             continue
         cut = slice(int(hits[0]), int(hits[0]) + 1)
         return replace(bucket, **{
-            f.name: getattr(bucket, f.name)[cut].copy()
-            for f in fields(bucket) if f.name != "n_states"
+            f.name: getattr(bucket, f.name)[cut].copy() for f in fields(bucket)
         })
     raise KeyError(f"no model stored for grid cell ({grid_x}, {grid_y})")

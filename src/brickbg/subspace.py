@@ -17,8 +17,8 @@ factorization ever sees a ring-sized matrix.
 ``ModelBucket`` is the one model record, stacked over the cells that
 share a state dimension.  ``identify_stack`` is the one identification
 path: from the stacked SVD factors of g descriptor windows it cuts each
-rank, fits the dynamics and seeds the rings, returning one bucket per
-state dimension.  ``pipeline.initialize`` calls it on every grid cell and
+rank, fits the dynamics and keeps the newest states, returning one bucket
+per state dimension.  ``pipeline.initialize`` calls it on every grid cell and
 ``learn_initial`` is its one-cell view.
 """
 
@@ -75,7 +75,9 @@ class ModelBucket:
     bucket of one cell.  ``b`` is zero-padded to (g, d, d); columns past
     ``d_eps[i]`` are zero and the matching ``b_pinv`` rows are zero, so
     padded innovation coordinates come out exactly 0 and never affect a max
-    test.  The newest state is ``states[:, n_states - 1]``.
+    test.  ``states`` holds the k <= ``history`` newest states, oldest
+    first, so the newest is ``states[:, -1]``; ``observed`` flags which of
+    them came from real data.
     """
 
     indices: np.ndarray   # (g,) row-major cell ids
@@ -85,9 +87,8 @@ class ModelBucket:
     b: np.ndarray         # (g, d, d) noise shaping, zero past d_eps
     b_pinv: np.ndarray    # (g, d, d) pseudo-inverse of b, zero past d_eps
     d_eps: np.ndarray     # (g,)
-    states: np.ndarray    # (g, history, d) ring, oldest first, newest at n_states - 1
-    observed: np.ndarray  # (g, history) which ring states came from real data
-    n_states: int
+    states: np.ndarray    # (g, k, d) newest k <= history states, oldest first
+    observed: np.ndarray  # (g, k) which states came from real data
 
     @property
     def d(self) -> int:
@@ -116,8 +117,8 @@ def fit_dynamics_stack(states: np.ndarray, t_deps: float, observed=None):
     largest one.  Slices whose entire residual is negligible next to the state
     magnitude get ``d_eps = 0`` (exactly predictable dynamics).
 
-    ``observed`` is an optional (g, k) boolean array marking which states came
-    from real observations rather than model-synthesized replacements.  A
+    ``observed`` is an optional (g, k) boolean array (all True when omitted)
+    marking which states came from real observations rather than model-synthesized replacements.  A
     synthesized state follows the transition map by construction, so its
     innovation is spurious zero; counting it would shrink the noise estimate a
     little more on every occluded step until the innovation test can never
@@ -163,14 +164,11 @@ def fit_dynamics_stack(states: np.ndarray, t_deps: float, observed=None):
     divisor = np.where(snap & (radius > 0), radius, 1.0)
     a = a / divisor[:, None, None]
     resid = z2 - fitted / divisor[:, None, None]      # (g, d, k-1)
-    if observed is None:
-        n_eff = np.full(g, k - 1)
-    else:
-        real = np.asarray(observed, dtype=bool)
-        if real.shape != (g, k):
-            raise ValueError(f"observed must be shaped {(g, k)}, got {real.shape}")
-        resid *= real[:, None, 1:]
-        n_eff = real[:, 1:].sum(axis=1)
+    real = np.ones((g, k), dtype=bool) if observed is None else np.asarray(observed, dtype=bool)
+    if real.shape != (g, k):
+        raise ValueError(f"observed must be shaped {(g, k)}, got {real.shape}")
+    resid *= real[:, None, 1:]
+    n_eff = real[:, 1:].sum(axis=1)
     mu, u = _gram_spectrum(resid @ np.swapaxes(resid, 1, 2))
     s = np.sqrt(mu)
     magnitude = np.abs(states).max(axis=(1, 2))
@@ -206,8 +204,8 @@ def identify_stack(u, sigma, q, t_d: float, t_deps: float, history: int) -> list
     singular values above ``t_d`` times its largest (at least 1) and the
     residual ones above ``t_deps`` times the largest residual (possibly 0).
     Returns one ``ModelBucket`` per appearance dimension d, ascending, with
-    stack positions as ``indices``; each ring of ``history`` states holds
-    the newest ``min(history, n)`` identified states, flagged observed.
+    stack positions as ``indices``; each keeps the newest ``min(history,
+    n)`` identified states, all flagged observed.
     """
     n = q.shape[1]
     seed = min(history, n)
@@ -219,14 +217,11 @@ def identify_stack(u, sigma, q, t_d: float, t_deps: float, history: int) -> list
         z = top[:, :, None] * np.swapaxes(q[idx, :, :d], 1, 2)   # (g, d, n)
         states = np.swapaxes(z, 1, 2)
         a, b, b_pinv, d_eps = fit_dynamics_stack(states, t_deps)
-        ring = np.zeros((idx.size, history, d))
-        ring[:, :seed] = states[:, n - seed :]
-        observed = np.zeros((idx.size, history), dtype=bool)
-        observed[:, :seed] = True
         buckets.append(ModelBucket(
             indices=idx, c=u[idx, :, :d], lam=top ** 2 / n,
             a=a, b=b, b_pinv=b_pinv, d_eps=d_eps,
-            states=ring, observed=observed, n_states=seed,
+            states=states[:, n - seed :].copy(),
+            observed=np.ones((idx.size, seed), dtype=bool),
         ))
     return buckets
 

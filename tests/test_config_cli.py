@@ -74,6 +74,7 @@ def test_engine_config_validation():
         dict(beta=0.0),
         dict(beta=-1.0),
         dict(beta=float("nan")),
+        dict(beta=float("inf")),   # robust_scale would form inf * 0 = NaN
         dict(t_d=float("nan")),
         dict(history=1),
         dict(init_frames=0),
@@ -85,6 +86,7 @@ def test_engine_config_validation():
         dict(stride=6),            # beyond default brick depth 5
         dict(mode="luma"),
         dict(tau=float("nan")),
+        dict(tau=float("inf")),    # every trit 0: a blind cs_stltp
         dict(t_omega=float("nan")),
         dict(t_eps=float("nan")),
         dict(t_rgb=float("nan")),
@@ -94,6 +96,12 @@ def test_engine_config_validation():
     ):
         with pytest.raises(ConfigError):
             EngineConfig(**kwargs)
+
+
+def test_engine_config_accepts_infinite_thresholds():
+    """An infinite threshold only disables its test."""
+    for key in ("t_d", "t_deps", "t_omega", "t_eps", "t_rgb"):
+        assert getattr(EngineConfig(**{key: float("inf")}), key) == float("inf")
 
 
 def test_effective_defaults_per_mode():
@@ -263,6 +271,9 @@ def test_cli_exit_code_for_bad_config(tmp_path, scene_file, config_file):
                  "--stride", "9"]) == 2
     # a config no data could satisfy is a usage error, not a runtime one
     bad.write_text("init_frames = 8\n")
+    assert main(["run", "--input", str(frames_dir), "--output",
+                 str(tmp_path / "m"), "--config", str(bad)]) == 2
+    bad.write_text("beta = inf\n")
     assert main(["run", "--input", str(frames_dir), "--output",
                  str(tmp_path / "m"), "--config", str(bad)]) == 2
 

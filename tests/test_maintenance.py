@@ -34,17 +34,14 @@ from brickbg.subspace import ModelBucket, fit_dynamics_stack
 
 
 def toy_model(m=8, d=2, seed=0, lam=(4.0, 1.0)):
-    """One-cell bucket, no noise dimension, one state in a 12-deep ring."""
+    """One-cell bucket, no noise dimension, one state held."""
     gen = np.random.default_rng(seed)
     c, _ = np.linalg.qr(gen.normal(size=(m, d)))
-    ring = np.zeros((1, 12, d))
-    ring[0, 0] = np.arange(1.0, d + 1.0)
-    observed = np.zeros((1, 12), dtype=bool)
-    observed[0, 0] = True
     return ModelBucket(
         indices=np.zeros(1, dtype=np.intp), c=c[None], lam=np.asarray(lam, dtype=np.float64)[None],
         a=0.5 * np.eye(d)[None], b=np.zeros((1, d, d)), b_pinv=np.zeros((1, d, d)),
-        d_eps=np.zeros(1, dtype=np.int64), states=ring, observed=observed, n_states=1,
+        d_eps=np.zeros(1, dtype=np.int64), states=np.arange(1.0, d + 1.0)[None, None],
+        observed=np.ones((1, 1), dtype=bool),
     )
 
 
@@ -53,7 +50,7 @@ def toy_model(m=8, d=2, seed=0, lam=(4.0, 1.0)):
 
 def test_synthesize_formula():
     model = toy_model()
-    want = model.c[0] @ (model.a[0] @ model.states[0, model.n_states - 1])
+    want = model.c[0] @ (model.a[0] @ model.states[0, -1])
     got = synthesize(model)
     assert got.shape == (1, 8)
     assert np.allclose(got[0], want, atol=1e-14)
@@ -292,7 +289,7 @@ def test_gram_update_matches_y_oracle():
                 assert np.abs(projector - want_p).max() < 1e-8, case
 
 
-# --- dynamics update: ring append + fit_dynamics_stack ----------------------
+# --- dynamics update: state append + fit_dynamics_stack ----------------------
 
 
 def update_dynamics(ring, flags, z_new, observed=True, history=12, t_deps=0.5):
@@ -316,14 +313,15 @@ def test_update_dynamics_ring_respects_history():
     gen = np.random.default_rng(14)
     video = np.clip(100.0 + gen.normal(scale=5.0, size=(50, 8, 8)), 0, 255).astype(np.uint8)
     state = initialize(video[:20], EngineConfig(init_frames=20, history=5))
-    for start in range(20, 45, 5):
+    seen = [list(np.swapaxes(bucket.states, 0, 1)) for bucket in state.buckets]
+    assert all(len(states) == 4 for states in seen)      # 20 frames / depth 5
+    for start in range(20, 50, 5):
         step(state, video[start : start + 5])
-    newest = [bucket.states[:, bucket.n_states - 1].copy() for bucket in state.buckets]
-    step(state, video[45:50])
-    for bucket, previous in zip(state.buckets, newest):
-        assert bucket.n_states == 5 and bucket.states.shape[1] == 5
-        assert np.array_equal(bucket.states[:, bucket.n_states - 2], previous)
-        assert bucket.observed.all()
+        for bucket, states in zip(state.buckets, seen):
+            states.append(bucket.states[:, -1].copy())
+            want = np.stack(states[-5:], axis=1)   # oldest dropped once 5 are held
+            assert np.array_equal(bucket.states, want)
+            assert bucket.observed.shape == want.shape[:2] and bucket.observed.all()
 
 
 def test_update_dynamics_noise_dimension_tracks_data():

@@ -111,7 +111,7 @@ def test_batch_descriptors_rejects_unknown_mode():
 
 def test_initialize_builds_models_for_every_cell():
     video, base = noisy_video(20, 8, 12, seed=1)
-    config = EngineConfig(init_frames=20)
+    config = EngineConfig(init_frames=20, history=1000)
     state = initialize(video, config)
     assert state.geometry.locations == 6
     covered = np.concatenate([b.indices for b in state.buckets])
@@ -120,10 +120,9 @@ def test_initialize_builds_models_for_every_cell():
         g, m, d = bucket.c.shape
         assert bucket.lam.shape == (g, d)
         assert bucket.a.shape == (g, d, d)
-        assert bucket.states[:, bucket.n_states - 1].shape == (g, d)
-        assert bucket.n_states == 4              # 20 frames / depth 5
-        assert bucket.observed[:, :4].all()      # seeded states are real data
-        assert not bucket.observed[:, 4:].any()
+        assert bucket.states.shape == (g, 4, d)  # 20 frames / depth 5, not history
+        assert bucket.observed.shape == (g, 4)
+        assert bucket.observed.all()             # seeded states are real data
 
 
 def test_initialize_aux_mean_is_window_mean():
@@ -216,7 +215,7 @@ def cell_descriptor(state, volume, gx, gy, mode, tau):
 
 def mirror_label(cell, v, voxel_shape, config):
     """One cell's labels from the stacked functions: (residuals, background, voxel mask)."""
-    res = residuals_stack(cell.c, cell.a, cell.b_pinv, cell.states[:, cell.n_states - 1], v[None])
+    res = residuals_stack(cell.c, cell.a, cell.b_pinv, cell.states[:, -1], v[None])
     background, voxel_mask = classify_stack(
         res[1], res[2], cell.d_eps, voxel_shape, config.mode,
         config.effective_t_omega, config.effective_t_eps,
@@ -232,28 +231,28 @@ def mirror_cell_update(cell, v, voxel_shape, config):
     v_tilde, _ = reweight_stack(cell.c, cell.lam, v_bar, config.beta)
     c, lam = update_basis_stack(cell.c, cell.lam, v_tilde, config.alpha)
     z_new = np.einsum("gmd,gm->gd", c, v_tilde)
-    n = cell.n_states
-    states = np.concatenate([cell.states[:, :n], z_new[:, None]], axis=1)[:, -config.history:]
-    observed = np.concatenate([cell.observed[:, :n], background[:, None]], axis=1)[:, -config.history:]
+    states = np.concatenate([cell.states, z_new[:, None]], axis=1)[:, -config.history:]
+    observed = np.concatenate([cell.observed, background[:, None]], axis=1)[:, -config.history:]
     a, b, b_pinv, d_eps = fit_dynamics_stack(states, config.t_deps, observed=observed)
-    n = states.shape[1]
-    ring, flags = np.zeros_like(cell.states), np.zeros_like(cell.observed)
-    ring[:, :n], flags[:, :n] = states, observed
     after = ModelBucket(indices=cell.indices, c=c, lam=lam, a=a, b=b, b_pinv=b_pinv, d_eps=d_eps,
-                        states=ring, observed=flags, n_states=n)
+                        states=states, observed=observed)
     return after, bool(background[0]), voxel_mask[0]
 
 
-@pytest.mark.parametrize("mode", ["rgb", "cs_stltp"])
-def test_engine_step_equals_single_model_mirror(mode):
+@pytest.mark.parametrize("mode, history", [
+    ("rgb", 60), ("cs_stltp", 60), ("rgb", 4), ("cs_stltp", 4),
+], ids=["rgb", "cs_stltp", "rgb-full", "cs_stltp-full"])
+def test_engine_step_equals_single_model_mirror(mode, history):
     """Two windows: a bright square over cell (2, 0), then clean frames.
 
-    The second window refits cell (2, 0) over a ring whose previous state
-    was synthesized, so its observed flag must come from the engine's ring.
+    The second window refits cell (2, 0) over states of which the previous
+    one was synthesized, so its observed flag must come from the engine's.
+    At ``history = 4`` the four seeded states already fill it, so every
+    step drops the oldest state.
     """
     channels = 3 if mode == "rgb" else 1
     video, base = noisy_video(30, 8, 12, channels=channels, seed=7)
-    config = EngineConfig(mode=mode, init_frames=20, min_area=1)
+    config = EngineConfig(mode=mode, init_frames=20, min_area=1, history=history)
     state = initialize(video[:20], config)
     geometry = state.geometry
     painted = video[20:25].copy()
@@ -275,7 +274,8 @@ def test_engine_step_equals_single_model_mirror(mode):
             after = model_at(state, gx, gy)
             background, voxel_mask = labels[gx, gy]
             assert background == result.brick_background[gy, gx]
-            assert after.n_states == mirrored.n_states
+            assert after.states.shape == mirrored.states.shape
+            assert after.states.shape[1] == min(history, 4 + state.steps)
             for key in ("c", "lam", "a", "b", "states"):
                 assert np.allclose(getattr(after, key), getattr(mirrored, key), atol=1e-8), (gx, gy, key)
             assert np.array_equal(after.d_eps, mirrored.d_eps)
@@ -289,7 +289,7 @@ def test_engine_step_equals_single_model_mirror(mode):
         assert labels[0, 0][0] and labels[1, 1][0]
     # the clean window's refit of cell (2, 0) excluded the synthesized state
     mirrored = mirrors[2, 0]
-    assert list(mirrored.observed[0, mirrored.n_states - 2 : mirrored.n_states]) == [False, True]
+    assert list(mirrored.observed[0, -2:]) == [False, True]
 
 
 @pytest.mark.parametrize("mode", ["rgb", "cs_stltp"])
@@ -469,10 +469,8 @@ def test_model_at_bounds_and_copy_semantics():
     model = model_at(state, 1, 1)
     bucket = next(b for b in state.buckets if 4 in b.indices)
     i = int(np.nonzero(bucket.indices == 4)[0][0])
-    assert model.n_states == bucket.n_states
-    for f in fields(ModelBucket):                # every field, padding and ring included
-        if f.name != "n_states":
-            assert np.array_equal(getattr(model, f.name), getattr(bucket, f.name)[i : i + 1]), f.name
+    for f in fields(ModelBucket):                # every field, padding and states included
+        assert np.array_equal(getattr(model, f.name), getattr(bucket, f.name)[i : i + 1]), f.name
     model.c[:] = 0.0
     model.states[:] = 99.0
     fresh = model_at(state, 1, 1)
@@ -498,7 +496,6 @@ def test_learn_initial_is_one_cell_of_initialize(mode):
         learned = learn_initial(w[cell], config.t_d, config.t_deps, config.history)
         engine = model_at(state, cell % geometry.grid_w, cell // geometry.grid_w)
         assert list(learned.indices) == [0] and list(engine.indices) == [cell]
-        assert learned.n_states == engine.n_states
         for f in fields(ModelBucket):
-            if f.name not in ("indices", "n_states"):
+            if f.name != "indices":
                 assert np.array_equal(getattr(learned, f.name), getattr(engine, f.name)), (cell, f.name)

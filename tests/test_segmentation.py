@@ -21,30 +21,26 @@ from brickbg.subspace import ModelBucket, learn_initial
 
 
 def toy_model(m=6, d=2, d_eps=1, seed=0):
-    """One-cell bucket with one random state in a 10-deep ring."""
+    """One-cell bucket with one random state held."""
     gen = np.random.default_rng(seed)
     c, _ = np.linalg.qr(gen.normal(size=(m, d)))
     b = np.zeros((d, d))
     b[:d_eps, :d_eps] = np.eye(d_eps) * 2.0
-    ring = np.zeros((1, 10, d))
-    ring[0, 0] = gen.normal(size=d)
-    observed = np.zeros((1, 10), dtype=bool)
-    observed[0, 0] = True
     return ModelBucket(
         indices=np.zeros(1, dtype=np.intp), c=c[None], lam=np.ones((1, d)), a=np.eye(d)[None],
         b=b[None], b_pinv=np.linalg.pinv(b)[None], d_eps=np.array([d_eps]),
-        states=ring, observed=observed, n_states=1,
+        states=gen.normal(size=d)[None, None], observed=np.ones((1, 1), dtype=bool),
     )
 
 
 def newest(model):
-    return model.states[0, model.n_states - 1]
+    return model.states[0, -1]
 
 
 def residuals_one(model, v):
     """``residuals_stack`` for a one-cell bucket: (z_prime, omega, epsilon, predicted)."""
     out = residuals_stack(
-        model.c, model.a, model.b_pinv, model.states[:, model.n_states - 1],
+        model.c, model.a, model.b_pinv, model.states[:, -1],
         np.asarray(v, dtype=np.float64)[None],
     )
     return tuple(x[0] for x in out)

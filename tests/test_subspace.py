@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
 from brickbg import linalg
-from brickbg.pipeline import _ring_append
 from brickbg.subspace import (
     EXACT_DYNAMICS_RTOL,
     GRAM_RTOL,
@@ -113,10 +112,9 @@ def test_learn_initial_ring_buffer_seeding():
     basis, transition, gen = planted_system(9, m=10, d=2)
     w = planted_descriptors(basis, transition, gen, n=12)
     model = learn_initial(w, t_d=1e-6, history=8)
-    assert model.n_states == 8
     assert model.states.shape == (1, 8, 2)
     assert model.observed.all()
-    # the ring holds the newest 8 states, oldest first: they reproduce the
+    # the newest 8 states are held, oldest first: they reproduce the
     # last 8 descriptors through the basis
     rebuilt = model.states[0] @ model.c[0].T
     assert np.allclose(rebuilt, w[:, -8:].T, atol=1e-8)
@@ -405,12 +403,5 @@ def test_identify_stack_copies_only_the_kept_columns():
     for bucket in buckets:
         assert bucket.d < 8
         assert bucket.c.flags.c_contiguous and bucket.c.flags.owndata
-
-
-def test_subspace_model_ring_respects_history():
-    model = learn_initial(np.stack([np.ones(3), 2.0 * np.ones(3)], axis=1), history=4)
-    assert model.n_states == 2
-    for i in range(10):
-        _ring_append(model, np.full((1, 1), float(i)), np.array([True]))
-    assert model.n_states == 4 and model.states.shape == (1, 4, 1)
-    assert model.states[0, 0, 0] == 6.0
+        assert bucket.states.shape == (bucket.indices.size, 6, bucket.d)
+        assert bucket.states.flags.owndata       # no view into all 8 states
