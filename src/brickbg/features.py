@@ -24,7 +24,9 @@ first/last frames and the image border reuse their nearest voxels;
 Patterns and descriptors are plain arrays: ``cs_stltp_pixel`` returns the
 16 int8 trits of one voxel and ``brick_descriptor`` the (m,) vector of one
 brick, both per-cell views of the path the engine runs (``bin_volume``
-then ``cell_histograms``).
+then ``cell_histograms``).  ``cell_histograms`` pools every cell at once
+through a flat voxel index, each cell's voxels as positions in the
+flattened bin volume (``pipeline.GridGeometry.voxel_index`` for the grid).
 """
 
 from __future__ import annotations
@@ -156,18 +158,18 @@ def bin_volume(volume, tau: float = DEFAULT_TAU) -> np.ndarray:
     return transitions * 3 + np.sign(total) + 1
 
 
-def cell_histograms(bins: np.ndarray, window_y: np.ndarray, window_x: np.ndarray) -> np.ndarray:
-    """Histograms (n, 48) of n cell windows cut from one bin-index volume.
+def cell_histograms(bins: np.ndarray, voxel_index: np.ndarray) -> np.ndarray:
+    """Histograms (n, 48) of n cells cut from one bin-index volume.
 
-    ``bins`` is a (t, y, x) volume from ``bin_volume``; ``window_y`` (n, h)
-    and ``window_x`` (n, w) list each cell's rows and columns.  Every voxel
-    adds ``COUNTS_PER_VOXEL`` to its bin.
+    ``bins`` is a (t, y, x) volume from ``bin_volume``; row i of
+    ``voxel_index`` (n, k) lists cell i's voxels as positions in ``bins``
+    flattened, so the whole grid is gathered by one ``np.take``.  Every
+    voxel adds ``COUNTS_PER_VOXEL`` to its bin.
     """
-    n = window_y.shape[0]
-    wins = np.moveaxis(bins[:, window_y[:, :, None], window_x[:, None, :]], 0, 1)
-    offsets = (np.arange(n) * HISTOGRAM_BINS)[:, None, None, None]
-    flat = (wins.astype(np.intp) + offsets).reshape(-1)
-    counts = np.bincount(flat, minlength=n * HISTOGRAM_BINS).reshape(n, HISTOGRAM_BINS)
+    n = voxel_index.shape[0]
+    flat = np.take(bins.reshape(-1), voxel_index).astype(np.intp)
+    flat += (np.arange(n) * HISTOGRAM_BINS)[:, None]
+    counts = np.bincount(flat.reshape(-1), minlength=n * HISTOGRAM_BINS).reshape(n, HISTOGRAM_BINS)
     return counts.astype(np.float64) * COUNTS_PER_VOXEL
 
 
@@ -199,8 +201,8 @@ def brick_descriptor(
         return volume[:, y0 : y0 + height, x0 : x0 + width, :].reshape(-1).copy()
     if mode != MODE_CS:
         raise ValueError(f"unknown descriptor mode {mode!r}")
-    rows = np.arange(y0, y0 + height)[None]
-    cols = np.arange(x0, x0 + width)[None]
+    voxels = np.arange(nt * ny * nx).reshape(nt, ny, nx)[:, y0 : y0 + height, x0 : x0 + width]
+    voxel_index = voxels.reshape(1, -1)
     return np.concatenate(
-        [cell_histograms(bin_volume(volume[..., c], tau), rows, cols)[0] for c in range(channels)]
+        [cell_histograms(bin_volume(volume[..., c], tau), voxel_index)[0] for c in range(channels)]
     )

@@ -67,15 +67,27 @@ def compose_stack(v, v_hat, background, voxel_mask, mode: str) -> np.ndarray:
 
 
 def robust_scale(c: np.ndarray, lam: np.ndarray, beta: float) -> np.ndarray:
-    """Per-entry scale rho_k = max_j beta sqrt(lam_j) |c_jk|, floored."""
-    rho = (beta * np.sqrt(np.maximum(lam, 0.0))[..., None, :] * np.abs(c)).max(axis=-1)
-    return np.maximum(rho, RHO_FLOOR)
+    """Per-entry scale rho_k = max_j beta sqrt(lam_j) |c_jk|, floored.
+
+    Built column by column, each |c_j| times its (beta sqrt(lam_j)) and
+    folded into a running maximum, so no (g, m, d) product is formed.
+    """
+    scale = beta * np.sqrt(np.maximum(lam, 0.0))
+    rho = np.abs(c[..., 0])
+    rho *= scale[..., None, 0]
+    for j in range(1, c.shape[-1]):
+        column = np.abs(c[..., j])
+        column *= scale[..., None, j]
+        np.maximum(rho, column, out=rho)
+    return np.maximum(rho, RHO_FLOOR, out=rho)
 
 
 def weight(r, rho):
-    """Downweighting function w(r) = 1 / (1 + (r / rho)^2)."""
+    """Downweighting function w(r) = 1 / (1 + (r / rho)^2); ``r`` is left as it is."""
     ratio = np.asarray(r, dtype=np.float64) / rho
-    return 1.0 / (1.0 + ratio * ratio)
+    ratio *= ratio
+    ratio += 1.0
+    return 1.0 / ratio
 
 
 def reweight_stack(c, lam, v_bar, beta: float = DEFAULT_BETA):
@@ -84,11 +96,19 @@ def reweight_stack(c, lam, v_bar, beta: float = DEFAULT_BETA):
     Returns ``(v_tilde, weights)``, both (g, m); entries whose
     reconstruction residual is large relative to the model spectrum are
     shrunk toward zero.  The residual is the appearance residual of
-    ``v_bar`` (``weight`` is even, so its sign does not matter).
+    ``v_bar`` (``weight`` is even, so its sign does not matter).  The
+    weights are formed in the residual's buffer and ``v_tilde`` in the
+    scale's.
     """
     _, residual = appearance_residual(c, v_bar)
-    w = weight(residual, robust_scale(c, lam, beta))
-    return np.sqrt(w) * v_bar, w
+    rho = robust_scale(c, lam, beta)
+    residual /= rho
+    residual *= residual
+    residual += 1.0
+    w = np.reciprocal(residual, out=residual)
+    v_tilde = np.sqrt(w, out=rho)
+    v_tilde *= v_bar
+    return v_tilde, w
 
 
 def update_basis_stack(c: np.ndarray, lam: np.ndarray, v_tilde: np.ndarray, alpha: float):
@@ -118,4 +138,5 @@ def update_basis_stack(c: np.ndarray, lam: np.ndarray, v_tilde: np.ndarray, alph
     overlap = np.einsum("gmd,gmd->gd", q, c)
     diag_sign = np.where(np.diagonal(r, axis1=1, axis2=2) < 0.0, -1.0, 1.0)
     signs = np.where(overlap < 0.0, -1.0, np.where(overlap > 0.0, 1.0, diag_sign))
-    return q * signs[:, None, :], np.maximum(top_vals, 0.0)
+    q *= signs[:, None, :]
+    return q, np.maximum(top_vals, 0.0)

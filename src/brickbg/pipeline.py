@@ -3,14 +3,16 @@
 The frame area is tiled by a fixed grid of bricks (edge bricks anchor
 inward so every brick is full-size; each pixel is owned by exactly one
 grid cell, with overlap only where a clamped edge brick reaches back into
-its neighbour's area).  One linear model per grid cell is identified from
-an initial frame window: ``initialize`` takes one stacked SVD of every
-cell's descriptor matrix and hands it to ``subspace.identify_stack``, which
-returns the seeded buckets.  The engine then consumes the video in
-brick-depth windows.  Per window it gathers descriptors for all cells at
-once, classifies them with the appearance/innovation residual tests,
-assembles pixel masks, and updates every model from its
-occlusion-composed, robustly reweighted observation.
+its neighbour's area).  The grid keeps flat pixel indices, so cutting
+every cell's voxels out of a window and reading the frame masks back out
+of the cells' voxel masks are one ``np.take`` each.  One linear model per
+grid cell is identified from an initial frame window: ``initialize`` takes
+one stacked SVD of every cell's descriptor matrix and hands it to
+``subspace.identify_stack``, which returns the seeded buckets.  The
+engine then consumes the video in brick-depth windows.  Per window it
+gathers descriptors for all cells at once, classifies them with the
+appearance/innovation residual tests, assembles pixel masks, and updates
+every model from its occlusion-composed, robustly reweighted observation.
 
 All per-cell maths runs through the stacked functions of ``segmentation``
 (residuals, labels), ``maintenance`` (composition, robust reweighting,
@@ -39,7 +41,7 @@ from .config import EngineConfig
 from .features import MODE_CS, MODE_RGB, bin_volume, cell_histograms
 from .imageio import FrameFormatError
 from .maintenance import compose_stack, reweight_stack, update_basis_stack
-from .segmentation import classify_stack, residuals_stack
+from .segmentation import classify_stack, residuals_stack, row_max
 from .subspace import (
     InsufficientData,
     ModelBucket,
@@ -57,7 +59,17 @@ GAIN_BAND = (0.5, 2.0)
 
 @dataclass
 class GridGeometry:
-    """Brick tiling of a frame plus precomputed gather/scatter indices."""
+    """Brick tiling of a frame plus precomputed gather indices.
+
+    Both indices address flattened arrays, so each gather is one
+    ``np.take``.  ``pixel_index`` lists every cell's window pixels, in
+    (y, x) order, as frame positions y * W + x; ``voxel_index`` extends it
+    over the frames of a window.  ``owner_index`` gives, for every pixel,
+    its position in the flattened (locations, h, w) cell windows of its
+    owner.  A pixel's owner is the cell of its grid row and column, pixel
+    // brick size clamped to the last one, so where a clamped edge brick
+    overlaps its neighbour the neighbour owns the pixel.
+    """
 
     frame_height: int
     frame_width: int
@@ -65,17 +77,20 @@ class GridGeometry:
     brick_height: int
     grid_w: int
     grid_h: int
-    x0: np.ndarray        # (grid_w,) window anchor of each grid column
-    y0: np.ndarray        # (grid_h,)
-    window_x: np.ndarray  # (locations, brick_width) frame columns per cell
-    window_y: np.ndarray  # (locations, brick_height) frame rows per cell
-    owner: np.ndarray     # (H, W) owning cell id, row-major gy * grid_w + gx
-    local_x: np.ndarray   # (W,) pixel column inside its owner's window
-    local_y: np.ndarray   # (H,)
+    x0: np.ndarray           # (grid_w,) window anchor of each grid column
+    y0: np.ndarray           # (grid_h,)
+    pixel_index: np.ndarray  # (locations, brick_height * brick_width)
+    owner_index: np.ndarray  # (H, W)
 
     @property
     def locations(self) -> int:
         return self.grid_w * self.grid_h
+
+    def voxel_index(self, depth: int) -> np.ndarray:
+        """(locations, depth * h * w) positions t * H * W + y * W + x of every
+        cell's voxels, in (t, y, x) order, in a flattened depth-frame window."""
+        frames = np.arange(depth)[:, None] * (self.frame_height * self.frame_width)
+        return (frames + self.pixel_index[:, None, :]).reshape(self.locations, -1)
 
 
 def make_grid(frame_height: int, frame_width: int, brick_height: int, brick_width: int) -> GridGeometry:
@@ -89,15 +104,15 @@ def make_grid(frame_height: int, frame_width: int, brick_height: int, brick_widt
     grid_h = -(-frame_height // brick_height)
     x0 = np.minimum(np.arange(grid_w) * brick_width, frame_width - brick_width)
     y0 = np.minimum(np.arange(grid_h) * brick_height, frame_height - brick_height)
+    rows = y0[:, None] + np.arange(brick_height)      # (grid_h, brick_height)
+    cols = x0[:, None] + np.arange(brick_width)       # (grid_w, brick_width)
+    pixel_index = rows[:, None, :, None] * frame_width + cols[None, :, None, :]
     col_owner = np.minimum(np.arange(frame_width) // brick_width, grid_w - 1)
     row_owner = np.minimum(np.arange(frame_height) // brick_height, grid_h - 1)
-    owner = (row_owner[:, None] * grid_w + col_owner[None, :]).astype(np.intp)
-    local_x = (np.arange(frame_width) - x0[col_owner]).astype(np.intp)
-    local_y = (np.arange(frame_height) - y0[row_owner]).astype(np.intp)
-    gxs = np.tile(np.arange(grid_w), grid_h)
-    gys = np.repeat(np.arange(grid_h), grid_w)
-    window_x = (x0[gxs][:, None] + np.arange(brick_width)[None, :]).astype(np.intp)
-    window_y = (y0[gys][:, None] + np.arange(brick_height)[None, :]).astype(np.intp)
+    owner = row_owner[:, None] * grid_w + col_owner[None, :]
+    local_y = np.arange(frame_height) - y0[row_owner]
+    local_x = np.arange(frame_width) - x0[col_owner]
+    local = local_y[:, None] * brick_width + local_x[None, :]
     return GridGeometry(
         frame_height=frame_height,
         frame_width=frame_width,
@@ -107,11 +122,8 @@ def make_grid(frame_height: int, frame_width: int, brick_height: int, brick_widt
         grid_h=grid_h,
         x0=x0,
         y0=y0,
-        window_x=window_x,
-        window_y=window_y,
-        owner=owner,
-        local_x=local_x,
-        local_y=local_y,
+        pixel_index=pixel_index.reshape(grid_h * grid_w, -1).astype(np.intp),
+        owner_index=(owner * (brick_height * brick_width) + local).astype(np.intp),
     )
 
 
@@ -147,27 +159,31 @@ def _as_video(frames) -> np.ndarray:
     return arr
 
 
-def _window_stack(geometry: GridGeometry, volume: np.ndarray) -> np.ndarray:
-    """Every cell's voxels: (locations, t, brick_h, brick_w, channels)."""
-    gathered = volume[:, geometry.window_y[:, :, None], geometry.window_x[:, None, :], :]
-    return np.moveaxis(gathered, 0, 1)
-
-
 def batch_descriptors(geometry: GridGeometry, volume: np.ndarray, mode: str, tau: float) -> np.ndarray:
     """Descriptor matrix (locations, m) for one brick-depth frame window.
 
     Equal to ``features.brick_descriptor`` applied cell by cell with the
     window frames as the brick volume, but computed for the whole grid at
-    once (ternary patterns are evaluated once per frame, not per brick).
+    once: rgb descriptors are one ``np.take`` of the window's (frame,
+    pixel) rows at ``geometry.voxel_index``, and ternary patterns are
+    evaluated once per frame, not per brick, then pooled through the same
+    index.  ``volume`` is (depth, H, W, channels).
     """
-    if mode == MODE_RGB:
-        stack = _window_stack(geometry, volume)
-        return np.ascontiguousarray(stack.reshape(stack.shape[0], -1))
-    if mode != MODE_CS:
+    depth, height, width, channels = volume.shape
+    if (height, width) != (geometry.frame_height, geometry.frame_width):
+        raise ValueError(
+            f"frame size {width}x{height} does not match the grid "
+            f"({geometry.frame_width}x{geometry.frame_height})"
+        )
+    if mode not in (MODE_CS, MODE_RGB):
         raise ValueError(f"unknown mode {mode!r}")
+    voxel_index = geometry.voxel_index(depth)
+    if mode == MODE_RGB:
+        rows = np.take(volume.reshape(-1, channels), voxel_index, axis=0)
+        return rows.reshape(geometry.locations, -1)
     chunks = [
-        cell_histograms(bin_volume(volume[..., ch], tau), geometry.window_y, geometry.window_x)
-        for ch in range(volume.shape[3])
+        cell_histograms(bin_volume(volume[..., ch], tau), voxel_index)
+        for ch in range(channels)
     ]
     return np.concatenate(chunks, axis=1)
 
@@ -200,9 +216,9 @@ def initialize(frames, config: EngineConfig) -> EngineState:
 
 
 def _assemble_masks(geometry: GridGeometry, vox_masks: np.ndarray) -> np.ndarray:
-    """Scatter (locations, t, h, w) voxel masks to (t, H, W) frame masks."""
-    per_pixel = vox_masks[geometry.owner, :, geometry.local_y[:, None], geometry.local_x[None, :]]
-    return np.ascontiguousarray(np.moveaxis(per_pixel, 2, 0))
+    """Frame masks (t, H, W) read from the owners' (locations, t, h, w) voxel masks."""
+    per_frame = np.moveaxis(vox_masks, 1, 0).reshape(vox_masks.shape[1], -1)
+    return np.take(per_frame, geometry.owner_index, axis=1)
 
 
 def remove_small_components(mask: np.ndarray, min_area: int) -> np.ndarray:
@@ -294,10 +310,15 @@ def step(state: EngineState, window) -> StepResult:
                 state.aux_mean *= gain
         # Histograms only localize to brick granularity; cut flagged bricks
         # down to the pixels that differ from the running background mean.
-        difference = np.abs(volume - state.aux_mean).max(axis=-1)
-        frame_masks &= difference > config.t_rgb
+        # The window is not read again, so its buffer takes the difference.
+        difference = np.subtract(volume, state.aux_mean, out=volume)
+        np.abs(difference, out=difference)
+        peak = row_max(difference.reshape(-1, channels)).reshape(frame_masks.shape)
+        frame_masks &= peak > config.t_rgb
         quiet = ~frame_masks.any(axis=0)
-        state.aux_mean[quiet] += config.alpha * (window_mean[quiet] - state.aux_mean[quiet])
+        window_mean -= state.aux_mean
+        window_mean *= config.alpha
+        np.add(state.aux_mean, window_mean, out=state.aux_mean, where=quiet[:, :, None])
     timings["assembly"] = time.perf_counter() - tick
 
     tick = time.perf_counter()

@@ -37,7 +37,8 @@ DEFAULT_T_EPS = {MODE_CS: 3.0, MODE_RGB: 4.0}
 def appearance_residual(c: np.ndarray, v: np.ndarray):
     """States ``z' = C^T v`` (g, d) and appearance residuals ``omega = v - C z'`` (g, m)."""
     z_prime = np.einsum("gmd,gm->gd", c, v)
-    return z_prime, v - np.einsum("gmd,gd->gm", c, z_prime)
+    omega = np.einsum("gmd,gd->gm", c, z_prime)
+    return z_prime, np.subtract(v, omega, out=omega)
 
 
 def residuals_stack(c, a, b_pinv, z_latest, v):
@@ -55,6 +56,19 @@ def residuals_stack(c, a, b_pinv, z_latest, v):
     return z_prime, omega, epsilon, predicted
 
 
+def row_max(x: np.ndarray) -> np.ndarray:
+    """Row maxima of an (n, k) array with few columns, folded column by column.
+
+    Equal to ``x.max(axis=1)`` (NaN propagates the same way) without
+    numpy's per-row reduction over a short axis.  With one column the
+    result is a view of it.
+    """
+    peak = x[:, 0]
+    for j in range(1, x.shape[1]):
+        peak = np.maximum(peak, x[:, j])
+    return peak
+
+
 def classify_stack(omega, epsilon, d_eps, voxel_shape, mode: str, t_omega: float, t_eps: float):
     """Label g bricks from their residuals.
 
@@ -67,11 +81,14 @@ def classify_stack(omega, epsilon, d_eps, voxel_shape, mode: str, t_omega: float
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     t, h, w, channels = voxel_shape
-    eps_quiet = np.abs(epsilon).max(axis=1) < t_eps
-    omega_quiet = np.abs(omega).max(axis=1) < t_omega
+    eps_quiet = row_max(np.abs(epsilon)) < t_eps
+    magnitude = np.abs(omega)
+    omega_quiet = magnitude.max(axis=1) < t_omega
     background = np.where(d_eps > 0, eps_quiet, omega_quiet)
     if mode == MODE_RGB:
-        voxel_mask = (np.abs(omega).reshape(-1, t, h, w, channels) > t_omega).any(axis=-1)
+        # A voxel is foreground when its largest channel residual exceeds t_omega.
+        peak = row_max(magnitude.reshape(-1, channels))
+        voxel_mask = (peak > t_omega).reshape(-1, t, h, w)
         voxel_mask[background] = False
         voxel_mask[~background & ~voxel_mask.any(axis=(1, 2, 3))] = True
     else:

@@ -29,6 +29,7 @@ from brickbg.maintenance import (
     weight,
 )
 from brickbg.config import EngineConfig
+from brickbg.segmentation import appearance_residual
 from brickbg.pipeline import initialize, step
 from brickbg.subspace import ModelBucket, fit_dynamics_stack
 
@@ -110,6 +111,25 @@ def test_robust_scale_matches_loop_oracle():
         assert rho[k] == pytest.approx(max(want, RHO_FLOOR), abs=0.0, rel=1e-15)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_robust_scale_equals_product_max_exactly(d):
+    """The column-by-column fold gives the (g, m, d) product's maximum to the
+    bit: each entry is (beta * sqrt(lam_j)) * |c_kj|, in that association."""
+    gen = np.random.default_rng(d)
+    c = gen.normal(size=(7, 30, d))
+    lam = gen.random((7, d)) * 50.0
+    lam[0, -1] = 0.0                               # a dead direction
+    lam[1] = -1e-3                                 # clipped to 0: the whole row floors
+    c_kept, lam_kept = c.copy(), lam.copy()
+    want = (DEFAULT_BETA * np.sqrt(np.maximum(lam, 0.0))[..., None, :] * np.abs(c)).max(axis=-1)
+    want = np.maximum(want, RHO_FLOOR)
+    got = robust_scale(c, lam, DEFAULT_BETA)
+    assert got.shape == (7, 30)
+    assert (got == want).all()
+    assert (got[1] == RHO_FLOOR).all()
+    assert np.array_equal(c, c_kept) and np.array_equal(lam, lam_kept)
+
+
 def test_robust_scale_floor():
     rho = robust_scale(np.zeros((4, 2)), np.zeros(2), DEFAULT_BETA)
     assert (rho == RHO_FLOOR).all()
@@ -124,6 +144,17 @@ def test_weight_anchor_points():
 @given(st.floats(1e-3, 1e3))
 def test_weight_half_at_rho(rho):
     assert abs(weight(rho, rho) - 0.5) < 1e-12
+
+
+def test_weight_scalar_in_scalar_out_and_input_untouched():
+    w = weight(3.0, 2.0)
+    assert np.isscalar(w) and w == 1.0 / (1.0 + 1.5 * 1.5)
+    r = np.array([-4.0, 0.0, 1.0, 8.0])
+    kept = r.copy()
+    rho = np.array([2.0, 2.0, 0.5, 4.0])
+    w = weight(r, rho)
+    assert np.array_equal(r, kept)
+    assert np.array_equal(w, 1.0 / (1.0 + (kept / rho) ** 2))
 
 
 def test_weight_strictly_decreasing_in_magnitude():
@@ -166,6 +197,23 @@ def test_robust_reweight_shrinks_outliers():
     assert big.any()
     assert (w[big] < 0.01).all()
     assert np.linalg.norm(v_tilde) < 0.5 * np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_reweight_stack_is_weight_of_appearance_residual(d):
+    """The weights, formed in the residual's own buffer, equal ``weight`` of
+    the appearance residual to the bit, and v_tilde is sqrt(w) v_bar."""
+    gen = np.random.default_rng(11)
+    c, _ = np.linalg.qr(gen.normal(size=(5, 40, d)))
+    lam = gen.random((5, d)) * 20.0
+    v_bar = gen.normal(size=(5, 40)) * 30.0
+    kept = v_bar.copy()
+    _, residual = appearance_residual(c, v_bar)
+    want = weight(residual, robust_scale(c, lam, DEFAULT_BETA))
+    v_tilde, w = reweight_stack(c, lam, v_bar, DEFAULT_BETA)
+    assert np.array_equal(w, want)
+    assert np.array_equal(v_tilde, np.sqrt(want) * kept)
+    assert np.array_equal(v_bar, kept)
 
 
 # --- incremental basis update vs full-covariance oracle --------------------

@@ -22,6 +22,7 @@ from brickbg.maintenance import compose_stack, reweight_stack, update_basis_stac
 from brickbg.pipeline import (
     GAIN_BAND,
     EngineState,
+    _assemble_masks,
     batch_descriptors,
     initialize,
     make_grid,
@@ -53,6 +54,9 @@ def test_make_grid_divisible():
     assert (g.grid_w, g.grid_h) == (3, 2)
     assert list(g.x0) == [0, 4, 8]
     assert list(g.y0) == [0, 4]
+    assert g.pixel_index.shape == (6, 4 * 4)
+    assert g.voxel_index(5).shape == (6, 5 * 4 * 4)
+    assert g.owner_index.shape == (8, 12)
 
 
 def test_make_grid_anchors_edge_bricks_inward():
@@ -62,19 +66,27 @@ def test_make_grid_anchors_edge_bricks_inward():
     assert list(g.y0) == [0, 2]
 
 
+def pixel_owner(geometry, y, x):
+    """(owner, local_y, local_x) of pixel (y, x): the cell of its grid row and
+    column, each clamped to the last one, and the pixel's place in that
+    cell's window."""
+    gx = min(x // geometry.brick_width, geometry.grid_w - 1)
+    gy = min(y // geometry.brick_height, geometry.grid_h - 1)
+    return gy * geometry.grid_w + gx, y - int(geometry.y0[gy]), x - int(geometry.x0[gx])
+
+
 def test_make_grid_ownership_partitions_pixels():
     g = make_grid(11, 13, 4, 4)
-    assert g.owner.shape == (11, 13)
-    # every cell id appears; owners form a partition by construction
-    assert set(np.unique(g.owner)) == set(range(g.locations))
-    # each pixel lies inside its owner's window at the stored local offset
+    owners = set()
     for y in range(11):
         for x in range(13):
-            cell = g.owner[y, x]
-            gx, gy = cell % g.grid_w, cell // g.grid_w
-            assert g.x0[gx] + g.local_x[x] == x
-            assert g.y0[gy] + g.local_y[y] == y
-            assert 0 <= g.local_x[x] < 4 and 0 <= g.local_y[y] < 4
+            cell, local_y, local_x = pixel_owner(g, y, x)
+            owners.add(cell)
+            # the pixel lies inside its owner's window, at the stored position
+            assert 0 <= local_y < 4 and 0 <= local_x < 4
+            assert g.owner_index[y, x] == cell * 16 + local_y * 4 + local_x
+            assert g.pixel_index[cell, local_y * 4 + local_x] == y * 13 + x
+    assert owners == set(range(g.locations))
 
 
 def test_make_grid_rejects_oversized_brick():
@@ -88,22 +100,49 @@ def test_make_grid_rejects_oversized_brick():
 @pytest.mark.parametrize("mode", ["cs_stltp", "rgb"])
 @pytest.mark.parametrize("channels", [1, 3])
 def test_batch_descriptors_match_per_brick(mode, channels):
+    """On 8x12 the 4x4 bricks tile the frame; 10x13 leaves a remainder on
+    both axes, so the last row and column of bricks anchor inward and
+    overlap their neighbours."""
     gen = np.random.default_rng(4)
-    volume = gen.integers(0, 256, size=(5, 8, 12, channels)).astype(np.float64)
-    geometry = make_grid(8, 12, 4, 4)
-    batch = batch_descriptors(geometry, volume, mode, tau=0.2)
-    for cell in range(geometry.locations):
-        gx, gy = cell % geometry.grid_w, cell // geometry.grid_w
-        single = brick_descriptor(
-            volume, int(geometry.x0[gx]), int(geometry.y0[gy]), 4, 4, mode=mode, tau=0.2
-        )
-        assert np.array_equal(batch[cell], single), f"cell {cell}"
+    for height, width in ((8, 12), (10, 13)):
+        volume = gen.integers(0, 256, size=(5, height, width, channels)).astype(np.float64)
+        geometry = make_grid(height, width, 4, 4)
+        batch = batch_descriptors(geometry, volume, mode, tau=0.2)
+        assert batch.shape[0] == geometry.locations
+        for cell in range(geometry.locations):
+            gx, gy = cell % geometry.grid_w, cell // geometry.grid_w
+            single = brick_descriptor(
+                volume, int(geometry.x0[gx]), int(geometry.y0[gy]), 4, 4, mode=mode, tau=0.2
+            )
+            assert np.array_equal(batch[cell], single), (height, width, cell)
 
 
 def test_batch_descriptors_rejects_unknown_mode():
     geometry = make_grid(8, 8, 4, 4)
     with pytest.raises(ValueError):
         batch_descriptors(geometry, np.zeros((5, 8, 8, 1)), "luma", 0.2)
+
+
+@pytest.mark.parametrize("shape", [(5, 8, 9, 1), (5, 9, 8, 3)])
+def test_batch_descriptors_rejects_frames_off_the_grid(shape):
+    geometry = make_grid(8, 8, 4, 4)
+    for mode in ("cs_stltp", "rgb"):
+        with pytest.raises(ValueError):
+            batch_descriptors(geometry, np.zeros(shape), mode, 0.2)
+
+
+def test_assemble_masks_matches_per_pixel_loop():
+    """Every frame voxel takes the voxel mask of its owning cell, also where
+    the inward-anchored edge bricks overlap their neighbours."""
+    geometry = make_grid(10, 13, 4, 4)
+    gen = np.random.default_rng(5)
+    vox_masks = gen.random((geometry.locations, 5, 4, 4)) < 0.5
+    frame_masks = _assemble_masks(geometry, vox_masks)
+    assert frame_masks.shape == (5, 10, 13) and frame_masks.dtype == bool
+    for y in range(10):
+        for x in range(13):
+            cell, local_y, local_x = pixel_owner(geometry, y, x)
+            assert np.array_equal(frame_masks[:, y, x], vox_masks[cell, :, local_y, local_x]), (y, x)
 
 
 # --- initialization -------------------------------------------------------------

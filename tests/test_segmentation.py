@@ -16,6 +16,7 @@ from brickbg.segmentation import (
     DEFAULT_T_OMEGA,
     classify_stack,
     residuals_stack,
+    row_max,
 )
 from brickbg.subspace import ModelBucket, learn_initial
 
@@ -150,6 +151,38 @@ def test_rgb_voxels_marked_per_channel_any():
     assert not background
     expected = np.array([[[False, True], [False, True]]])
     assert np.array_equal(mask, expected)
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+def test_rgb_voxel_mask_equals_any_channel_oracle(channels):
+    """Stacked over 40 bricks, with many residuals exactly at +-t_omega
+    (the test is strict, so those stay off)."""
+    gen = np.random.default_rng(channels)
+    t, h, w, t_omega = 2, 3, 2, 5.0
+    omega = gen.normal(scale=4.0, size=(40, t * h * w * channels))
+    omega[gen.random(omega.shape) < 0.3] = t_omega
+    omega[gen.random(omega.shape) < 0.1] = -t_omega
+    omega[:4] = np.sign(omega[:4]) * t_omega               # bricks with every entry at the threshold
+    epsilon = np.zeros((40, 2))
+    epsilon[::2, 0] = 9.0                                  # flagged through the innovation
+    d_eps = np.ones(40, dtype=np.int64)
+    background, mask = classify_stack(omega, epsilon, d_eps, (t, h, w, channels), "rgb",
+                                      t_omega, 4.0)
+    want = (np.abs(omega).reshape(-1, t, h, w, channels) > t_omega).any(axis=-1)
+    want[background] = False
+    want[~background & ~want.any(axis=(1, 2, 3))] = True
+    assert np.array_equal(background, epsilon[:, 0] < 4.0)
+    assert np.array_equal(mask, want)
+    assert mask[0].all() and mask[2].all()                 # flagged, no voxel above: whole
+
+
+def test_row_max_equals_max_over_rows():
+    gen = np.random.default_rng(3)
+    for k in range(1, 6):
+        x = gen.normal(size=(9, k))
+        x[2, k - 1] = np.nan
+        x[4] = -np.inf
+        np.testing.assert_array_equal(row_max(x), x.max(axis=1))
 
 
 def test_rgb_brick_flagged_with_quiet_omega_is_marked_whole():
