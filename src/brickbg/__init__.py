@@ -22,8 +22,6 @@ from .features import (
     MODE_RGB,
     MODES,
     brick_descriptor,
-    cs_stltp_pixel,
-    pattern_to_bin,
 )
 from .imageio import (
     FrameFormatError,
@@ -70,7 +68,6 @@ __all__ = [
     "StepResult",
     "batch_descriptors",
     "brick_descriptor",
-    "cs_stltp_pixel",
     "evaluate",
     "initialize",
     "learn_initial",
@@ -81,7 +78,6 @@ __all__ = [
     "make_grid",
     "model_at",
     "parse_scene_text",
-    "pattern_to_bin",
     "per_frame_fscores",
     "process_video",
     "read_image",

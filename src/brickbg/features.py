@@ -20,16 +20,24 @@ frames.  Two descriptor flavours are supported:
 Neighbour lookups clamp to the edges of the supplied frame volume, so the
 first/last frames and the image border reuse their nearest voxels;
 ``bin_volume`` implements the clamp as one edge padding of the volume.
+The trit rule needs non-negative intensities, so ``brick_descriptor`` and
+the engine refuse negative cs_stltp input.
 
-Patterns and descriptors are plain arrays: ``cs_stltp_pixel`` returns the
-16 int8 trits of one voxel and ``brick_descriptor`` the (m,) vector of one
-brick, both per-cell views of the path the engine runs (``bin_volume``
-then ``cell_histograms``).  ``cell_histograms`` pools every cell at once
-through a flat voxel index, each cell's voxels as positions in the
-flattened bin volume (``pipeline.GridGeometry.voxel_index`` for the grid).
+``bin_volume`` makes each floating-point product and comparison once per
+volume: the padded volume is scaled once into (1 + tau) and (1 - tau)
+copies, both members of every pair are slices of these, each of the 13
+distinct offsets among the 16 ``PAIR_OFFSETS`` gets its trit formed once,
+and the trits are folded into int8 transition and sum counts.
+``brick_descriptor`` returns the (m,) vector of one brick, a per-cell view
+of the path the engine runs (``bin_volume`` then ``cell_histograms``).
+``cell_histograms`` pools every cell at once through a flat voxel index,
+each cell's voxels as positions in the flattened bin volume
+(``pipeline.GridGeometry.voxel_index`` for the grid).
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 
@@ -64,98 +72,82 @@ def _pair_offsets():
 # second member sits at the negated displacement.
 PAIR_OFFSETS = _pair_offsets()
 
-
-def ternary_sign(p_m: float, p_s: float, tau: float) -> int:
-    """Tolerant three-way comparison of a neighbour pair.
-
-    +1 when ``p_m`` exceeds ``(1 + tau) * p_s``, -1 when it falls below
-    ``(1 - tau) * p_s``, else 0.
-    """
-    if p_m > (1.0 + tau) * p_s:
-        return 1
-    if p_m < (1.0 - tau) * p_s:
-        return -1
-    return 0
-
-
-def _check_volume(volume) -> np.ndarray:
-    volume = np.asarray(volume, dtype=np.float64)
-    if volume.ndim != 3:
-        raise ValueError(f"expected a (t, y, x) volume, got shape {volume.shape}")
-    return volume
-
-
-def cs_stltp_pixel(volume, x: int, y: int, t: int, tau: float = DEFAULT_TAU) -> np.ndarray:
-    """16 int8 trits of the voxel at (x, y, t) in a single-channel volume.
-
-    The trits run plane-major: four planes x four center-symmetric pairs.
-
-    ``volume`` is indexed (t, y, x); out-of-range neighbours clamp to the
-    nearest edge, including before frame 0.
-    """
-    volume = _check_volume(volume)
-    nt, ny, nx = volume.shape
-    if not (0 <= x < nx and 0 <= y < ny and 0 <= t < nt):
-        raise ValueError(f"voxel ({x}, {y}, {t}) outside volume {volume.shape}")
-    trits = np.empty(PATTERN_LENGTH, dtype=np.int8)
-    for i, (dt, dy, dx) in enumerate(PAIR_OFFSETS):
-        pm = volume[
-            min(max(t + dt, 0), nt - 1),
-            min(max(y + dy, 0), ny - 1),
-            min(max(x + dx, 0), nx - 1),
-        ]
-        ps = volume[
-            min(max(t - dt, 0), nt - 1),
-            min(max(y - dy, 0), ny - 1),
-            min(max(x - dx, 0), nx - 1),
-        ]
-        trits[i] = ternary_sign(pm, ps, tau)
-    return trits
-
-
-def pattern_to_bin(trits) -> int:
-    """Quantize a 16-trit pattern to one of 48 histogram bins.
-
-    Bin index is ``transitions * 3 + sign + 1`` where ``transitions``
-    counts adjacent unequal trits (0..15) and ``sign`` is the sign of the
-    trit sum.  Every trit must be -1, 0 or +1.
-    """
-    trits = np.asarray(trits, dtype=np.int8)
-    if trits.shape != (PATTERN_LENGTH,):
-        raise ValueError(f"expected {PATTERN_LENGTH} trits, got {trits.shape}")
-    if not np.isin(trits, (-1, 0, 1)).all():
-        raise ValueError("trits must be -1, 0 or +1")
-    transitions = int(np.count_nonzero(trits[1:] != trits[:-1]))
-    s = int(np.sign(trits.sum()))
-    return transitions * 3 + s + 1
+# Offsets that occur more than once in PAIR_OFFSETS: (0, -1, 0), the
+# vertical pair, is the (a, b) = (0, -1) ring point of every plane.
+_RECURRING = tuple(offset for offset, n in Counter(PAIR_OFFSETS).items() if n > 1)
 
 
 def bin_volume(volume, tau: float = DEFAULT_TAU) -> np.ndarray:
-    """Histogram-bin index of every voxel in a single-channel volume.
+    """Histogram-bin index (int16) of every voxel in a single-channel volume.
 
-    One pass over ``PAIR_OFFSETS``: both members of a pair are slice views
-    of the edge-padded volume (every offset is within one voxel on each
-    axis), and each pair's trit is folded into the transition count and the
-    trit sum as soon as it is formed.
+    A voxel's 16 trits compare each ``PAIR_OFFSETS`` pair (p_m at the
+    offset, p_s at its negation): +1 where p_m > (1 + tau) p_s, -1 where
+    p_m < (1 - tau) p_s, else 0.  Its bin is ``transitions * 3 + sign + 1``,
+    ``transitions`` counting adjacent unequal trits in ``PAIR_OFFSETS``
+    order (0..15) and ``sign`` the sign of the trit sum.  The rule needs
+    non-negative intensities; below zero both comparisons can hold.
+
+    The volume is edge-padded once and scaled once into (1 + tau) and
+    (1 - tau) copies, so every product is formed once.  Flattened, each
+    pair member of a run of voxels is a contiguous slice of one of these
+    arrays at a fixed shift, which also spans the padding columns between
+    rows; those voxels are computed and dropped.  The walk runs one output
+    frame at a time, over the three padded frames it reads.  Each distinct
+    offset's trit is formed once per frame into a reused int8 buffer; an
+    offset that recurs in ``PAIR_OFFSETS`` keeps its trit held for its
+    later places in the chain.  Every trit is folded into int8 transition
+    and sum counts as soon as it is in place, and only the bin is widened.
     """
-    volume = _check_volume(volume)
-    padded = np.pad(volume, 1, mode="edge")
+    volume = np.asarray(volume, dtype=np.float64)
+    if volume.ndim != 3:
+        raise ValueError(f"expected a (t, y, x) volume, got shape {volume.shape}")
+    nt, ny, nx = volume.shape
+    flat = np.pad(volume, 1, mode="edge").reshape(-1)
+    upper = (1.0 + tau) * flat
+    lower = (1.0 - tau) * flat
+    row = nx + 2
+    frame = (ny + 2) * row
+    span = (ny - 1) * row + nx          # from voxel (y, x) = (0, 0) to (ny-1, nx-1)
 
-    def at(offset):
-        return padded[tuple(slice(1 + o, 1 + o + n) for o, n in zip(offset, volume.shape))]
+    above = np.empty(span, dtype=bool)
+    below = np.empty(span, dtype=bool)
+    differs = np.empty(span, dtype=bool)
+    # Alternating buffers, so a trit is never formed over its predecessor.
+    scratch = (np.empty(span, dtype=np.int8), np.empty(span, dtype=np.int8))
+    held = {offset: np.empty(span, dtype=np.int8) for offset in _RECURRING}
+    # The counts cover ny whole padded rows, so they read back as (ny, row);
+    # the slices fill their first span entries.
+    transitions = np.empty(ny * row, dtype=np.int8)
+    total = np.empty(ny * row, dtype=np.int8)
+    run_transitions, run_total = transitions[:span], total[:span]
+    bins = np.empty(volume.shape, dtype=np.int16)
 
-    transitions = np.zeros(volume.shape, dtype=np.int16)
-    total = np.zeros(volume.shape, dtype=np.int16)
-    previous = None
-    for offset in PAIR_OFFSETS:
-        pm = at(offset)
-        ps = at(tuple(-o for o in offset))
-        trit = (pm > (1.0 + tau) * ps).astype(np.int8) - (pm < (1.0 - tau) * ps)
-        if previous is not None:
-            transitions += trit != previous
-        total += trit
-        previous = trit
-    return transitions * 3 + np.sign(total) + 1
+    def form(trit, offset, centre):
+        shift = offset[0] * frame + offset[1] * row + offset[2]
+        p_m = flat[centre + shift : centre + shift + span]
+        np.greater(p_m, upper[centre - shift : centre - shift + span], out=above)
+        np.less(p_m, lower[centre - shift : centre - shift + span], out=below)
+        np.subtract(above.view(np.int8), below.view(np.int8), out=trit)
+
+    for t in range(nt):
+        centre = (t + 1) * frame + row + 1          # voxel (t, 0, 0) in flat
+        run_transitions.fill(0)
+        run_total.fill(0)
+        formed = set()
+        previous = None
+        for i, offset in enumerate(PAIR_OFFSETS):
+            trit = held.get(offset, scratch[i % 2])
+            if offset not in formed:
+                form(trit, offset, centre)
+                formed.add(offset)
+            run_total += trit
+            if previous is not None:
+                run_transitions += np.not_equal(trit, previous, out=differs).view(np.int8)
+            previous = trit
+        np.multiply(transitions.reshape(ny, row)[:, :nx], 3, out=bins[t], dtype=np.int16)
+        bins[t] += np.sign(total.reshape(ny, row)[:, :nx])
+        bins[t] += 1
+    return bins
 
 
 def cell_histograms(bins: np.ndarray, voxel_index: np.ndarray) -> np.ndarray:
@@ -201,6 +193,8 @@ def brick_descriptor(
         return volume[:, y0 : y0 + height, x0 : x0 + width, :].reshape(-1).copy()
     if mode != MODE_CS:
         raise ValueError(f"unknown descriptor mode {mode!r}")
+    if volume.min() < 0.0:
+        raise ValueError("cs_stltp intensities must not be negative")
     voxels = np.arange(nt * ny * nx).reshape(nt, ny, nx)[:, y0 : y0 + height, x0 : x0 + width]
     voxel_index = voxels.reshape(1, -1)
     return np.concatenate(

@@ -52,18 +52,25 @@ def compose_stack(v, v_hat, background, voxel_mask, mode: str) -> np.ndarray:
     from the prediction, background voxels from the observation.
     cs_stltp: histograms are not voxel-separable, so a foreground brick is
     replaced by the prediction wholesale.
+    The blend is written into ``v_hat``, which is returned: the entries
+    taken from the observation are copied over the prediction under one
+    mask.  ``v`` is left as it is.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if v.shape != v_hat.shape:
         raise ValueError("observation and prediction shapes differ")
     if mode == MODE_CS:
-        return np.where(background[:, None], v, v_hat)
+        np.copyto(v_hat, v, where=background[:, None])
+        return v_hat
     flat = voxel_mask.reshape(voxel_mask.shape[0], -1)
     channels = v.shape[1] // flat.shape[1]
     if channels * flat.shape[1] != v.shape[1]:
         raise ValueError("voxel mask does not tile the descriptor")
-    return np.where(np.repeat(flat, channels, axis=1), v_hat, v)
+    # A mask repeated per entry keeps the copy's inner loop long; broadcast
+    # over the channel axis, its inner loop is one voxel's channels.
+    np.copyto(v_hat, v, where=np.repeat(~flat, channels, axis=1))
+    return v_hat
 
 
 def robust_scale(c: np.ndarray, lam: np.ndarray, beta: float) -> np.ndarray:

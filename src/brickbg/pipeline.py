@@ -159,6 +159,14 @@ def _as_video(frames) -> np.ndarray:
     return arr
 
 
+def _refuse_negative(frames: np.ndarray) -> None:
+    """Refuse negative frames: the cs_stltp trit rule compares intensities
+    as ratios, which needs them non-negative.  Unsigned frames cannot hold
+    a negative value and are not scanned."""
+    if frames.dtype.kind in "fi" and frames.min() < 0:
+        raise FrameFormatError("cs_stltp frames contain negative values")
+
+
 def batch_descriptors(geometry: GridGeometry, volume: np.ndarray, mode: str, tau: float) -> np.ndarray:
     """Descriptor matrix (locations, m) for one brick-depth frame window.
 
@@ -199,7 +207,10 @@ def initialize(frames, config: EngineConfig) -> EngineState:
     depth = config.brick_depth
     n_windows = config.init_frames // depth          # at least 2, see EngineConfig
     geometry = make_grid(height, width, config.brick_height, config.brick_width)
-    init = frames[: n_windows * depth].astype(np.float64)
+    head = frames[: n_windows * depth]
+    if config.mode == MODE_CS:
+        _refuse_negative(head)
+    init = head.astype(np.float64)
     columns = [
         batch_descriptors(geometry, init[i * depth : (i + 1) * depth], config.mode, config.tau)
         for i in range(n_windows)
@@ -248,6 +259,8 @@ def step(state: EngineState, window) -> StepResult:
         raise ValueError(f"expected {state.channels}-channel frames, got {channels}")
     if t != config.brick_depth:
         raise ValueError(f"a step consumes exactly {config.brick_depth} frames, got {t}")
+    if config.mode == MODE_CS:
+        _refuse_negative(window)
     volume = window.astype(np.float64)
     timings = {}
 

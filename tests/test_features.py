@@ -1,9 +1,10 @@
 """Descriptor layer: ternary comparisons, pattern binning, brick histograms.
 
-The vectorized volume routines are checked voxel-by-voxel against the
-scalar reference implementation, edge clamping against an explicit
-padding oracle, and bin quantization against an independent
-reimplementation of the transition/sign rule.
+The engine's ``bin_volume`` is checked voxel by voxel against the scalar
+oracles kept here (``ternary_sign``, ``cs_stltp_pixel`` and
+``pattern_to_bin``, which the package does not ship), edge clamping
+against an explicit padding oracle, and bin quantization against an
+independent reimplementation of the transition/sign rule.
 """
 
 import numpy as np
@@ -11,18 +12,68 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from brickbg import features
 from brickbg.features import (
     COUNTS_PER_VOXEL,
+    DEFAULT_TAU,
     HISTOGRAM_BINS,
     PAIR_OFFSETS,
     PATTERN_LENGTH,
     bin_volume,
     brick_descriptor,
-    cs_stltp_pixel,
-    pattern_to_bin,
-    ternary_sign,
 )
+
+
+# --- scalar oracles -------------------------------------------------------
+
+
+def ternary_sign(p_m, p_s, tau):
+    """Tolerant three-way comparison of a neighbour pair: +1 when ``p_m``
+    exceeds ``(1 + tau) * p_s``, -1 when it falls below ``(1 - tau) * p_s``,
+    else 0."""
+    if p_m > (1.0 + tau) * p_s:
+        return 1
+    if p_m < (1.0 - tau) * p_s:
+        return -1
+    return 0
+
+
+def cs_stltp_pixel(volume, x, y, t, tau=DEFAULT_TAU):
+    """16 int8 trits of the voxel at (x, y, t) of a (t, y, x) volume,
+    plane-major; out-of-range neighbours clamp to the nearest edge."""
+    volume = np.asarray(volume, dtype=np.float64)
+    nt, ny, nx = volume.shape
+    if not (0 <= x < nx and 0 <= y < ny and 0 <= t < nt):
+        raise ValueError(f"voxel ({x}, {y}, {t}) outside volume {volume.shape}")
+
+    def clamped(dt, dy, dx):
+        return volume[min(max(t + dt, 0), nt - 1),
+                      min(max(y + dy, 0), ny - 1),
+                      min(max(x + dx, 0), nx - 1)]
+
+    trits = np.empty(PATTERN_LENGTH, dtype=np.int8)
+    for i, (dt, dy, dx) in enumerate(PAIR_OFFSETS):
+        trits[i] = ternary_sign(clamped(dt, dy, dx), clamped(-dt, -dy, -dx), tau)
+    return trits
+
+
+def pattern_to_bin(trits):
+    """Bin ``transitions * 3 + sign + 1`` of a 16-trit pattern: adjacent
+    unequal trits (0..15) and the sign of the trit sum."""
+    trits = np.asarray(trits, dtype=np.int8)
+    if trits.shape != (PATTERN_LENGTH,):
+        raise ValueError(f"expected {PATTERN_LENGTH} trits, got {trits.shape}")
+    if not np.isin(trits, (-1, 0, 1)).all():
+        raise ValueError("trits must be -1, 0 or +1")
+    transitions = int(np.count_nonzero(trits[1:] != trits[:-1]))
+    return transitions * 3 + int(np.sign(trits.sum())) + 1
+
+
+def oracle_bins(vol, tau):
+    """(t, y, x) int16 bins of a volume, voxel by voxel through the oracles."""
+    bins = np.zeros(vol.shape, dtype=np.int16)
+    for t, y, x in np.ndindex(*vol.shape):
+        bins[t, y, x] = pattern_to_bin(cs_stltp_pixel(vol, x, y, t, tau))
+    return bins
 
 
 def random_volume(seed, t=5, y=6, x=6, low=20.0, high=200.0):
@@ -142,10 +193,76 @@ def test_bin_volume_matches_scalar_reference(seed):
                         gen.integers(0, 6, size=shape).astype(np.float64)):
                 bins = bin_volume(vol, tau)
                 assert bins.shape == shape and bins.dtype == np.int16
-                expected = np.zeros(shape, dtype=np.int16)
-                for t, y, x in np.ndindex(*shape):
-                    expected[t, y, x] = pattern_to_bin(cs_stltp_pixel(vol, x, y, t, tau))
-                assert np.array_equal(bins, expected)
+                assert np.array_equal(bins, oracle_bins(vol, tau))
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.float32, np.float64])
+def test_bin_volume_returns_int16(dtype):
+    vol = np.random.default_rng(4).integers(0, 200, size=(5, 7, 9)).astype(dtype)
+    for part in (vol, vol[:1, :1, :1]):
+        bins = bin_volume(part)
+        assert bins.dtype == np.int16 and bins.shape == part.shape
+
+
+def ramp(shape, sign):
+    """2 ** (sign * L(t, y, x)), L = 2t - 10y + x: every PAIR_OFFSETS
+    displacement o has L(o) >= 1, so each pair's ratio p_m / p_s is at
+    least 4 (sign +1) or at most 1/4 (sign -1), exactly."""
+    t, y, x = np.indices(shape)
+    return 2.0 ** (sign * (2 * t - 10 * y + x))
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.2, 0.5])
+def test_crafted_volumes_reach_the_extreme_bins(tau):
+    """All 16 trits +1 give bin 2 (no transition, positive sum), all -1
+    give bin 0 and all 0 give bin 1, so the int8 sum reaches +-16."""
+    shape = (4, 5, 6)
+    interior = (slice(1, -1),) * 3
+    for sign, trit, want in ((1, 1, 2), (-1, -1, 0)):
+        vol = ramp(shape, sign)
+        assert (cs_stltp_pixel(vol, 2, 2, 1, tau) == trit).all()
+        assert (bin_volume(vol, tau)[interior] == want).all()
+        assert np.array_equal(bin_volume(vol, tau), oracle_bins(vol, tau))
+    assert (bin_volume(np.full(shape, 31.0), tau) == 1).all()
+
+
+def test_vertical_pair_on_band_edge_matches_oracle():
+    """Intensities g(y) h(t, x) with g(y - 1) / g(y + 1) exactly 1 + tau or
+    1 - tau, and h distinct primes: only the vertical pair (0, -1, 0), the
+    one offset whose trit is held across the planes, sits on a band edge,
+    where the strict comparisons give 0.  The primes span more than a
+    factor of 3, so the diagonal pairs beside it take all three trits."""
+    tau = 0.5
+    g = np.array([81.0, 96.0, 54.0, 64.0, 108.0, 128.0, 72.0])
+    primes = [n for n in range(5, 400) if all(n % k for k in range(2, 20))]
+    h = np.random.default_rng(6).choice(primes, size=(4, 6), replace=False).astype(np.float64)
+    vol = g[None, :, None] * h[:, None, :]
+    nt, ny, nx = vol.shape
+
+    def at(t, y, x):
+        return vol[min(max(t, 0), nt - 1), min(max(y, 0), ny - 1), min(max(x, 0), nx - 1)]
+
+    on_edge = {}
+    for t, y, x in np.ndindex(*vol.shape):
+        for dt, dy, dx in PAIR_OFFSETS:
+            p_m, p_s = at(t + dt, y + dy, x + dx), at(t - dt, y - dy, x - dx)
+            for edge in (1.0 + tau, 1.0 - tau):
+                if p_m == edge * p_s:
+                    on_edge.setdefault((dt, dy, dx), set()).add(edge)
+    assert on_edge == {(0, -1, 0): {1.0 + tau, 1.0 - tau}}
+    assert np.array_equal(bin_volume(vol, tau), oracle_bins(vol, tau))
+
+
+def test_brick_descriptor_refuses_negative_intensities():
+    """Below zero the trit rule breaks: with p_s < 0 both p_m > (1 + tau) p_s
+    and p_m < (1 - tau) p_s can hold, and ``bin_volume`` then gives 0 where
+    the rule gives +1 (17 of 60 voxels of a uniform(-50, 50) 3x4x5 volume
+    at tau 0.2 got another bin).  rgb descriptors take any finite value."""
+    vol = np.random.default_rng(3).uniform(-50.0, 50.0, size=(5, 8, 8))
+    with pytest.raises(ValueError, match="negative"):
+        brick_descriptor(vol, 2, 2, 4, 4, "cs_stltp")
+    assert np.array_equal(brick_descriptor(vol, 2, 2, 4, 4, "rgb"), vol[:, 2:6, 2:6].reshape(-1))
+    assert brick_descriptor(np.abs(vol), 2, 2, 4, 4, "cs_stltp").sum() == 320
 
 
 # --- brick descriptors --------------------------------------------------

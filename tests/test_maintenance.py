@@ -86,6 +86,28 @@ def test_compose_rgb_per_voxel_with_channel_tiling():
     assert np.array_equal(out, [0.0, 0.0, 0.0, 4.0, 5.0, 6.0])
 
 
+@pytest.mark.parametrize("mode, channels", [("rgb", 1), ("rgb", 3), ("cs_stltp", 1)])
+def test_compose_stack_blends_into_the_prediction_buffer(mode, channels):
+    """Equal to a per-entry ``np.where`` with the voxel mask repeated over
+    the channels; the result is ``v_hat``'s buffer and ``v`` is untouched."""
+    gen = np.random.default_rng(channels)
+    g, voxel_shape = 7, (5, 4, 4)
+    m = 80 * channels if mode == "rgb" else 48
+    v, v_hat = gen.normal(size=(g, m)), gen.normal(size=(g, m))
+    background = gen.random(g) < 0.5
+    voxel_mask = gen.random((g, *voxel_shape)) < 0.3
+    if mode == "rgb":
+        take_prediction = np.repeat(voxel_mask.reshape(g, -1), channels, axis=1)
+    else:
+        take_prediction = np.broadcast_to(~background[:, None], (g, m))
+    want = np.where(take_prediction, v_hat, v)
+    v_before = v.copy()
+    out = compose_stack(v, v_hat, background, voxel_mask, mode)
+    assert out is v_hat
+    assert np.array_equal(out, want)
+    assert np.array_equal(v, v_before)
+
+
 def test_compose_rejects_bad_tiling_and_lengths():
     mask = np.ones((1, 1, 2), dtype=bool)
     with pytest.raises(ValueError):

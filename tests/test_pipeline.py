@@ -397,6 +397,26 @@ def test_non_finite_frames_are_rejected(mode):
         initialize(frames[55:105], config)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.int16])
+def test_negative_frames_are_refused_in_cs_stltp(dtype):
+    """The cs_stltp trit rule needs non-negative intensities (see
+    ``test_features::test_brick_descriptor_refuses_negative_intensities``);
+    negative frames used to be binned without notice.  rgb takes them."""
+    frames, _ = render(load_scene(SCENES / "occlusion.scene"))
+    frames = frames.astype(dtype)
+    frames[60, 10, 10] = -1
+    config = EngineConfig()
+    with pytest.raises(FrameFormatError, match="negative"):
+        process_video(frames, config)
+    state = initialize(frames[:50], config)
+    with pytest.raises(FrameFormatError, match="negative"):
+        step(state, frames[60:65])
+    with pytest.raises(FrameFormatError, match="negative"):
+        initialize(frames[55:105], config)
+    rgb = EngineConfig(mode="rgb")
+    step(initialize(frames[55:105] - 100, rgb), frames[60:65] - 100)
+
+
 # --- blackout -------------------------------------------------------------------------
 
 
