@@ -33,7 +33,7 @@ from .imageio import (
     write_masks,
 )
 from .linalg import NumericalFailure
-from .maintenance import synthesize, weight
+from .maintenance import synthesize
 from .pipeline import (
     EngineState,
     StepResult,
@@ -86,7 +86,6 @@ __all__ = [
     "render",
     "step",
     "synthesize",
-    "weight",
     "write_frames",
     "write_image",
     "write_masks",

@@ -7,10 +7,11 @@ decisions, and one relative cutoff (``PINV_RTOL``) for pseudo-inverse
 reciprocals.
 Every routine works on stacks (leading batch dimension) so the pipeline
 can run one call across many spatial locations; a single matrix is a
-stack of one.  The SVD's engine caller is initialization; every per-step
-factorization is a symmetric eigendecomposition of a small Gram matrix
-(the dynamics refit's d x d Grams and the basis update's (d+1) x (d+1)
-one).
+stack of one.  Every factorization the engine runs is a symmetric
+eigendecomposition of a small Gram matrix (identification's n x n Grams
+of the descriptor windows, the dynamics refit's d x d Grams and the basis
+update's (d+1) x (d+1) one); the SVD and the pseudo-inverse have no
+engine caller, and the tests use them as oracles of the Gram forms.
 """
 
 from __future__ import annotations

@@ -89,23 +89,15 @@ def robust_scale(c: np.ndarray, lam: np.ndarray, beta: float) -> np.ndarray:
     return np.maximum(rho, RHO_FLOOR, out=rho)
 
 
-def weight(r, rho):
-    """Downweighting function w(r) = 1 / (1 + (r / rho)^2); ``r`` is left as it is."""
-    ratio = np.asarray(r, dtype=np.float64) / rho
-    ratio *= ratio
-    ratio += 1.0
-    return 1.0 / ratio
-
-
 def reweight_stack(c, lam, v_bar, beta: float = DEFAULT_BETA):
     """Scale composed entries by the square root of their robust weight.
 
-    Returns ``(v_tilde, weights)``, both (g, m); entries whose
-    reconstruction residual is large relative to the model spectrum are
-    shrunk toward zero.  The residual is the appearance residual of
-    ``v_bar`` (``weight`` is even, so its sign does not matter).  The
-    weights are formed in the residual's buffer and ``v_tilde`` in the
-    scale's.
+    The weight of an entry is w(r) = 1 / (1 + (r / rho)^2), r its
+    appearance residual in ``v_bar`` (w is even, so the residual's sign
+    does not matter) and rho its ``robust_scale``.  Returns ``(v_tilde,
+    weights)``, both (g, m); entries whose reconstruction residual is large
+    relative to the model spectrum are shrunk toward zero.  The weights are
+    formed in the residual's buffer and ``v_tilde`` in the scale's.
     """
     _, residual = appearance_residual(c, v_bar)
     rho = robust_scale(c, lam, beta)

@@ -6,11 +6,13 @@ grid cell, with overlap only where a clamped edge brick reaches back into
 its neighbour's area).  The grid keeps flat pixel indices, so cutting
 every cell's voxels out of a window and reading the frame masks back out
 of the cells' voxel masks are one ``np.take`` each.  One linear model per
-grid cell is identified from an initial frame window: ``initialize`` takes
-one stacked SVD of every cell's descriptor matrix and hands it to
-``subspace.identify_stack``, which returns the seeded buckets.  The
-engine then consumes the video in brick-depth windows.  Per window it
-gathers descriptors for all cells at once, classifies them with the
+grid cell is identified from an initial frame window: ``initialize`` fills
+one (cells, windows, m) float64 descriptor matrix window by window, with no
+float64 copy of the whole head, and hands it to
+``subspace.identify_stack``, which identifies every cell from its small
+windows x windows Gram and returns the seeded buckets.  The engine then
+consumes the video in brick-depth windows.  Per window it gathers
+descriptors for all cells at once, classifies them with the
 appearance/innovation residual tests, assembles pixel masks, and updates
 every model from its occlusion-composed, robustly reweighted observation.
 
@@ -36,7 +38,6 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 from scipy import ndimage
 
-from . import linalg
 from .config import EngineConfig
 from .features import MODE_CS, MODE_RGB, bin_volume, cell_histograms
 from .imageio import FrameFormatError
@@ -46,6 +47,7 @@ from .subspace import (
     InsufficientData,
     ModelBucket,
     fit_dynamics_stack,
+    gram_safe_magnitude,
     identify_stack,
 )
 
@@ -167,6 +169,28 @@ def _refuse_negative(frames: np.ndarray) -> None:
         raise FrameFormatError("cs_stltp frames contain negative values")
 
 
+def _refuse_huge(frames: np.ndarray, config: EngineConfig) -> None:
+    """Refuse rgb frames large enough to overflow the model Grams.
+
+    rgb descriptors are the pixel values, so the Grams the engine sums grow
+    with their squares; ``subspace.gram_safe_magnitude`` bounds them for
+    m-entry descriptors and rings of up to ``history`` (or, at
+    initialization, ``init_frames // brick_depth``) states.  Only float
+    dtypes can exceed the bound, so no other frames are scanned.
+    """
+    channels = frames.shape[3]
+    m = config.brick_depth * config.brick_height * config.brick_width * channels
+    k = max(config.history, config.init_frames // config.brick_depth)
+    limit = gram_safe_magnitude(m, k)
+    if frames.dtype.kind == "f" and np.finfo(frames.dtype).max > limit:
+        peak = max(frames.max(), -frames.min())
+        if peak > limit:
+            raise FrameFormatError(
+                f"rgb frames hold values of magnitude {peak:.3g}; above {limit:.3g} "
+                "the model Grams overflow"
+            )
+
+
 def batch_descriptors(geometry: GridGeometry, volume: np.ndarray, mode: str, tau: float) -> np.ndarray:
     """Descriptor matrix (locations, m) for one brick-depth frame window.
 
@@ -196,6 +220,21 @@ def batch_descriptors(geometry: GridGeometry, volume: np.ndarray, mode: str, tau
     return np.concatenate(chunks, axis=1)
 
 
+def _head_descriptors(geometry: GridGeometry, head: np.ndarray, config: EngineConfig) -> np.ndarray:
+    """(locations, windows, m) float64 descriptors of the head's brick-depth
+    windows, one row per window, each window converted to float64 on its own."""
+    depth = config.brick_depth
+    n_windows = head.shape[0] // depth
+    w = None
+    for i in range(n_windows):
+        window = head[i * depth : (i + 1) * depth].astype(np.float64)
+        rows = batch_descriptors(geometry, window, config.mode, config.tau)
+        if w is None:
+            w = np.empty((rows.shape[0], n_windows, rows.shape[1]))
+        w[:, i] = rows
+    return w
+
+
 def initialize(frames, config: EngineConfig) -> EngineState:
     """Identify one model per grid cell from the first ``init_frames`` frames."""
     frames = _as_video(frames)
@@ -210,19 +249,15 @@ def initialize(frames, config: EngineConfig) -> EngineState:
     head = frames[: n_windows * depth]
     if config.mode == MODE_CS:
         _refuse_negative(head)
-    init = head.astype(np.float64)
-    columns = [
-        batch_descriptors(geometry, init[i * depth : (i + 1) * depth], config.mode, config.tau)
-        for i in range(n_windows)
-    ]
-    w = np.stack(columns, axis=2)                     # (locations, m, n_windows)
-    u, sigma, q = linalg.svd_stack(w)
+    else:
+        _refuse_huge(head, config)
+    w = _head_descriptors(geometry, head, config)
     return EngineState(
         config=config,
         geometry=geometry,
         channels=channels,
-        buckets=identify_stack(u, sigma, q, config.t_d, config.t_deps, config.history),
-        aux_mean=init.mean(axis=0),
+        buckets=identify_stack(w, config.t_d, config.t_deps, config.history),
+        aux_mean=head.mean(axis=0, dtype=np.float64),
     )
 
 
@@ -261,6 +296,8 @@ def step(state: EngineState, window) -> StepResult:
         raise ValueError(f"a step consumes exactly {config.brick_depth} frames, got {t}")
     if config.mode == MODE_CS:
         _refuse_negative(window)
+    else:
+        _refuse_huge(window, config)
     volume = window.astype(np.float64)
     timings = {}
 

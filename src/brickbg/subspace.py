@@ -5,19 +5,21 @@ Each spatial location keeps a model
     v_i = C z_i + w_i         (appearance: orthonormal basis C, m x d)
     z_(i+1) = A z_i + B e_i   (state dynamics, noise input B, d x d_eps)
 
-identified from a window of descriptors by thin SVD: the basis is the top
-left singular vectors and states are the corresponding scaled right
-singular vectors.  The dynamics are refitted from d x d Gram matrices of
-the state ring: the transition matrix is the least-squares fit over
-consecutive state pairs, A = (Z2 Z1^T)(Z1 Z1^T)^+, and the noise shaping
-matrix comes from the eigendecomposition of the prediction residuals'
-Gram R R^T, whose eigenvalues are the squared singular values of R.  No
-factorization ever sees a ring-sized matrix.
+identified from a window of n descriptors as by a thin SVD: the basis is
+the top left singular vectors and states are the corresponding scaled
+right singular vectors.  n is small next to m, so the singular values and
+right vectors come from the n x n Gram of the descriptors and the left
+vectors are formed only for the kept columns.  The dynamics are refitted
+from d x d Gram matrices of the state ring: the transition matrix is the
+least-squares fit over consecutive state pairs, A = (Z2 Z1^T)(Z1 Z1^T)^+,
+and the noise shaping matrix comes from the eigendecomposition of the
+prediction residuals' Gram R R^T, whose eigenvalues are the squared
+singular values of R.  No factorization ever sees a ring-sized matrix.
 
 ``ModelBucket`` is the one model record, stacked over the cells that
 share a state dimension.  ``identify_stack`` is the one identification
-path: from the stacked SVD factors of g descriptor windows it cuts each
-rank, fits the dynamics and keeps the newest states, returning one bucket
+path: from g stacked descriptor matrices it cuts each rank, forms the
+bases, fits the dynamics and keeps the newest states, returning one bucket
 per state dimension.  ``pipeline.initialize`` calls it on every grid cell and
 ``learn_initial`` is its one-cell view.
 """
@@ -197,28 +199,58 @@ def _gram_spectrum(gram: np.ndarray):
     return np.where(mu > GRAM_RTOL * mu[:, :1], mu, 0.0), vecs
 
 
-def identify_stack(u, sigma, q, t_d: float, t_deps: float, history: int) -> list[ModelBucket]:
-    """Seeded models from the stacked thin SVD of g descriptor matrices.
+def gram_safe_magnitude(m: int, k: int) -> float:
+    """Largest descriptor entry magnitude at which no model Gram overflows.
 
-    Inputs are the (g, m, r), (g, r), (g, n, r) factors.  A cell keeps the
-    singular values above ``t_d`` times its largest (at least 1) and the
-    residual ones above ``t_deps`` times the largest residual (possibly 0).
+    For m-entry descriptors of entries up to x in magnitude, a state (a
+    descriptor's coordinates in an orthonormal basis) has squared norm at
+    most m x^2, so a Gram of up to k states, or the n x n Gram of n <= k
+    descriptors, has entries at most k m x^2.  The dynamics residual is
+    ``Z2 - (A Z1) / radius`` with A Z1 a projection of Z2 and the radius
+    at least 1 - ``UNIT_RADIUS_BAND``, so its norm is at most the factor
+    ``gain`` times that of the states.
+    """
+    gain = 1.0 + 1.0 / (1.0 - UNIT_RADIUS_BAND)
+    return float(np.sqrt(np.finfo(np.float64).max / (m * k))) / gain
+
+
+def identify_stack(w, t_d: float, t_deps: float, history: int) -> list[ModelBucket]:
+    """Seeded models from g descriptor matrices, identified in Gram form.
+
+    ``w`` is (g, n, m), row i of each matrix the descriptor of window i.
+    Each cell's singular values and right singular vectors come from the
+    eigendecomposition of its n x n Gram W W^T (``_gram_spectrum``, so
+    values at or below about 3e-7 of the largest count as zero).  A cell
+    keeps the singular values above ``t_d`` times its largest (at least 1)
+    and the residual ones above ``t_deps`` times the largest residual
+    (possibly 0).  The left singular vectors W^T q_j / sigma_j are formed
+    only for the columns some cell keeps, and each bucket's are
+    re-orthonormalized by a QR pass that keeps every column's orientation,
+    so C^T C = I to rounding at any ``t_d``; an all-zero cell gets e_1.
+    Bases follow ``linalg``'s sign convention, states flipped with them.
     Returns one ``ModelBucket`` per appearance dimension d, ascending, with
     stack positions as ``indices``; each keeps the newest ``min(history,
     n)`` identified states, all flagged observed.
     """
-    n = q.shape[1]
+    n = w.shape[1]
     seed = min(history, n)
+    mu, q = _gram_spectrum(w @ np.swapaxes(w, 1, 2))
+    sigma = np.sqrt(mu)
     dims = select_dims(sigma, t_d * sigma[:, :1], floor=1)
+    # Rows j of Q^T W, one at a time, so each cell's are formed alike
+    # whatever the other cells keep.  The QR pass below normalizes them,
+    # which spares the division by sigma_j (zero for an all-zero cell).
+    qtw = np.concatenate([q[:, None, :, j] @ w for j in range(dims.max())], axis=1)
     buckets = []
     for d in np.unique(dims).tolist():
         idx = np.nonzero(dims == d)[0]
-        top = sigma[idx, :d]
-        z = top[:, :, None] * np.swapaxes(q[idx, :, :d], 1, 2)   # (g, d, n)
-        states = np.swapaxes(z, 1, 2)
+        c, r = np.linalg.qr(np.swapaxes(qtw[idx, :d], 1, 2))
+        # Q's columns take the orientation of W^T q_j, so the states keep theirs.
+        c *= np.where(np.diagonal(r, axis1=1, axis2=2) < 0.0, -1.0, 1.0)[:, None, :]
+        c, states = linalg._fix_signs(c, sigma[idx, None, :d] * q[idx, :, :d])
         a, b, b_pinv, d_eps = fit_dynamics_stack(states, t_deps)
         buckets.append(ModelBucket(
-            indices=idx, c=u[idx, :, :d], lam=top ** 2 / n,
+            indices=idx, c=c, lam=mu[idx, :d] / n,
             a=a, b=b, b_pinv=b_pinv, d_eps=d_eps,
             states=states[:, n - seed :].copy(),
             observed=np.ones((idx.size, seed), dtype=bool),
@@ -245,4 +277,4 @@ def learn_initial(
         raise ValueError("history must be at least 2")
     if w.shape[0] < 1 or not np.isfinite(w).all():
         raise ValueError("descriptor matrix needs at least one row and finite entries")
-    return identify_stack(*linalg.svd_stack(w[None]), t_d, t_deps, history)[0]
+    return identify_stack(np.ascontiguousarray(w.T)[None], t_d, t_deps, history)[0]

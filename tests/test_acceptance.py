@@ -20,10 +20,11 @@ from brickbg import linalg
 from brickbg.config import EngineConfig
 from brickbg.evaluation import EvalReport, per_frame_fscores
 from brickbg.features import brick_descriptor
-from brickbg.maintenance import synthesize, update_basis_stack, weight
+from brickbg.maintenance import synthesize, update_basis_stack
 from brickbg.pipeline import initialize, model_at, process_video, step
 from brickbg.subspace import learn_initial
 from brickbg.synth import MovingRect, SceneScript, render
+from test_maintenance import weight
 
 
 @pytest.fixture

@@ -9,7 +9,9 @@ the full m x m eigendecomposition of the blended covariance
 (1-alpha) C diag(lam) C^T + alpha v v^T, whose top-d eigenpairs the
 small-Gram update must reproduce.  A second oracle (``y_form_update``)
 forms Y = [sqrt((1-alpha) lam_j) c_j, sqrt(alpha) v] and its Gram
-explicitly, as the update did before it used C^T C = I.
+explicitly, as the update did before it used C^T C = I.  The influence
+function ``weight`` is kept here as the oracle of the weights
+``reweight_stack`` forms in place.
 """
 
 import numpy as np
@@ -26,7 +28,6 @@ from brickbg.maintenance import (
     robust_scale,
     synthesize,
     update_basis_stack,
-    weight,
 )
 from brickbg.config import EngineConfig
 from brickbg.segmentation import appearance_residual
@@ -155,6 +156,14 @@ def test_robust_scale_equals_product_max_exactly(d):
 def test_robust_scale_floor():
     rho = robust_scale(np.zeros((4, 2)), np.zeros(2), DEFAULT_BETA)
     assert (rho == RHO_FLOOR).all()
+
+
+def weight(r, rho):
+    """Downweighting function w(r) = 1 / (1 + (r / rho)^2); ``r`` is left as it is."""
+    ratio = np.asarray(r, dtype=np.float64) / rho
+    ratio *= ratio
+    ratio += 1.0
+    return 1.0 / ratio
 
 
 def test_weight_anchor_points():

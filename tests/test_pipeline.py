@@ -8,6 +8,7 @@ and requires the bucketed engine to land on the same model, ring and mask
 for those cells.
 """
 
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -167,7 +168,27 @@ def test_initialize_builds_models_for_every_cell():
 def test_initialize_aux_mean_is_window_mean():
     video, _ = noisy_video(20, 8, 8, seed=2)
     state = initialize(video, EngineConfig(init_frames=20))
-    assert np.allclose(state.aux_mean, video[:20].astype(np.float64).mean(axis=0))
+    assert np.array_equal(state.aux_mean, video[:20].astype(np.float64).mean(axis=0))
+
+
+@pytest.mark.parametrize("mode", ["cs_stltp", "rgb"])
+def test_initialize_peak_memory_stays_near_the_descriptor_matrix(mode):
+    """``initialize`` fills one (cells, n, m) float64 descriptor matrix window
+    by window and identifies from n x n Grams.  Its traced peak was 6.2x
+    (rgb) and 7.0x (cs_stltp) that matrix, with a float64 copy of the head,
+    the per-window columns, their stack and the SVD's full U alive at once."""
+    frames, _ = render(load_scene(SCENES / "occlusion.scene"))
+    config = EngineConfig(mode=mode)
+    initialize(frames, config)            # first-call allocations are not the engine's
+    tracemalloc.start()
+    try:
+        state = initialize(frames, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    m = state.buckets[0].c.shape[1]
+    matrix = state.geometry.locations * (config.init_frames // config.brick_depth) * m * 8
+    assert peak < 3 * matrix, (peak, matrix)
 
 
 def test_initialize_insufficient_frames():
@@ -395,6 +416,37 @@ def test_non_finite_frames_are_rejected(mode):
     frames[60, 10, 10] = np.inf
     with pytest.raises(FrameFormatError):
         initialize(frames[55:105], config)
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e160, 1e300])
+def test_huge_rgb_frames_are_refused(scale):
+    """rgb frames of magnitude 1e155 used to pass ``initialize``; the first
+    step then left every model non-finite and every later mask all
+    foreground, with only a RuntimeWarning.  cs_stltp histograms do not
+    grow with the intensities, so that mode takes them."""
+    frames, _ = render(load_scene(SCENES / "occlusion.scene"))
+    huge = frames * (scale / 255.0)
+    config = EngineConfig(mode="rgb")
+    with pytest.raises(FrameFormatError, match="overflow"):
+        initialize(huge, config)
+    state = initialize(frames[:50], config)
+    with pytest.raises(FrameFormatError, match="overflow"):
+        step(state, huge[60:65])
+    state = initialize(huge[:50], EngineConfig())
+    step(state, huge[60:65])
+
+
+def test_large_rgb_frames_give_finite_models():
+    """Frames of magnitude 1e100 stay below the overflow bound: every model
+    array is finite after initialization and a run of steps."""
+    frames, _ = render(load_scene(SCENES / "occlusion.scene"))
+    large = frames * (1e100 / 255.0)
+    state = initialize(large, EngineConfig(mode="rgb"))
+    for start in range(50, 100, 5):
+        step(state, large[start : start + 5])
+    for bucket in state.buckets:
+        for f in fields(ModelBucket):
+            assert np.isfinite(getattr(bucket, f.name)).all(), f.name
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.int16])

@@ -7,10 +7,13 @@ tests pin the behaviors the streaming engine depends on: synthesized
 states must not shrink the noise estimate, and near-unit spectral radii
 must coast instead of drifting.  The Gram-form refit is checked against
 the SVD form of the same fit (``svd_form_fit``) on well-conditioned,
-rank-deficient and exactly predictable rings.
+rank-deficient and exactly predictable rings, and the Gram-form
+identification against the thin SVD of the descriptor matrices
+(``svd_form_identify``).
 """
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +22,8 @@ from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
 from brickbg import linalg
+from brickbg.config import EngineConfig
+from brickbg.pipeline import batch_descriptors, make_grid
 from brickbg.subspace import (
     EXACT_DYNAMICS_RTOL,
     GRAM_RTOL,
@@ -29,6 +34,7 @@ from brickbg.subspace import (
     learn_initial,
     select_dims,
 )
+from brickbg.synth import load_scene, render
 
 
 def planted_system(seed, m=48, d=3, radius=0.95):
@@ -396,10 +402,138 @@ def test_gram_refit_counts_exact_residual_rank():
     assert d_eps[0] == 4 and (b[0, :, 4] == 0.0).all()
 
 
+# --- Gram-form identification against the SVD-form oracle -------------------
+
+# Per-cell relative agreement of every identified array with the oracle.  The
+# measured worst case over the inputs below is about 1e-12 (B and B+ on the
+# occlusion descriptors).
+IDENTIFY_RTOL = 1e-9
+
+SCENES = Path(__file__).resolve().parents[1] / "scenes"
+
+
+def svd_form_identify(w, t_d, t_deps):
+    """Identification by the thin SVD of each (m, n) descriptor matrix: C the
+    top left singular vectors, lam = sigma^2 / n, states sigma_j q_j.  ``w``
+    is (g, n, m) as ``identify_stack`` takes it; returns one dict per d."""
+    u, sigma, q = linalg.svd_stack(np.swapaxes(w, 1, 2))
+    n = w.shape[1]
+    dims = select_dims(sigma, t_d * sigma[:, :1], floor=1)
+    buckets = []
+    for d in np.unique(dims).tolist():
+        idx = np.nonzero(dims == d)[0]
+        states = sigma[idx, None, :d] * q[idx, :, :d]
+        a, b, b_pinv, d_eps = fit_dynamics_stack(states, t_deps)
+        buckets.append(dict(indices=idx, c=u[idx, :, :d], lam=sigma[idx, :d] ** 2 / n,
+                            states=states, a=a, b=b, b_pinv=b_pinv, d_eps=d_eps))
+    return buckets
+
+
+def separated_stack(gen, g, n, m):
+    """(g, n, m) descriptor matrices whose singular values fall by a ratio of
+    0.2, 0.45 or 0.7 per step from a top value between 1e-2 and 1e3."""
+    w = np.empty((g, n, m))
+    for i, ratio in enumerate(gen.choice([0.2, 0.45, 0.7], size=g)):
+        left = np.linalg.qr(gen.normal(size=(n, n)))[0]
+        right = np.linalg.qr(gen.normal(size=(m, n)))[0]
+        w[i] = (left * 10.0 ** gen.uniform(-2, 3) * ratio ** np.arange(n)) @ right.T
+    return w
+
+
+def occlusion_descriptors(mode):
+    """The (cells, 10, m) init-window descriptors of the occlusion scene."""
+    frames, _ = render(load_scene(SCENES / "occlusion.scene"))
+    config = EngineConfig(mode=mode)
+    geometry = make_grid(*frames.shape[1:3], config.brick_height, config.brick_width)
+    init = frames.astype(np.float64)
+    depth = config.brick_depth
+    return np.stack([
+        batch_descriptors(geometry, init[i : i + depth], mode, config.tau)
+        for i in range(0, config.init_frames, depth)
+    ], axis=1)
+
+
+def assert_matches_svd_form(w, t_d, t_deps):
+    n = w.shape[1]
+    got = identify_stack(w, t_d, t_deps, history=n)
+    want = svd_form_identify(w, t_d, t_deps)
+    assert [bucket.d for bucket in got] == [b["c"].shape[2] for b in want]
+    for bucket, oracle in zip(got, want):
+        assert np.array_equal(bucket.indices, oracle["indices"])
+        assert np.array_equal(bucket.d_eps, oracle["d_eps"])
+        for name in ("c", "lam", "states", "a", "b", "b_pinv"):
+            x, y = getattr(bucket, name), oracle[name]
+            cell_axes = tuple(range(1, y.ndim))
+            err = np.abs(x - y).max(axis=cell_axes)
+            scale = np.abs(y).max(axis=cell_axes)
+            assert (err <= IDENTIFY_RTOL * scale).all(), (bucket.d, name, err.max())
+
+
+@pytest.mark.parametrize("m", [48, 240])
+@pytest.mark.parametrize("t_d", [0.3, 0.05])
+def test_identify_stack_matches_svd_form_on_separated_spectra(m, t_d):
+    w = separated_stack(np.random.default_rng(m + int(100 * t_d)), 40, 10, m)
+    assert_matches_svd_form(w, t_d, 0.5)
+
+
+@pytest.mark.parametrize("mode", ["cs_stltp", "rgb"])
+@pytest.mark.parametrize("t_d", [0.5, 0.1])
+def test_identify_stack_matches_svd_form_on_scene_descriptors(mode, t_d):
+    assert_matches_svd_form(occlusion_descriptors(mode), t_d, 0.5)
+
+
+PLANTED_SPECTRUM = (1.0, 1e-3, 1e-5, 1e-7)
+
+
+def planted_spectrum_matrix():
+    gen = np.random.default_rng(3)
+    left = np.linalg.qr(gen.normal(size=(48, 4)))[0]
+    right = np.linalg.qr(gen.normal(size=(10, 4)))[0]
+    return (left * PLANTED_SPECTRUM) @ right.T                # (m, n) = (48, 10)
+
+
+@pytest.mark.parametrize("t_d", [0.0, 1e-9, 1e-6, 1e-4, 0.5])
+def test_identified_basis_is_orthonormal_at_any_t_d(t_d):
+    """W^T q_j / sigma_j drifts from orthogonality as sigma_j / sigma_1
+    shrinks (C^T C - I reached 5.8e-7 on this spectrum at t_d = 1e-9
+    without the QR pass)."""
+    model = learn_initial(planted_spectrum_matrix(), t_d=t_d)
+    c = model.c[0]
+    assert np.abs(c.T @ c - np.eye(model.d)).max() <= 1e-12
+
+
+def test_gram_rank_cut_resolves_singular_values_to_gram_rtol():
+    """The Gram's eigenvalues resolve singular values only down to about
+    sqrt(GRAM_RTOL) = 3e-7 of the largest: of the planted 1, 1e-3, 1e-5,
+    1e-7 the last counts as zero, where the SVD's 1e-12 cut kept it."""
+    assert np.sqrt(GRAM_RTOL) > 1e-7
+    assert learn_initial(planted_spectrum_matrix(), t_d=1e-9).d == 3
+    _, [sigma], _ = linalg.svd_stack(planted_spectrum_matrix()[None])
+    assert (sigma > 1e-9 * sigma[0]).sum() == 4
+
+
+def test_all_zero_cell_gets_e1_and_no_dynamics():
+    """As the SVD gave: zero data identifies the basis e_1 with lam = 0,
+    zero states and d_eps = 0, with no divide warning, in a stack of one
+    and among other cells."""
+    w = np.random.default_rng(4).normal(size=(3, 10, 16))
+    w[1] = 0.0
+    buckets = identify_stack(w, t_d=0.5, t_deps=0.5, history=10)
+    zero = learn_initial(np.zeros((16, 10)))
+    assert zero.d == 1
+    assert np.array_equal(zero.c[0, :, 0], np.eye(16)[0])
+    assert zero.lam[0, 0] == 0.0 and zero.d_eps[0] == 0
+    assert (zero.states == 0.0).all()
+    [bucket] = [b for b in buckets if 1 in b.indices]
+    cell = list(bucket.indices).index(1)
+    for name in ("c", "lam", "states", "d_eps"):
+        assert np.array_equal(getattr(bucket, name)[cell], getattr(zero, name)[0]), name
+
+
 def test_identify_stack_copies_only_the_kept_columns():
     gen = np.random.default_rng(12)
-    w = gen.normal(size=(3, 16, 8))
-    buckets = identify_stack(*linalg.svd_stack(w), t_d=0.5, t_deps=0.5, history=6)
+    w = gen.normal(size=(3, 8, 16))                # 8 windows of 16 entries
+    buckets = identify_stack(w, t_d=0.5, t_deps=0.5, history=6)
     for bucket in buckets:
         assert bucket.d < 8
         assert bucket.c.flags.c_contiguous and bucket.c.flags.owndata
