@@ -41,6 +41,8 @@ from collections import Counter
 
 import numpy as np
 
+from . import linalg
+
 MODE_CS = "cs_stltp"
 MODE_RGB = "rgb"
 MODES = (MODE_CS, MODE_RGB)
@@ -97,6 +99,9 @@ def bin_volume(volume, tau: float = DEFAULT_TAU) -> np.ndarray:
     offset that recurs in ``PAIR_OFFSETS`` keeps its trit held for its
     later places in the chain.  Every trit is folded into int8 transition
     and sum counts as soon as it is in place, and only the bin is widened.
+    The output frames are split into up to ``linalg.CPUS`` contiguous
+    shares run on ``linalg.parallel_map``, each with its own buffers; a
+    frame's bins do not depend on the share it falls in.
     """
     volume = np.asarray(volume, dtype=np.float64)
     if volume.ndim != 3:
@@ -109,44 +114,50 @@ def bin_volume(volume, tau: float = DEFAULT_TAU) -> np.ndarray:
     frame = (ny + 2) * row
     span = (ny - 1) * row + nx          # from voxel (y, x) = (0, 0) to (ny-1, nx-1)
 
-    above = np.empty(span, dtype=bool)
-    below = np.empty(span, dtype=bool)
-    differs = np.empty(span, dtype=bool)
-    # Alternating buffers, so a trit is never formed over its predecessor.
-    scratch = (np.empty(span, dtype=np.int8), np.empty(span, dtype=np.int8))
-    held = {offset: np.empty(span, dtype=np.int8) for offset in _RECURRING}
-    # The counts cover ny whole padded rows, so they read back as (ny, row);
-    # the slices fill their first span entries.
-    transitions = np.empty(ny * row, dtype=np.int8)
-    total = np.empty(ny * row, dtype=np.int8)
-    run_transitions, run_total = transitions[:span], total[:span]
     bins = np.empty(volume.shape, dtype=np.int16)
 
-    def form(trit, offset, centre):
-        shift = offset[0] * frame + offset[1] * row + offset[2]
-        p_m = flat[centre + shift : centre + shift + span]
-        np.greater(p_m, upper[centre - shift : centre - shift + span], out=above)
-        np.less(p_m, lower[centre - shift : centre - shift + span], out=below)
-        np.subtract(above.view(np.int8), below.view(np.int8), out=trit)
+    def bin_frames(share):
+        above = np.empty(span, dtype=bool)
+        below = np.empty(span, dtype=bool)
+        differs = np.empty(span, dtype=bool)
+        # Alternating buffers, so a trit is never formed over its predecessor.
+        scratch = (np.empty(span, dtype=np.int8), np.empty(span, dtype=np.int8))
+        held = {offset: np.empty(span, dtype=np.int8) for offset in _RECURRING}
+        # The counts cover ny whole padded rows, so they read back as (ny, row);
+        # the slices fill their first span entries.
+        transitions = np.empty(ny * row, dtype=np.int8)
+        total = np.empty(ny * row, dtype=np.int8)
+        run_transitions, run_total = transitions[:span], total[:span]
 
-    for t in range(nt):
-        centre = (t + 1) * frame + row + 1          # voxel (t, 0, 0) in flat
-        run_transitions.fill(0)
-        run_total.fill(0)
-        formed = set()
-        previous = None
-        for i, offset in enumerate(PAIR_OFFSETS):
-            trit = held.get(offset, scratch[i % 2])
-            if offset not in formed:
-                form(trit, offset, centre)
-                formed.add(offset)
-            run_total += trit
-            if previous is not None:
-                run_transitions += np.not_equal(trit, previous, out=differs).view(np.int8)
-            previous = trit
-        np.multiply(transitions.reshape(ny, row)[:, :nx], 3, out=bins[t], dtype=np.int16)
-        bins[t] += np.sign(total.reshape(ny, row)[:, :nx])
-        bins[t] += 1
+        def form(trit, offset, centre):
+            shift = offset[0] * frame + offset[1] * row + offset[2]
+            p_m = flat[centre + shift : centre + shift + span]
+            np.greater(p_m, upper[centre - shift : centre - shift + span], out=above)
+            np.less(p_m, lower[centre - shift : centre - shift + span], out=below)
+            np.subtract(above.view(np.int8), below.view(np.int8), out=trit)
+
+        for t in share:
+            centre = (t + 1) * frame + row + 1          # voxel (t, 0, 0) in flat
+            run_transitions.fill(0)
+            run_total.fill(0)
+            formed = set()
+            previous = None
+            for i, offset in enumerate(PAIR_OFFSETS):
+                trit = held.get(offset, scratch[i % 2])
+                if offset not in formed:
+                    form(trit, offset, centre)
+                    formed.add(offset)
+                run_total += trit
+                if previous is not None:
+                    run_transitions += np.not_equal(trit, previous, out=differs).view(np.int8)
+                previous = trit
+            np.multiply(transitions.reshape(ny, row)[:, :nx], 3, out=bins[t], dtype=np.int16)
+            bins[t] += np.sign(total.reshape(ny, row)[:, :nx])
+            bins[t] += 1
+
+    shares = min(nt, linalg.CPUS)
+    linalg.parallel_map(bin_frames, [range(nt * i // shares, nt * (i + 1) // shares)
+                                     for i in range(shares)])
     return bins
 
 

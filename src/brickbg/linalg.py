@@ -12,9 +12,21 @@ eigendecomposition of a small Gram matrix (identification's n x n Grams
 of the descriptor windows, the dynamics refit's d x d Grams and the basis
 update's (d+1) x (d+1) one); the SVD and the pseudo-inverse have no
 engine caller, and the tests use them as oracles of the Gram forms.
+
+``parallel_map`` is the engine's one concurrency primitive.  It runs a
+function over a list of independent items on the calling thread and on
+one pool worker per further CPU of the process's affinity mask
+(``CPUS``), and returns the results in item order, so what it computes
+never depends on how many CPUs ran it.  The engine maps its per-cell
+work (identification, the per-bucket step) over parts of at most
+``_CHUNK`` cells and its ``cs_stltp`` binning over frame shares.
 """
 
 from __future__ import annotations
+
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -26,8 +38,24 @@ ZERO_CUTOFF = 1e-12
 PINV_RTOL = 1e-10
 
 # How many stacked matrices to hand to LAPACK at once; keeps transient
-# buffers small without changing any per-matrix result.
+# buffers small without changing any per-matrix result.  The engine's
+# buckets hold at most this many cells, so they are also its units of
+# parallel work.
 _CHUNK = 1024
+
+
+def _cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without affinity masks
+        return os.cpu_count() or 1
+
+
+# CPUs the process may run on when the package is imported; ``taskset``
+# limits it, BLAS thread variables do not.
+CPUS = _cpus()
+# Workers start on first use; with one CPU there is no pool at all.
+_POOL = ThreadPoolExecutor(CPUS - 1, thread_name_prefix="brickbg") if CPUS > 1 else None
 
 
 class NumericalFailure(RuntimeError):
@@ -43,6 +71,49 @@ def _chunked(fn, stack):
     if isinstance(parts[0], tuple):
         return tuple(np.concatenate(cols, axis=0) for cols in zip(*parts))
     return np.concatenate(parts, axis=0)
+
+
+def parallel_map(fn, items) -> list:
+    """``[fn(item) for item in items]``, run on the calling thread and up to
+    ``CPUS - 1`` pool workers.
+
+    Runners take the next unclaimed item until none is left, so the caller
+    always takes a share: its arrays are freed into its own allocator arena,
+    which a later call on that thread reuses.  With one CPU (or one item)
+    no worker is asked for and the caller runs every item in order.  A
+    runner stops at the first exception it meets and the others stop
+    claiming; once they are done, the exception of the lowest item index is
+    re-raised as it is, type included.  Helpers no worker has started yet
+    are cancelled, not awaited, so a call made from inside a worker (whose
+    helpers may wait behind it in the pool) runs its items itself and
+    returns.
+    """
+    items = list(items)
+    results = [None] * len(items)
+    failures = {}
+    claim = threading.Lock()
+    pending = iter(range(len(items)))
+
+    def run():
+        while not failures:
+            with claim:
+                i = next(pending, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:
+                failures[i] = exc
+                return
+
+    helpers = [_POOL.submit(run) for _ in range(min(CPUS, len(items)) - 1)]
+    run()
+    for helper in helpers:
+        if not helper.cancel():
+            helper.result()
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
 def _fix_signs(u: np.ndarray, *partners: np.ndarray):

@@ -20,14 +20,24 @@ All per-cell maths runs through the stacked functions of ``segmentation``
 (residuals, labels), ``maintenance`` (composition, robust reweighting,
 basis update) and ``subspace`` (dynamics refit), each applied to a bucket
 of cells of equal state dimension, so one step costs a handful of LAPACK
-calls regardless of grid size.  ``step`` is their composition: it appends
-each new state to the bucket's states, dropping the oldest once
-``history`` are held, and refits the dynamics from all of them.  Each
-bucket is a ``subspace.ModelBucket``, the one model record; ``model_at``
-returns a one-cell copy of it, which every stacked function (and
-``maintenance.synthesize``) takes as it is.  ``cs_stltp`` histograms
-cannot localize foreground inside a brick, so flagged bricks are refined
-against a running per-pixel mean of the background.
+calls per bucket.  ``step`` is their composition: it appends each new
+state to the bucket's states, dropping the oldest once ``history`` are
+held, and refits the dynamics from all of them.  Each bucket is a
+``subspace.ModelBucket``, the one model record; ``model_at`` returns a
+one-cell copy of it, which every stacked function (and
+``maintenance.synthesize``) takes as it is.
+
+No cell's maths reads another cell's, so the cells are split into parts
+of at most ``linalg._CHUNK`` (1024) in grid order, the same split on
+every machine.  ``initialize`` identifies each part on its own and
+``step`` runs each bucket's labelling and upkeep as one item, both on
+``linalg.parallel_map``, which uses every CPU the process may run on;
+``features.bin_volume`` bins frame shares on it too.  Masks and models do
+not depend on how many CPUs ran them.
+
+``cs_stltp`` histograms cannot localize foreground inside a brick, so
+flagged bricks are refined against a running per-pixel mean of the
+background.
 """
 
 from __future__ import annotations
@@ -38,6 +48,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 from scipy import ndimage
 
+from . import linalg
 from .config import EngineConfig
 from .features import MODE_CS, MODE_RGB, bin_volume, cell_histograms
 from .imageio import FrameFormatError
@@ -142,6 +153,14 @@ class EngineState:
 
 @dataclass
 class StepResult:
+    """One window's masks and labels, and the seconds each stage took.
+
+    ``timings`` holds ``descriptors``, ``segmentation``, ``maintenance``,
+    ``assembly`` and ``postprocess``.  ``segmentation`` and ``maintenance``
+    are sums over the buckets, which run concurrently, so either can
+    exceed the step's wall time.
+    """
+
     masks: np.ndarray             # (depth, H, W) bool after min-area filtering
     raw_masks: np.ndarray         # (depth, H, W) bool before filtering
     brick_background: np.ndarray  # (grid_h, grid_w) bool
@@ -169,25 +188,50 @@ def _refuse_negative(frames: np.ndarray) -> None:
         raise FrameFormatError("cs_stltp frames contain negative values")
 
 
+def pixel_safe_magnitude(tau: float, frames: int) -> float:
+    """Largest cs_stltp pixel magnitude at which no product or sum of pixels
+    the engine forms overflows.
+
+    ``bin_volume`` scales every pixel by 1 + tau and 1 - tau, at most
+    (1 + tau) x in magnitude for tau >= 0, and the pixel gate sums up to
+    ``frames`` pixels per position (the head's mean at initialization, a
+    window's mean in a step), at most frames x.  The gate's running mean
+    starts as such a mean and then follows the window means by blends and
+    by gains inside ``GAIN_BAND``; its drift under a long run of gains is
+    not bounded here.
+    """
+    return float(np.finfo(np.float64).max) / max(frames, 1.0 + tau)
+
+
 def _refuse_huge(frames: np.ndarray, config: EngineConfig) -> None:
-    """Refuse rgb frames large enough to overflow the model Grams.
+    """Refuse frames large enough to overflow the engine's arithmetic.
 
     rgb descriptors are the pixel values, so the Grams the engine sums grow
     with their squares; ``subspace.gram_safe_magnitude`` bounds them for
     m-entry descriptors and rings of up to ``history`` (or, at
-    initialization, ``init_frames // brick_depth``) states.  Only float
-    dtypes can exceed the bound, so no other frames are scanned.
+    initialization, ``init_frames // brick_depth``) states.  cs_stltp
+    histograms do not grow with the intensities, but the trit products and
+    the pixel gate's means do; ``pixel_safe_magnitude`` bounds them for
+    sums of up to ``init_frames`` frames.  Frames are scanned only when
+    their dtype can hold a value above the bound.
     """
-    channels = frames.shape[3]
-    m = config.brick_depth * config.brick_height * config.brick_width * channels
-    k = max(config.history, config.init_frames // config.brick_depth)
-    limit = gram_safe_magnitude(m, k)
-    if frames.dtype.kind == "f" and np.finfo(frames.dtype).max > limit:
-        peak = max(frames.max(), -frames.min())
+    if config.mode == MODE_RGB:
+        channels = frames.shape[3]
+        m = config.brick_depth * config.brick_height * config.brick_width * channels
+        k = max(config.history, config.init_frames // config.brick_depth)
+        limit = gram_safe_magnitude(m, k)
+        overflows = "the model Grams overflow"
+    else:
+        limit = pixel_safe_magnitude(config.tau, config.init_frames)
+        overflows = "the trit products and pixel-gate sums overflow"
+    kind = frames.dtype.kind
+    top = np.finfo(frames.dtype).max if kind == "f" else np.iinfo(frames.dtype).max if kind in "iu" else 1
+    if top > limit:
+        peak = max(float(frames.max()), -float(frames.min()))
         if peak > limit:
             raise FrameFormatError(
-                f"rgb frames hold values of magnitude {peak:.3g}; above {limit:.3g} "
-                "the model Grams overflow"
+                f"{config.mode} frames hold values of magnitude {peak:.3g}; above "
+                f"{limit:.3g} {overflows}"
             )
 
 
@@ -236,7 +280,12 @@ def _head_descriptors(geometry: GridGeometry, head: np.ndarray, config: EngineCo
 
 
 def initialize(frames, config: EngineConfig) -> EngineState:
-    """Identify one model per grid cell from the first ``init_frames`` frames."""
+    """Identify one model per grid cell from the first ``init_frames`` frames.
+
+    Each part of at most ``linalg._CHUNK`` cells is identified on its own
+    and gives one bucket per state dimension it holds, its ``indices``
+    offset to grid cell ids; ``state.buckets`` lists them part by part.
+    """
     frames = _as_video(frames)
     total, height, width, channels = frames.shape
     if total < config.init_frames:
@@ -249,14 +298,23 @@ def initialize(frames, config: EngineConfig) -> EngineState:
     head = frames[: n_windows * depth]
     if config.mode == MODE_CS:
         _refuse_negative(head)
-    else:
-        _refuse_huge(head, config)
+    _refuse_huge(head, config)
     w = _head_descriptors(geometry, head, config)
+
+    def identify(start):
+        buckets = identify_stack(
+            w[start : start + linalg._CHUNK], config.t_d, config.t_deps, config.history
+        )
+        for bucket in buckets:
+            bucket.indices += start
+        return buckets
+
+    parts = linalg.parallel_map(identify, range(0, len(w), linalg._CHUNK))
     return EngineState(
         config=config,
         geometry=geometry,
         channels=channels,
-        buckets=identify_stack(w, config.t_d, config.t_deps, config.history),
+        buckets=[bucket for part in parts for bucket in part],
         aux_mean=head.mean(axis=0, dtype=np.float64),
     )
 
@@ -296,8 +354,7 @@ def step(state: EngineState, window) -> StepResult:
         raise ValueError(f"a step consumes exactly {config.brick_depth} frames, got {t}")
     if config.mode == MODE_CS:
         _refuse_negative(window)
-    else:
-        _refuse_huge(window, config)
+    _refuse_huge(window, config)
     volume = window.astype(np.float64)
     timings = {}
 
@@ -312,9 +369,9 @@ def step(state: EngineState, window) -> StepResult:
     t_omega = config.effective_t_omega
     t_eps = config.effective_t_eps
 
-    seg_time = 0.0
-    maintain_time = 0.0
-    for bucket in state.buckets:
+    def update(bucket):
+        """Label and update one bucket; returns its (segmentation, maintenance)
+        seconds.  Buckets write disjoint rows of ``background`` and ``vox_masks``."""
         tick = time.perf_counter()
         v = descriptors[bucket.indices]
         _, omega, epsilon, predicted = residuals_stack(
@@ -325,9 +382,8 @@ def step(state: EngineState, window) -> StepResult:
         )
         background[bucket.indices] = bg
         vox_masks[bucket.indices] = vm
-        seg_time += time.perf_counter() - tick
+        labelled = time.perf_counter()
 
-        tick = time.perf_counter()
         v_hat = np.einsum("gmd,gd->gm", bucket.c, predicted)
         v_bar = compose_stack(v, v_hat, bg, vm, config.mode)
         v_tilde, _ = reweight_stack(bucket.c, bucket.lam, v_bar, config.beta)
@@ -339,9 +395,11 @@ def step(state: EngineState, window) -> StepResult:
         bucket.a, bucket.b, bucket.b_pinv, bucket.d_eps = fit_dynamics_stack(
             bucket.states, config.t_deps, observed=bucket.observed
         )
-        maintain_time += time.perf_counter() - tick
-    timings["segmentation"] = seg_time
-    timings["maintenance"] = maintain_time
+        return labelled - tick, time.perf_counter() - labelled
+
+    spent = linalg.parallel_map(update, state.buckets)
+    timings["segmentation"] = sum(seg for seg, _ in spent)
+    timings["maintenance"] = sum(upkeep for _, upkeep in spent)
 
     tick = time.perf_counter()
     frame_masks = _assemble_masks(geometry, vox_masks)

@@ -158,8 +158,14 @@ def fit_dynamics_stack(states: np.ndarray, t_deps: float, observed=None):
     scale_norm = np.maximum(
         np.sqrt(np.trace(g11, axis1=1, axis2=2)), np.finfo(np.float64).tiny
     )
+    # The relative residual, capped at the band.  Where the residual
+    # exceeds the scale (all-zero older states leave the scale at tiny) the
+    # ratio is at least 1, above the cap, and is not formed, so it cannot
+    # overflow.
+    rough_norm = np.sqrt(np.einsum("gij,gij->g", rough, rough))
     tolerance = np.minimum(
-        np.sqrt(np.einsum("gij,gij->g", rough, rough)) / scale_norm,
+        np.divide(rough_norm, scale_norm, out=np.ones_like(rough_norm),
+                  where=rough_norm <= scale_norm),
         UNIT_RADIUS_BAND,
     )
     snap = radius >= 1.0 - tolerance

@@ -7,11 +7,14 @@ against an explicit padding oracle, and bin quantization against an
 independent reimplementation of the transition/sign rule.
 """
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from brickbg import linalg
 from brickbg.features import (
     COUNTS_PER_VOXEL,
     DEFAULT_TAU,
@@ -194,6 +197,23 @@ def test_bin_volume_matches_scalar_reference(seed):
                 bins = bin_volume(vol, tau)
                 assert bins.shape == shape and bins.dtype == np.int16
                 assert np.array_equal(bins, oracle_bins(vol, tau))
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 5, 8])
+def test_bin_volume_is_the_same_in_any_number_of_shares(monkeypatch, cpus):
+    """Frames are binned in up to ``linalg.CPUS`` shares; each count of
+    shares (one frame per share at 5 and 8) gives the one-share bins."""
+    vol = np.random.default_rng(6).uniform(20.0, 200.0, size=(5, 9, 11))
+    whole = bin_volume(vol)
+    pool = ThreadPoolExecutor(1)
+    monkeypatch.setattr(linalg, "CPUS", cpus)
+    monkeypatch.setattr(linalg, "_POOL", pool)
+    try:
+        bins = bin_volume(vol)
+    finally:
+        pool.shutdown()
+    assert bins.dtype == whole.dtype and np.array_equal(bins, whole)
+    assert np.array_equal(bins, oracle_bins(vol, DEFAULT_TAU))
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.float32, np.float64])

@@ -5,7 +5,17 @@ matrix, the Moore-Penrose identities, numpy's reference solvers) rather
 than against stored outputs.
 """
 
+import os
+import subprocess
+import sys
+import threading
+import time
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -20,6 +30,8 @@ def random_matrix(seed, rows, cols, rank=None):
     right = gen.normal(size=(rank, cols))
     return left @ right
 
+
+SCENES = Path(__file__).resolve().parents[1] / "scenes"
 
 matrix_params = st.tuples(
     st.integers(0, 2**31 - 1), st.integers(1, 8), st.integers(1, 8)
@@ -143,3 +155,121 @@ def test_pinv_zero_matrix_is_zero():
 def test_pinv_matches_numpy_on_full_rank():
     a = random_matrix(9, 5, 3)
     assert np.allclose(linalg.pinv_stack(a[None])[0], np.linalg.pinv(a), atol=1e-10)
+
+
+# --- parallel_map ------------------------------------------------------------
+
+
+@pytest.fixture
+def two_runners(monkeypatch):
+    """The caller and one pool worker, whatever this host's CPU count."""
+    pool = ThreadPoolExecutor(1)
+    monkeypatch.setattr(linalg, "CPUS", 2)
+    monkeypatch.setattr(linalg, "_POOL", pool)
+    yield
+    pool.shutdown()
+
+
+def test_parallel_map_returns_results_in_item_order(two_runners):
+    def square_after_a_nap(x):
+        time.sleep(0.001 * (x % 5))        # runners finish out of item order
+        return x * x
+
+    assert linalg.parallel_map(square_after_a_nap, range(50)) == [x * x for x in range(50)]
+
+
+def test_parallel_map_runs_each_item_once(monkeypatch):
+    """More runners than cores and a short switch interval: an item claimed
+    twice or skipped shows in the tally."""
+    pool = ThreadPoolExecutor(7)
+    monkeypatch.setattr(linalg, "CPUS", 8)
+    monkeypatch.setattr(linalg, "_POOL", pool)
+    seen = Counter()
+    lock = threading.Lock()
+
+    def record(item):
+        with lock:
+            seen[item] += 1
+        return item
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        items = list(range(5000))
+        assert linalg.parallel_map(record, items) == items
+    finally:
+        sys.setswitchinterval(interval)
+        pool.shutdown()
+    assert seen == Counter(items)
+
+
+def test_parallel_map_of_no_items_calls_nothing(two_runners):
+    def refuse(_):
+        raise AssertionError("called")
+
+    assert linalg.parallel_map(refuse, []) == []
+
+
+def test_parallel_map_reraises_numerical_failure_with_its_type(two_runners):
+    def fail_at_three(item):
+        if item == 3:
+            raise linalg.NumericalFailure("did not converge")
+        return item
+
+    with pytest.raises(linalg.NumericalFailure, match="did not converge"):
+        linalg.parallel_map(fail_at_three, range(8))
+
+
+def test_parallel_map_nested_in_a_worker_returns(two_runners):
+    """The inner call's helper waits behind the busy worker in the pool; it
+    is cancelled, not awaited, so the inner call runs its items itself."""
+    result = {}
+
+    def outer():
+        result["value"] = linalg.parallel_map(
+            lambda i: sum(linalg.parallel_map(lambda j: i * j, range(5))), range(8)
+        )
+
+    runner = threading.Thread(target=outer, daemon=True)
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive(), "nested parallel_map did not return"
+    assert result["value"] == [10 * i for i in range(8)]
+
+
+def test_parallel_map_on_one_cpu_is_a_loop_on_the_caller(monkeypatch):
+    monkeypatch.setattr(linalg, "CPUS", 1)
+    monkeypatch.setattr(linalg, "_POOL", None)        # any submit would fail
+    order = []
+    caller = threading.get_ident()
+
+    def record(item):
+        assert threading.get_ident() == caller
+        order.append(item)
+        return -item
+
+    assert linalg.parallel_map(record, range(6)) == [0, -1, -2, -3, -4, -5]
+    assert order == list(range(6))
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity masks")
+def test_engine_starts_no_thread_in_a_one_cpu_process():
+    """Limited to one CPU before the package is imported, a process runs the
+    whole engine on its main thread."""
+    code = (
+        "import os, threading\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "from brickbg import linalg\n"
+        "from brickbg.config import EngineConfig\n"
+        "from brickbg.pipeline import process_video\n"
+        "from brickbg.synth import load_scene, render\n"
+        f"frames, _ = render(load_scene({str(SCENES / 'occlusion.scene')!r}))\n"
+        "for mode in ('cs_stltp', 'rgb'):\n"
+        "    process_video(frames[:80], EngineConfig(mode=mode))\n"
+        "print(linalg.CPUS, threading.active_count())\n"
+    )
+    src = str(Path(linalg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.split() == ["1", "1"]

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from brickbg import linalg
 from brickbg.config import EngineConfig
 from brickbg.evaluation import evaluate
 from brickbg.features import brick_descriptor
@@ -28,6 +29,7 @@ from brickbg.pipeline import (
     initialize,
     make_grid,
     model_at,
+    pixel_safe_magnitude,
     process_video,
     remove_small_components,
     step,
@@ -449,6 +451,31 @@ def test_large_rgb_frames_give_finite_models():
             assert np.isfinite(getattr(bucket, f.name)).all(), f.name
 
 
+def test_huge_cs_stltp_frames_are_refused():
+    """cs_stltp frames scaled to 1.5e308 used to pass: the head mean
+    overflowed, the pixel gate's mean held inf and every later mask was
+    empty against 20,480 truth pixels, with only RuntimeWarnings."""
+    frames, _ = render(load_scene(SCENES / "occlusion.scene"))
+    huge = frames * (1.5e308 / 255.0)
+    config = EngineConfig()
+    with pytest.raises(FrameFormatError, match="overflow"):
+        process_video(huge, config)
+    state = initialize(frames[:50], config)
+    with pytest.raises(FrameFormatError, match="overflow"):
+        step(state, huge[60:65])
+    limit = pixel_safe_magnitude(config.tau, config.init_frames)
+    edge = frames * (limit / frames.max())          # at the bound, still taken
+    masks, _ = process_video(edge, config)
+    assert masks[50:].any()
+
+
+@pytest.mark.parametrize("tau, frames", [(0.2, 50), (3.0, 2), (1e300, 50)])
+def test_pixel_safe_magnitude_bounds_products_and_sums(tau, frames):
+    limit = pixel_safe_magnitude(tau, frames)
+    assert np.isfinite((1.0 + tau) * limit) and np.isfinite(frames * limit)
+    assert np.isfinite(np.full(frames, limit).sum())
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.int16])
 def test_negative_frames_are_refused_in_cs_stltp(dtype):
     """The cs_stltp trit rule needs non-negative intensities (see
@@ -470,6 +497,21 @@ def test_negative_frames_are_refused_in_cs_stltp(dtype):
 
 
 # --- blackout -------------------------------------------------------------------------
+
+
+def test_black_head_runs_without_overflow_in_rgb():
+    """A black head leaves every held state zero but the newest, so the
+    dynamics refit's relative residual used to overflow ("overflow
+    encountered in divide", an error under this suite's warning filter)
+    at the first step."""
+    frames, _ = render(load_scene(SCENES / "occlusion.scene"))
+    frames[:50] = 0
+    masks, state = process_video(frames, EngineConfig(mode="rgb"))
+    assert masks.shape == frames.shape[:3]
+    for bucket in state.buckets:
+        for f in fields(ModelBucket):
+            assert np.isfinite(getattr(bucket, f.name)).all(), f.name
+
 
 
 @pytest.mark.parametrize("mode", ["cs_stltp", "rgb"])
@@ -610,3 +652,37 @@ def test_learn_initial_is_one_cell_of_initialize(mode):
         for f in fields(ModelBucket):
             if f.name != "indices":
                 assert np.array_equal(getattr(learned, f.name), getattr(engine, f.name)), (cell, f.name)
+
+
+# --- parts ------------------------------------------------------------------------------
+
+
+def run_cells(config):
+    frames, _ = render(load_scene(SCENES / "occlusion.scene"))
+    masks, state = process_video(frames, config)
+    geometry = state.geometry
+    models = [model_at(state, cell % geometry.grid_w, cell // geometry.grid_w)
+              for cell in range(geometry.locations)]
+    return masks, state, models
+
+
+@pytest.mark.parametrize("stride", [5, 1])
+@pytest.mark.parametrize("mode, t_d", [("cs_stltp", 0.05), ("rgb", 0.02)])
+def test_parts_of_any_size_give_the_one_part_run(monkeypatch, mode, t_d, stride):
+    """Cells are identified and stepped in parts of at most ``linalg._CHUNK``;
+    at 37 the 256 cells fall into 7 parts, split further by d, and masks and
+    every model field match the one-part run bit for bit.  The low ``t_d``
+    gives both modes several d (rgb keeps d = 1 everywhere at 0.05)."""
+    config = EngineConfig(mode=mode, stride=stride, t_d=t_d, t_deps=t_d)
+    masks, state, models = run_cells(config)
+    assert len({bucket.d for bucket in state.buckets}) > 1
+    monkeypatch.setattr(linalg, "_CHUNK", 37)
+    part_masks, part_state, part_models = run_cells(config)
+    assert all(bucket.indices.size <= 37 for bucket in part_state.buckets)
+    covered = np.sort(np.concatenate([bucket.indices for bucket in part_state.buckets]))
+    assert np.array_equal(covered, np.arange(state.geometry.locations))
+    assert np.array_equal(part_masks, masks)
+    for cell, (model, part_model) in enumerate(zip(models, part_models)):
+        for f in fields(ModelBucket):
+            want, got = getattr(model, f.name), getattr(part_model, f.name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (cell, f.name)

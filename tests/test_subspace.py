@@ -165,6 +165,15 @@ def test_fit_dynamics_requires_two_states():
         fit_dynamics_stack(np.zeros((1, 1, 3)), t_deps=0.5)
 
 
+def test_fit_dynamics_with_zero_older_states_does_not_overflow():
+    """All-zero older states (a black head) leave the scale of Z1 at the
+    smallest float; the relative residual used to overflow in the divide."""
+    states = np.zeros((2, 6, 1))
+    states[:, -1, 0] = [3.0, 1e100]
+    for array in fit_dynamics_stack(states, 0.5):
+        assert np.isfinite(array).all()
+
+
 def test_fit_dynamics_observed_none_equals_all_true():
     gen = np.random.default_rng(4)
     states = gen.normal(size=(3, 10, 2))
