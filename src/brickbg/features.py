@@ -27,7 +27,8 @@ the engine refuse negative cs_stltp input.
 volume: the padded volume is scaled once into (1 + tau) and (1 - tau)
 copies, both members of every pair are slices of these, each of the 13
 distinct offsets among the 16 ``PAIR_OFFSETS`` gets its trit formed once,
-and the trits are folded into int8 transition and sum counts.
+and the trits are folded into int8 transition and sum counts.  Each
+output frame is one item of ``linalg.parallel_map``.
 ``brick_descriptor`` returns the (m,) vector of one brick, a per-cell view
 of the path the engine runs (``bin_volume`` then ``cell_histograms``).
 ``cell_histograms`` pools every cell at once through a flat voxel index,
@@ -99,9 +100,8 @@ def bin_volume(volume, tau: float = DEFAULT_TAU) -> np.ndarray:
     offset that recurs in ``PAIR_OFFSETS`` keeps its trit held for its
     later places in the chain.  Every trit is folded into int8 transition
     and sum counts as soon as it is in place, and only the bin is widened.
-    The output frames are split into up to ``linalg.CPUS`` contiguous
-    shares run on ``linalg.parallel_map``, each with its own buffers; a
-    frame's bins do not depend on the share it falls in.
+    Each output frame is one item of ``linalg.parallel_map`` with its own
+    buffers, so its bins do not depend on which runner took it.
     """
     volume = np.asarray(volume, dtype=np.float64)
     if volume.ndim != 3:
@@ -116,7 +116,8 @@ def bin_volume(volume, tau: float = DEFAULT_TAU) -> np.ndarray:
 
     bins = np.empty(volume.shape, dtype=np.int16)
 
-    def bin_frames(share):
+    def bin_frame(t):
+        centre = (t + 1) * frame + row + 1          # voxel (t, 0, 0) in flat
         above = np.empty(span, dtype=bool)
         below = np.empty(span, dtype=bool)
         differs = np.empty(span, dtype=bool)
@@ -124,40 +125,30 @@ def bin_volume(volume, tau: float = DEFAULT_TAU) -> np.ndarray:
         scratch = (np.empty(span, dtype=np.int8), np.empty(span, dtype=np.int8))
         held = {offset: np.empty(span, dtype=np.int8) for offset in _RECURRING}
         # The counts cover ny whole padded rows, so they read back as (ny, row);
-        # the slices fill their first span entries.
-        transitions = np.empty(ny * row, dtype=np.int8)
-        total = np.empty(ny * row, dtype=np.int8)
+        # the run slices sum into their first span entries.
+        transitions = np.zeros(ny * row, dtype=np.int8)
+        total = np.zeros(ny * row, dtype=np.int8)
         run_transitions, run_total = transitions[:span], total[:span]
+        formed = set()
+        previous = None
+        for i, offset in enumerate(PAIR_OFFSETS):
+            trit = held.get(offset, scratch[i % 2])
+            if offset not in formed:
+                shift = offset[0] * frame + offset[1] * row + offset[2]
+                p_m = flat[centre + shift : centre + shift + span]
+                np.greater(p_m, upper[centre - shift : centre - shift + span], out=above)
+                np.less(p_m, lower[centre - shift : centre - shift + span], out=below)
+                np.subtract(above.view(np.int8), below.view(np.int8), out=trit)
+                formed.add(offset)
+            run_total += trit
+            if previous is not None:
+                run_transitions += np.not_equal(trit, previous, out=differs).view(np.int8)
+            previous = trit
+        np.multiply(transitions.reshape(ny, row)[:, :nx], 3, out=bins[t], dtype=np.int16)
+        bins[t] += np.sign(total.reshape(ny, row)[:, :nx])
+        bins[t] += 1
 
-        def form(trit, offset, centre):
-            shift = offset[0] * frame + offset[1] * row + offset[2]
-            p_m = flat[centre + shift : centre + shift + span]
-            np.greater(p_m, upper[centre - shift : centre - shift + span], out=above)
-            np.less(p_m, lower[centre - shift : centre - shift + span], out=below)
-            np.subtract(above.view(np.int8), below.view(np.int8), out=trit)
-
-        for t in share:
-            centre = (t + 1) * frame + row + 1          # voxel (t, 0, 0) in flat
-            run_transitions.fill(0)
-            run_total.fill(0)
-            formed = set()
-            previous = None
-            for i, offset in enumerate(PAIR_OFFSETS):
-                trit = held.get(offset, scratch[i % 2])
-                if offset not in formed:
-                    form(trit, offset, centre)
-                    formed.add(offset)
-                run_total += trit
-                if previous is not None:
-                    run_transitions += np.not_equal(trit, previous, out=differs).view(np.int8)
-                previous = trit
-            np.multiply(transitions.reshape(ny, row)[:, :nx], 3, out=bins[t], dtype=np.int16)
-            bins[t] += np.sign(total.reshape(ny, row)[:, :nx])
-            bins[t] += 1
-
-    shares = min(nt, linalg.CPUS)
-    linalg.parallel_map(bin_frames, [range(nt * i // shares, nt * (i + 1) // shares)
-                                     for i in range(shares)])
+    linalg.parallel_map(bin_frame, range(nt))
     return bins
 
 

@@ -152,10 +152,24 @@ def load_frames(source) -> np.ndarray:
 
 
 def write_frames(directory, frames: np.ndarray, prefix: str = "frame"):
-    """Write (F, H, W[, channels]) uint8 frames as numbered files from 1."""
+    """Write (F, H, W[, channels]) uint8 frames as numbered files from 1.
+
+    Refuses, before writing anything, a directory that already holds
+    ``{prefix}_N`` frames numbered above F: ``list_frames`` would read
+    them back as part of the new sequence.  No file is deleted.
+    """
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     frames = np.asarray(frames)
+    own = re.compile(re.escape(prefix) + r"_(\d+)\.(pgm|ppm)$", re.IGNORECASE)
+    if directory.is_dir():
+        stale = sorted(p.name for p in directory.iterdir()
+                       if (m := own.match(p.name)) and int(m.group(1)) > len(frames))
+        if stale:
+            raise FrameFormatError(
+                f"{directory}: holds {len(stale)} frames numbered above the "
+                f"{len(frames)} being written (first {stale[0]}); use an empty directory"
+            )
+    directory.mkdir(parents=True, exist_ok=True)
     if frames.ndim == 3:
         frames = frames[..., None]
     ext = "ppm" if frames.shape[-1] == 3 else "pgm"

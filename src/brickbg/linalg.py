@@ -11,15 +11,15 @@ stack of one.  Every factorization the engine runs is a symmetric
 eigendecomposition of a small Gram matrix (identification's n x n Grams
 of the descriptor windows, the dynamics refit's d x d Grams and the basis
 update's (d+1) x (d+1) one); the SVD and the pseudo-inverse have no
-engine caller, and the tests use them as oracles of the Gram forms.
+engine caller, and stay as the tests' oracles of the Gram forms and for
+the benchmark's trace, which wraps them by name.  Each routine makes one
+numpy call on the whole stack it is given; the caller bounds the stack.
 
 ``parallel_map`` is the engine's one concurrency primitive.  It runs a
 function over a list of independent items on the calling thread and on
 one pool worker per further CPU of the process's affinity mask
 (``CPUS``), and returns the results in item order, so what it computes
-never depends on how many CPUs ran it.  The engine maps its per-cell
-work (identification, the per-bucket step) over parts of at most
-``_CHUNK`` cells and its ``cs_stltp`` binning over frame shares.
+never depends on how many CPUs ran it.
 """
 
 from __future__ import annotations
@@ -36,12 +36,6 @@ ZERO_CUTOFF = 1e-12
 
 # Relative cutoff for pseudo-inverse reciprocals.
 PINV_RTOL = 1e-10
-
-# How many stacked matrices to hand to LAPACK at once; keeps transient
-# buffers small without changing any per-matrix result.  The engine's
-# buckets hold at most this many cells, so they are also its units of
-# parallel work.
-_CHUNK = 1024
 
 
 def _cpus() -> int:
@@ -60,17 +54,6 @@ _POOL = ThreadPoolExecutor(CPUS - 1, thread_name_prefix="brickbg") if CPUS > 1 e
 
 class NumericalFailure(RuntimeError):
     """An iterative LAPACK driver failed to converge."""
-
-
-def _chunked(fn, stack):
-    """Apply fn over leading-axis chunks and concatenate the results."""
-    n = stack.shape[0]
-    if n <= _CHUNK:
-        return fn(stack)
-    parts = [fn(stack[i : i + _CHUNK]) for i in range(0, n, _CHUNK)]
-    if isinstance(parts[0], tuple):
-        return tuple(np.concatenate(cols, axis=0) for cols in zip(*parts))
-    return np.concatenate(parts, axis=0)
 
 
 def parallel_map(fn, items) -> list:
@@ -129,7 +112,8 @@ def _fix_signs(u: np.ndarray, *partners: np.ndarray):
     return tuple(x * signs for x in (u, *partners))
 
 
-def _svd_chunk(w: np.ndarray):
+def svd_stack(w: np.ndarray):
+    """Thin SVD of a (g, m, n) stack: (u, sigma, q) with sigma descending."""
     try:
         u, s, vh = np.linalg.svd(w, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare driver issue
@@ -141,12 +125,12 @@ def _svd_chunk(w: np.ndarray):
     return u, s, q
 
 
-def svd_stack(w: np.ndarray):
-    """Thin SVD of a (g, m, n) stack: (u, sigma, q) with sigma descending."""
-    return _chunked(_svd_chunk, w)
+def eigh_stack(s: np.ndarray):
+    """Symmetric eigendecomposition of a stack, eigenvalues descending.
 
-
-def _eigh_chunk(s: np.ndarray):
+    Eigenvectors follow the SVD's sign convention: the largest-magnitude
+    entry of each is positive.
+    """
     try:
         vals, vecs = np.linalg.eigh(s)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
@@ -154,22 +138,8 @@ def _eigh_chunk(s: np.ndarray):
     return vals[..., ::-1].copy(), _fix_signs(vecs[..., ::-1])[0]
 
 
-def eigh_stack(s: np.ndarray):
-    """Symmetric eigendecomposition of a stack, eigenvalues descending.
-
-    Eigenvectors follow the SVD's sign convention: the largest-magnitude
-    entry of each is positive.
-    """
-    return _chunked(_eigh_chunk, s)
-
-
-def _pinv_chunk(a: np.ndarray):
-    u, s, q = _svd_chunk(a)
+def pinv_stack(a: np.ndarray):
+    u, s, q = svd_stack(a)
     cut = PINV_RTOL * s[..., :1]
     inv = np.where(s > cut, np.divide(1.0, s, out=np.zeros_like(s), where=s > 0), 0.0)
     return (q * inv[..., None, :]) @ np.swapaxes(u, -1, -2)
-
-
-def pinv_stack(a: np.ndarray):
-    return _chunked(_pinv_chunk, a)
-

@@ -28,12 +28,12 @@ one-cell copy of it, which every stacked function (and
 ``maintenance.synthesize``) takes as it is.
 
 No cell's maths reads another cell's, so the cells are split into parts
-of at most ``linalg._CHUNK`` (1024) in grid order, the same split on
-every machine.  ``initialize`` identifies each part on its own and
-``step`` runs each bucket's labelling and upkeep as one item, both on
-``linalg.parallel_map``, which uses every CPU the process may run on;
-``features.bin_volume`` bins frame shares on it too.  Masks and models do
-not depend on how many CPUs ran them.
+of at most ``PART_CELLS`` in grid order, the same split on every machine;
+no LAPACK call sees more than one part.  ``initialize`` identifies each
+part on its own and ``step`` runs each bucket's labelling and upkeep as
+one item, both on ``linalg.parallel_map``, which uses every CPU the
+process may run on; ``features.bin_volume`` bins one frame per item on it
+too.  Masks and models do not depend on how many CPUs ran them.
 
 ``cs_stltp`` histograms cannot localize foreground inside a brick, so
 flagged bricks are refined against a running per-pixel mean of the
@@ -63,6 +63,10 @@ from .subspace import (
 )
 
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
+
+# Largest number of cells identified or stepped as one item.  It bounds
+# every LAPACK stack and its transient buffers, and changes no cell's result.
+PART_CELLS = 1024
 
 # Open band of median gains the cs_stltp pixel gate follows; a ratio
 # outside it (a blackout gives 0) is not an illumination change, and the
@@ -282,7 +286,7 @@ def _head_descriptors(geometry: GridGeometry, head: np.ndarray, config: EngineCo
 def initialize(frames, config: EngineConfig) -> EngineState:
     """Identify one model per grid cell from the first ``init_frames`` frames.
 
-    Each part of at most ``linalg._CHUNK`` cells is identified on its own
+    Each part of at most ``PART_CELLS`` cells is identified on its own
     and gives one bucket per state dimension it holds, its ``indices``
     offset to grid cell ids; ``state.buckets`` lists them part by part.
     """
@@ -303,13 +307,13 @@ def initialize(frames, config: EngineConfig) -> EngineState:
 
     def identify(start):
         buckets = identify_stack(
-            w[start : start + linalg._CHUNK], config.t_d, config.t_deps, config.history
+            w[start : start + PART_CELLS], config.t_d, config.t_deps, config.history
         )
         for bucket in buckets:
             bucket.indices += start
         return buckets
 
-    parts = linalg.parallel_map(identify, range(0, len(w), linalg._CHUNK))
+    parts = linalg.parallel_map(identify, range(0, len(w), PART_CELLS))
     return EngineState(
         config=config,
         geometry=geometry,

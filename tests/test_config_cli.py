@@ -302,6 +302,17 @@ def test_cli_exit_code_for_short_video(tmp_path, rng):
                  "--output", str(tmp_path / "m")]) == 3
 
 
+def test_cli_exit_code_for_stale_output(tmp_path, frames_dir, config_file, capsys):
+    out = tmp_path / "m"
+    out.mkdir()
+    stale = out / "mask_000061.pgm"              # the clip has 60 frames
+    stale.write_bytes(b"P5\n1 1\n255\n\x00")
+    assert main(["run", "--input", str(frames_dir), "--output", str(out),
+                 "--config", str(config_file)]) == 3
+    assert "above" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == [stale.name]
+
+
 def test_cli_exit_code_for_oversized_brick(tmp_path, rng):
     frames = rng.integers(0, 255, size=(60, 16, 16), dtype=np.uint8)
     from brickbg.imageio import write_frames

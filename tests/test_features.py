@@ -201,8 +201,8 @@ def test_bin_volume_matches_scalar_reference(seed):
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 5, 8])
 def test_bin_volume_is_the_same_in_any_number_of_shares(monkeypatch, cpus):
-    """Frames are binned in up to ``linalg.CPUS`` shares; each count of
-    shares (one frame per share at 5 and 8) gives the one-share bins."""
+    """Each frame is one item of ``linalg.parallel_map``; any count of
+    runners (more runners than frames at 8) gives the one-runner bins."""
     vol = np.random.default_rng(6).uniform(20.0, 200.0, size=(5, 9, 11))
     whole = bin_volume(vol)
     pool = ThreadPoolExecutor(1)

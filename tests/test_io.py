@@ -200,6 +200,20 @@ def test_mask_round_trip(tmp_path, rng):
     assert np.array_equal(back, masks)
 
 
+def test_rewrite_refuses_stale_higher_frames(tmp_path):
+    """A shorter rerun into the same directory must not leave the old
+    higher-numbered frames to be read back as part of the new sequence."""
+    seq = tmp_path / "m"
+    write_masks(seq, np.ones((8, 4, 4), dtype=bool))
+    with pytest.raises(FrameFormatError, match="above"):
+        write_masks(seq, np.zeros((5, 4, 4), dtype=bool))
+    back = load_masks(seq)                      # nothing written, nothing deleted
+    assert back.shape == (8, 4, 4) and back.all()
+    write_masks(seq, np.zeros((8, 4, 4), dtype=bool))   # same count overwrites
+    assert not load_masks(seq).any()
+    write_frames(seq, np.zeros((2, 4, 4), dtype=np.uint8))  # other prefixes don't count
+
+
 def test_write_masks_requires_boolean(tmp_path):
     with pytest.raises(FrameFormatError, match="boolean"):
         write_masks(tmp_path / "m", np.zeros((1, 2, 2), dtype=np.uint8))

@@ -105,17 +105,6 @@ def test_svd_stack_matches_single():
         assert np.array_equal(q[i], q1)
 
 
-def test_chunked_stack_matches_unchunked(monkeypatch):
-    gen = np.random.default_rng(5)
-    stack = gen.normal(size=(10, 4, 4))
-    u0, s0, q0 = linalg.svd_stack(stack)
-    monkeypatch.setattr(linalg, "_CHUNK", 3)
-    u1, s1, q1 = linalg.svd_stack(stack)
-    assert np.array_equal(u0, u1)
-    assert np.array_equal(s0, s1)
-    assert np.array_equal(q0, q1)
-
-
 # --- eigh_stack --------------------------------------------------------
 
 

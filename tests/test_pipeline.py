@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from brickbg import linalg
+from brickbg import pipeline
 from brickbg.config import EngineConfig
 from brickbg.evaluation import evaluate
 from brickbg.features import brick_descriptor
@@ -669,15 +669,25 @@ def run_cells(config):
 @pytest.mark.parametrize("stride", [5, 1])
 @pytest.mark.parametrize("mode, t_d", [("cs_stltp", 0.05), ("rgb", 0.02)])
 def test_parts_of_any_size_give_the_one_part_run(monkeypatch, mode, t_d, stride):
-    """Cells are identified and stepped in parts of at most ``linalg._CHUNK``;
-    at 37 the 256 cells fall into 7 parts, split further by d, and masks and
-    every model field match the one-part run bit for bit.  The low ``t_d``
-    gives both modes several d (rgb keeps d = 1 everywhere at 0.05)."""
+    """Cells are identified and stepped in parts of at most
+    ``pipeline.PART_CELLS``; at 37 the 256 cells fall into 7 parts, split
+    further by d, and masks and every model field match the one-part run bit
+    for bit.  The parts are the only split: no LAPACK call sees more than 37
+    matrices, and the engine runs no SVD.  The low ``t_d`` gives both modes
+    several d (rgb keeps d = 1 everywhere at 0.05)."""
     config = EngineConfig(mode=mode, stride=stride, t_d=t_d, t_deps=t_d)
     masks, state, models = run_cells(config)
     assert len({bucket.d for bucket in state.buckets}) > 1
-    monkeypatch.setattr(linalg, "_CHUNK", 37)
+    monkeypatch.setattr(pipeline, "PART_CELLS", 37)
+    batches = {name: [] for name in ("eigh", "qr", "eigvals", "svd")}
+    for name, seen in batches.items():
+        def counted(a, *args, _call=getattr(np.linalg, name), _seen=seen, **kwargs):
+            _seen.append(int(np.prod(np.shape(a)[:-2])))
+            return _call(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
     part_masks, part_state, part_models = run_cells(config)
+    assert batches["eigh"] and max(max(seen, default=0) for seen in batches.values()) <= 37
+    assert batches["svd"] == []
     assert all(bucket.indices.size <= 37 for bucket in part_state.buckets)
     covered = np.sort(np.concatenate([bucket.indices for bucket in part_state.buckets]))
     assert np.array_equal(covered, np.arange(state.geometry.locations))
