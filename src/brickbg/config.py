@@ -56,6 +56,8 @@ class EngineConfig:
                 "initialization needs at least two brick-depth windows "
                 f"({self.init_frames} frames / depth {self.brick_depth} gives {windows})"
             )
+        if self.init_frames % self.brick_depth:   # else frames after the last window go unread
+            raise ConfigError(f"init_frames must be a multiple of brick depth {self.brick_depth}")
         if self.min_area < 0:
             raise ConfigError("min_area must be non-negative")
         if not 0.0 <= self.alpha <= 1.0:

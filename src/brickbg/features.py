@@ -20,8 +20,8 @@ frames.  Two descriptor flavours are supported:
 Neighbour lookups clamp to the edges of the supplied frame volume, so the
 first/last frames and the image border reuse their nearest voxels;
 ``bin_volume`` implements the clamp as one edge padding of the volume.
-The trit rule needs non-negative intensities, so ``brick_descriptor`` and
-the engine refuse negative cs_stltp input.
+The trit rule needs non-negative intensities, so ``bin_volume``, the one
+place it is applied, refuses negative or NaN input on every path.
 
 ``bin_volume`` makes each floating-point product and comparison once per
 volume: the padded volume is scaled once into (1 + tau) and (1 - tau)
@@ -43,6 +43,7 @@ from collections import Counter
 import numpy as np
 
 from . import linalg
+from .imageio import FrameFormatError
 
 MODE_CS = "cs_stltp"
 MODE_RGB = "rgb"
@@ -88,7 +89,8 @@ def bin_volume(volume, tau: float = DEFAULT_TAU) -> np.ndarray:
     p_m < (1 - tau) p_s, else 0.  Its bin is ``transitions * 3 + sign + 1``,
     ``transitions`` counting adjacent unequal trits in ``PAIR_OFFSETS``
     order (0..15) and ``sign`` the sign of the trit sum.  The rule needs
-    non-negative intensities; below zero both comparisons can hold.
+    non-negative intensities (below zero both comparisons can hold), so a
+    volume holding a negative value or NaN raises ``FrameFormatError``.
 
     The volume is edge-padded once and scaled once into (1 + tau) and
     (1 - tau) copies, so every product is formed once.  Flattened, each
@@ -106,6 +108,8 @@ def bin_volume(volume, tau: float = DEFAULT_TAU) -> np.ndarray:
     volume = np.asarray(volume, dtype=np.float64)
     if volume.ndim != 3:
         raise ValueError(f"expected a (t, y, x) volume, got shape {volume.shape}")
+    if not volume.min(initial=0.0) >= 0:       # NaN fails too
+        raise FrameFormatError("cs_stltp intensities must not be negative or NaN")
     nt, ny, nx = volume.shape
     flat = np.pad(volume, 1, mode="edge").reshape(-1)
     upper = (1.0 + tau) * flat
@@ -195,8 +199,6 @@ def brick_descriptor(
         return volume[:, y0 : y0 + height, x0 : x0 + width, :].reshape(-1).copy()
     if mode != MODE_CS:
         raise ValueError(f"unknown descriptor mode {mode!r}")
-    if volume.min() < 0.0:
-        raise ValueError("cs_stltp intensities must not be negative")
     voxels = np.arange(nt * ny * nx).reshape(nt, ny, nx)[:, y0 : y0 + height, x0 : x0 + width]
     voxel_index = voxels.reshape(1, -1)
     return np.concatenate(

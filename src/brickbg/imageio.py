@@ -154,28 +154,29 @@ def load_frames(source) -> np.ndarray:
 def write_frames(directory, frames: np.ndarray, prefix: str = "frame"):
     """Write (F, H, W[, channels]) uint8 frames as numbered files from 1.
 
-    Refuses, before writing anything, a directory that already holds
-    ``{prefix}_N`` frames numbered above F: ``list_frames`` would read
-    them back as part of the new sequence.  No file is deleted.
+    Refuses, before writing anything, a directory holding a file
+    ``list_frames`` would read that this write does not overwrite (a higher
+    number, the other extension or another prefix).  No file is deleted.
     """
     directory = Path(directory)
     frames = np.asarray(frames)
-    own = re.compile(re.escape(prefix) + r"_(\d+)\.(pgm|ppm)$", re.IGNORECASE)
-    if directory.is_dir():
-        stale = sorted(p.name for p in directory.iterdir()
-                       if (m := own.match(p.name)) and int(m.group(1)) > len(frames))
-        if stale:
-            raise FrameFormatError(
-                f"{directory}: holds {len(stale)} frames numbered above the "
-                f"{len(frames)} being written (first {stale[0]}); use an empty directory"
-            )
-    directory.mkdir(parents=True, exist_ok=True)
     if frames.ndim == 3:
         frames = frames[..., None]
     ext = "ppm" if frames.shape[-1] == 3 else "pgm"
+    names = [f"{prefix}_{i:06d}.{ext}" for i in range(1, len(frames) + 1)]
+    if directory.is_dir():
+        kept = sorted({p.name for p in directory.iterdir() if _FRAME_RE.search(p.name)}
+                      - set(names))
+        if kept:
+            raise FrameFormatError(
+                f"{directory}: holds {len(kept)} frame files that writing {len(frames)} "
+                f"frames leaves in place (first {kept[0]}), to be read back above or "
+                "among the new ones; use an empty directory"
+            )
+    directory.mkdir(parents=True, exist_ok=True)
     paths = []
-    for i, frame in enumerate(frames, start=1):
-        path = directory / f"{prefix}_{i:06d}.{ext}"
+    for name, frame in zip(names, frames):
+        path = directory / name
         write_image(path, frame)
         paths.append(path)
     return paths

@@ -38,6 +38,10 @@ too.  Masks and models do not depend on how many CPUs ran them.
 ``cs_stltp`` histograms cannot localize foreground inside a brick, so
 flagged bricks are refined against a running per-pixel mean of the
 background.
+
+Each input rule is checked once, where it applies: ``_refuse`` on the
+frames ``initialize`` and ``step`` read, the frame size in
+``batch_descriptors`` and cs_stltp negativity in ``features.bin_volume``.
 """
 
 from __future__ import annotations
@@ -150,7 +154,7 @@ class EngineState:
     geometry: GridGeometry
     channels: int
     buckets: list
-    aux_mean: np.ndarray           # (H, W, C) running background mean; cs_stltp steps only
+    aux_mean: np.ndarray | None    # (H, W, C) running background mean; None in rgb
     steps: int = 0
     timings: dict = field(default_factory=dict)
 
@@ -179,17 +183,7 @@ def _as_video(frames) -> np.ndarray:
         raise ValueError(f"expected frames shaped (F, H, W[, channels]), got {arr.shape}")
     if arr.shape[3] not in (1, 3):
         raise ValueError("only 1- or 3-channel video is supported")
-    if arr.dtype.kind == "f" and not np.isfinite(arr).all():
-        raise FrameFormatError("frames contain NaN or infinite values")
     return arr
-
-
-def _refuse_negative(frames: np.ndarray) -> None:
-    """Refuse negative frames: the cs_stltp trit rule compares intensities
-    as ratios, which needs them non-negative.  Unsigned frames cannot hold
-    a negative value and are not scanned."""
-    if frames.dtype.kind in "fi" and frames.min() < 0:
-        raise FrameFormatError("cs_stltp frames contain negative values")
 
 
 def pixel_safe_magnitude(tau: float, frames: int) -> float:
@@ -207,8 +201,10 @@ def pixel_safe_magnitude(tau: float, frames: int) -> float:
     return float(np.finfo(np.float64).max) / max(frames, 1.0 + tau)
 
 
-def _refuse_huge(frames: np.ndarray, config: EngineConfig) -> None:
-    """Refuse frames large enough to overflow the engine's arithmetic.
+def _refuse(frames: np.ndarray, config: EngineConfig) -> None:
+    """Refuse frames that are not finite or large enough to overflow the
+    engine's arithmetic; ``initialize`` and ``step`` call it on the frames
+    they read.
 
     rgb descriptors are the pixel values, so the Grams the engine sums grow
     with their squares; ``subspace.gram_safe_magnitude`` bounds them for
@@ -216,8 +212,10 @@ def _refuse_huge(frames: np.ndarray, config: EngineConfig) -> None:
     initialization, ``init_frames // brick_depth``) states.  cs_stltp
     histograms do not grow with the intensities, but the trit products and
     the pixel gate's means do; ``pixel_safe_magnitude`` bounds them for
-    sums of up to ``init_frames`` frames.  Frames are scanned only when
-    their dtype can hold a value above the bound.
+    sums of up to ``init_frames`` frames.  One ``min`` and one ``max``
+    decide both rules, since they carry any NaN and show any infinity.
+    Frames are scanned only when their dtype can hold a value out of range:
+    always for floats, never for ``uint8``.
     """
     if config.mode == MODE_RGB:
         channels = frames.shape[3]
@@ -229,9 +227,11 @@ def _refuse_huge(frames: np.ndarray, config: EngineConfig) -> None:
         limit = pixel_safe_magnitude(config.tau, config.init_frames)
         overflows = "the trit products and pixel-gate sums overflow"
     kind = frames.dtype.kind
-    top = np.finfo(frames.dtype).max if kind == "f" else np.iinfo(frames.dtype).max if kind in "iu" else 1
-    if top > limit:
-        peak = max(float(frames.max()), -float(frames.min()))
+    if kind == "f" or (kind in "iu" and np.iinfo(frames.dtype).max > limit):
+        low, high = float(frames.min()), float(frames.max())
+        if not (np.isfinite(low) and np.isfinite(high)):
+            raise FrameFormatError("frames contain NaN or infinite values")
+        peak = max(high, -low)
         if peak > limit:
             raise FrameFormatError(
                 f"{config.mode} frames hold values of magnitude {peak:.3g}; above "
@@ -296,13 +296,9 @@ def initialize(frames, config: EngineConfig) -> EngineState:
         raise InsufficientData(
             f"initialization needs {config.init_frames} frames, got {total}"
         )
-    depth = config.brick_depth
-    n_windows = config.init_frames // depth          # at least 2, see EngineConfig
     geometry = make_grid(height, width, config.brick_height, config.brick_width)
-    head = frames[: n_windows * depth]
-    if config.mode == MODE_CS:
-        _refuse_negative(head)
-    _refuse_huge(head, config)
+    head = frames[: config.init_frames]     # at least two whole windows, see EngineConfig
+    _refuse(head, config)
     w = _head_descriptors(geometry, head, config)
 
     def identify(start):
@@ -319,7 +315,7 @@ def initialize(frames, config: EngineConfig) -> EngineState:
         geometry=geometry,
         channels=channels,
         buckets=[bucket for part in parts for bucket in part],
-        aux_mean=head.mean(axis=0, dtype=np.float64),
+        aux_mean=head.mean(axis=0, dtype=np.float64) if config.mode == MODE_CS else None,
     )
 
 
@@ -346,19 +342,12 @@ def step(state: EngineState, window) -> StepResult:
     config = state.config
     geometry = state.geometry
     window = _as_video(window)
-    t, height, width, channels = window.shape
-    if (height, width) != (geometry.frame_height, geometry.frame_width):
-        raise ValueError(
-            f"frame size {width}x{height} does not match the engine "
-            f"({geometry.frame_width}x{geometry.frame_height})"
-        )
+    t, _, _, channels = window.shape
     if channels != state.channels:
         raise ValueError(f"expected {state.channels}-channel frames, got {channels}")
     if t != config.brick_depth:
         raise ValueError(f"a step consumes exactly {config.brick_depth} frames, got {t}")
-    if config.mode == MODE_CS:
-        _refuse_negative(window)
-    _refuse_huge(window, config)
+    _refuse(window, config)
     volume = window.astype(np.float64)
     timings = {}
 
@@ -455,7 +444,8 @@ def process_video(frames, config: EngineConfig):
     initialization frames reported as all-background.  Each streamed
     window starts ``stride`` frames after the previous one and emits masks
     for its first ``stride`` frames; a final short window is padded by
-    repeating the last frame.
+    repeating the last frame.  No frame is scanned here: a bad frame is
+    refused by ``initialize`` or by the ``step`` of its window.
     """
     frames = _as_video(frames)
     total = frames.shape[0]

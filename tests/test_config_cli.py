@@ -80,6 +80,7 @@ def test_engine_config_validation():
         dict(init_frames=0),
         dict(init_frames=8),       # one brick-depth window at the default depth 5
         dict(init_frames=19, brick_depth=10),
+        dict(init_frames=52),      # frames 50-51 would be neither learned nor segmented
         dict(min_area=-1),
         dict(alpha=1.5),
         dict(stride=0),
@@ -274,6 +275,9 @@ def test_cli_exit_code_for_bad_config(tmp_path, scene_file, config_file):
     assert main(["run", "--input", str(frames_dir), "--output",
                  str(tmp_path / "m"), "--config", str(bad)]) == 2
     bad.write_text("beta = inf\n")
+    assert main(["run", "--input", str(frames_dir), "--output",
+                 str(tmp_path / "m"), "--config", str(bad)]) == 2
+    bad.write_text("init_frames = 52\n")       # not a whole number of windows
     assert main(["run", "--input", str(frames_dir), "--output",
                  str(tmp_path / "m"), "--config", str(bad)]) == 2
 

@@ -24,6 +24,7 @@ from brickbg.features import (
     bin_volume,
     brick_descriptor,
 )
+from brickbg.imageio import FrameFormatError
 
 
 # --- scalar oracles -------------------------------------------------------
@@ -283,6 +284,16 @@ def test_brick_descriptor_refuses_negative_intensities():
         brick_descriptor(vol, 2, 2, 4, 4, "cs_stltp")
     assert np.array_equal(brick_descriptor(vol, 2, 2, 4, 4, "rgb"), vol[:, 2:6, 2:6].reshape(-1))
     assert brick_descriptor(np.abs(vol), 2, 2, 4, 4, "cs_stltp").sum() == 320
+
+
+@pytest.mark.parametrize("bad", [-1.0, np.nan])
+def test_bin_volume_refuses_negative_and_nan(bad):
+    """``bin_volume`` is where the trit rule is applied, so it refuses what
+    the rule cannot bin; it used to bin such volumes without notice."""
+    vol = np.random.default_rng(5).uniform(0.0, 255.0, size=(5, 6, 7))
+    vol[2, 3, 4] = bad
+    with pytest.raises(FrameFormatError, match="negative"):
+        bin_volume(vol)
 
 
 # --- brick descriptors --------------------------------------------------

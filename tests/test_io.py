@@ -211,7 +211,24 @@ def test_rewrite_refuses_stale_higher_frames(tmp_path):
     assert back.shape == (8, 4, 4) and back.all()
     write_masks(seq, np.zeros((8, 4, 4), dtype=bool))   # same count overwrites
     assert not load_masks(seq).any()
-    write_frames(seq, np.zeros((2, 4, 4), dtype=np.uint8))  # other prefixes don't count
+    with pytest.raises(FrameFormatError):                   # other prefixes count too
+        write_frames(seq, np.zeros((2, 4, 4), dtype=np.uint8))
+
+
+def test_rewrite_refuses_mixed_and_foreign_frame_files(tmp_path):
+    """A gray run rewritten in colour used to leave ``frame_N.pgm`` beside
+    ``frame_N.ppm``, and masks written into a frame directory sat beside
+    the frames: either way ``list_frames`` then failed on the mix."""
+    seq = tmp_path / "f"
+    write_frames(seq, np.zeros((4, 6, 6), dtype=np.uint8))
+    with pytest.raises(FrameFormatError, match="frame_000001.pgm"):
+        write_frames(seq, np.zeros((4, 6, 6, 3), dtype=np.uint8))
+    with pytest.raises(FrameFormatError, match="frame_000001.pgm"):
+        write_masks(seq, np.zeros((4, 6, 6), dtype=bool))
+    assert load_frames(seq).shape == (4, 6, 6, 1)           # nothing written
+    (seq / "notes.txt").write_text("not a frame")           # list_frames skips it
+    write_frames(seq, np.full((4, 6, 6), 7, dtype=np.uint8))
+    assert (load_frames(seq) == 7).all()
 
 
 def test_write_masks_requires_boolean(tmp_path):

@@ -244,16 +244,16 @@ def test_quiet_scene_stays_background():
 
 
 def test_aux_mean_is_kept_for_the_cs_stltp_gate_only():
-    """Only the cs_stltp pixel gate reads aux_mean: an rgb step leaves it as
-    initialized, a cs_stltp step rescales it by the gain and blends quiet pixels."""
+    """Only the cs_stltp pixel gate reads aux_mean: rgb keeps none, and a
+    cs_stltp step rescales it by the gain and blends quiet pixels."""
     video, _ = noisy_video(25, 8, 12, seed=7)
     window = video[20:25]
     window_mean = window.astype(np.float64).mean(axis=0)
 
     state = initialize(video[:20], EngineConfig(init_frames=20, mode="rgb"))
-    before = state.aux_mean.copy()
+    assert state.aux_mean is None
     step(state, window)
-    assert np.array_equal(state.aux_mean, before)
+    assert state.aux_mean is None
 
     config = EngineConfig(init_frames=20, mode="cs_stltp")
     state = initialize(video[:20], config)
@@ -405,19 +405,36 @@ def test_step_labels_buckets_of_every_kind(mode):
 @pytest.mark.parametrize("mode", ["cs_stltp", "rgb"])
 def test_non_finite_frames_are_rejected(mode):
     """One NaN pixel used to empty every later cs_stltp mask (through the
-    median gain estimate) and to raise a bare LinAlgError in rgb."""
+    median gain estimate) and to raise a bare LinAlgError in rgb.  Only
+    frames the engine reads are checked: ``initialize`` takes a clip whose
+    NaN lies after its head (it used to scan the whole clip), and
+    ``process_video`` refuses it when it steps the window holding the NaN."""
     frames, _ = render(load_scene(SCENES / "occlusion.scene"))
     frames = frames.astype(np.float64)
     frames[60, 10, 10] = np.nan
     config = EngineConfig(mode=mode)
     with pytest.raises(FrameFormatError):
         process_video(frames, config)
+    initialize(frames, config)
     state = initialize(frames[:50], config)
     with pytest.raises(FrameFormatError):
         step(state, frames[60:65])
     frames[60, 10, 10] = np.inf
     with pytest.raises(FrameFormatError):
         initialize(frames[55:105], config)
+
+
+@pytest.mark.parametrize("bad", [-1.0, np.nan])
+def test_batch_descriptors_refuses_negative_and_nan_cs_stltp(bad):
+    """cs_stltp binning refuses what the trit rule cannot bin, on the
+    engine's path as on ``brick_descriptor``'s; rgb takes any value."""
+    geometry = make_grid(8, 12, 4, 4)
+    volume = np.full((5, 8, 12, 1), 50.0)
+    volume[2, 3, 4, 0] = bad
+    with pytest.raises(FrameFormatError, match="negative"):
+        batch_descriptors(geometry, volume, "cs_stltp", 0.2)
+    rows = batch_descriptors(geometry, volume, "rgb", 0.2)
+    assert rows.shape == (6, 80)
 
 
 @pytest.mark.parametrize("scale", [1e155, 1e160, 1e300])
