@@ -11,6 +11,9 @@ per-stage time totals of ``EngineState.timings``.
 
 Exit codes: 0 on success, 2 for unusable arguments or configuration, 3 for
 runtime failures (missing/short/malformed data, numerical breakdown).
+Every destination is checked before anything is written (by ``run``, before
+segmenting): one directory for ``synth``'s frames and truth exits 2, and one
+holding frame files the write would leave in place exits 3.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from pathlib import Path
 
 from .config import ConfigError, EngineConfig, load_config
 from .evaluation import evaluate, per_frame_fscores, write_report
-from .imageio import FrameFormatError, load_frames, load_masks, write_frames, write_masks
+from .imageio import (FrameFormatError, check_destination, load_frames, load_masks,
+                      write_frames, write_masks)
 from .linalg import NumericalFailure
 from .pipeline import process_video
 from .subspace import InsufficientData
@@ -52,6 +56,7 @@ def _cmd_run(args) -> int:
     overrides = {"mode": args.mode, "stride": args.stride}
     config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
     frames = load_frames(args.input)
+    check_destination(args.output, frames.shape[0], prefix="mask")
     started = time.perf_counter()
     masks, state = process_video(frames, config)
     elapsed = time.perf_counter() - started
@@ -109,10 +114,15 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    if args.truth and Path(args.output).resolve() == Path(args.truth).resolve():
+        raise ConfigError("--output and --truth name the same directory")
     scene = load_scene(args.scene)
     if not scene.quantize:
         raise ConfigError("synth writes 8-bit frames; the scene must set quantize = true")
     frames, truth = render(scene)
+    check_destination(args.output, frames.shape[0], frames.shape[-1])
+    if args.truth:
+        check_destination(args.truth, truth.shape[0], prefix="mask")
     write_frames(args.output, frames[..., 0] if frames.shape[-1] == 1 else frames)
     print(f"wrote {frames.shape[0]} frames to {args.output}")
     if args.truth:

@@ -7,8 +7,12 @@ from dataclasses import dataclass
 
 from .features import DEFAULT_TAU, MODE_CS, MODE_RGB, MODES
 from .maintenance import DEFAULT_ALPHA, DEFAULT_BETA
-from .segmentation import DEFAULT_T_EPS, DEFAULT_T_OMEGA
 from .subspace import DEFAULT_HISTORY, DEFAULT_T_D, DEFAULT_T_DEPS
+
+
+# Residual thresholds from the reference operating point.
+DEFAULT_T_OMEGA = {MODE_CS: 3.0, MODE_RGB: 5.0}
+DEFAULT_T_EPS = {MODE_CS: 3.0, MODE_RGB: 4.0}
 
 
 class ConfigError(ValueError):

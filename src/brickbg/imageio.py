@@ -151,28 +151,33 @@ def load_frames(source) -> np.ndarray:
     return stack
 
 
-def write_frames(directory, frames: np.ndarray, prefix: str = "frame"):
-    """Write (F, H, W[, channels]) uint8 frames as numbered files from 1.
-
-    Refuses, before writing anything, a directory holding a file
-    ``list_frames`` would read that this write does not overwrite (a higher
-    number, the other extension or another prefix).  No file is deleted.
-    """
+def check_destination(directory, count: int, channels: int = 1, prefix: str = "frame"):
+    """Names of ``count`` numbered frames to write to ``directory``; refuses a
+    directory holding a file ``list_frames`` would read that they do not
+    overwrite (a higher number, the other extension or another prefix)."""
     directory = Path(directory)
-    frames = np.asarray(frames)
-    if frames.ndim == 3:
-        frames = frames[..., None]
-    ext = "ppm" if frames.shape[-1] == 3 else "pgm"
-    names = [f"{prefix}_{i:06d}.{ext}" for i in range(1, len(frames) + 1)]
+    ext = "ppm" if channels == 3 else "pgm"
+    names = [f"{prefix}_{i:06d}.{ext}" for i in range(1, count + 1)]
     if directory.is_dir():
         kept = sorted({p.name for p in directory.iterdir() if _FRAME_RE.search(p.name)}
                       - set(names))
         if kept:
             raise FrameFormatError(
-                f"{directory}: holds {len(kept)} frame files that writing {len(frames)} "
+                f"{directory}: holds {len(kept)} frame files that writing {count} "
                 f"frames leaves in place (first {kept[0]}), to be read back above or "
                 "among the new ones; use an empty directory"
             )
+    return names
+
+
+def write_frames(directory, frames: np.ndarray, prefix: str = "frame"):
+    """Write (F, H, W[, channels]) uint8 frames as numbered files from 1, once
+    ``check_destination`` passes; no file is deleted."""
+    directory = Path(directory)
+    frames = np.asarray(frames)
+    if frames.ndim == 3:
+        frames = frames[..., None]
+    names = check_destination(directory, len(frames), frames.shape[-1], prefix)
     directory.mkdir(parents=True, exist_ok=True)
     paths = []
     for name, frame in zip(names, frames):

@@ -7,7 +7,10 @@ A single model is a bucket of one cell, so there are no per-cell copies.
 After a brick is labelled, the model is updated from a composed
 observation rather than the raw one: foreground voxels are replaced by the
 model's own one-step prediction so moving objects never leak into the
-background model.  The composed vector is then down-weighted entrywise by
+background model.  Voxels are read through the descriptor's voxel layout
+(t, h, w, channels); a descriptor that cannot place foreground inside its
+brick is one voxel of m channels, so a flagged brick takes the prediction
+wholesale.  The composed vector is then down-weighted entrywise by
 a robust influence function before a rank-one basis update and a dynamics
 refit over the newest ``history`` states.
 
@@ -25,7 +28,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .features import MODE_CS, MODES
 from .segmentation import appearance_residual
 from .subspace import ModelBucket
 
@@ -43,26 +45,19 @@ def synthesize(bucket: ModelBucket) -> np.ndarray:
     return np.einsum("gmd,gd->gm", bucket.c, predicted)
 
 
-def compose_stack(v, v_hat, background, voxel_mask, mode: str) -> np.ndarray:
+def compose_stack(v, v_hat, voxel_mask) -> np.ndarray:
     """Blend g observations with their predictions according to the labels.
 
-    ``v`` and ``v_hat`` are (g, m), ``background`` (g,) and ``voxel_mask``
-    (g, t, h, w) as returned by ``segmentation.classify_stack``.
-    rgb: per-voxel -- foreground voxels (all their channel entries) come
-    from the prediction, background voxels from the observation.
-    cs_stltp: histograms are not voxel-separable, so a foreground brick is
-    replaced by the prediction wholesale.
+    ``v`` and ``v_hat`` are (g, m) and ``voxel_mask`` (g, t, h, w) as
+    returned by ``segmentation.classify_stack``: foreground voxels (all
+    their channel entries) come from the prediction, background voxels
+    from the observation.
     The blend is written into ``v_hat``, which is returned: the entries
     taken from the observation are copied over the prediction under one
     mask.  ``v`` is left as it is.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
     if v.shape != v_hat.shape:
         raise ValueError("observation and prediction shapes differ")
-    if mode == MODE_CS:
-        np.copyto(v_hat, v, where=background[:, None])
-        return v_hat
     flat = voxel_mask.reshape(voxel_mask.shape[0], -1)
     channels = v.shape[1] // flat.shape[1]
     if channels * flat.shape[1] != v.shape[1]:

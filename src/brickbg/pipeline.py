@@ -35,9 +35,10 @@ one item, both on ``linalg.parallel_map``, which uses every CPU the
 process may run on; ``features.bin_volume`` bins one frame per item on it
 too.  Masks and models do not depend on how many CPUs ran them.
 
-``cs_stltp`` histograms cannot localize foreground inside a brick, so
-flagged bricks are refined against a running per-pixel mean of the
-background.
+Labels and composition read the descriptor's voxel layout (t, h, w,
+channels), which ``step`` states once.  A ``cs_stltp`` histogram is one voxel
+of m channels, so it cannot localize foreground inside a brick: flagged
+bricks are refined against a running per-pixel mean of the background.
 
 Each input rule is checked once, where it applies: ``_refuse`` on the
 frames ``initialize`` and ``step`` read, the frame size in
@@ -361,6 +362,7 @@ def step(state: EngineState, window) -> StepResult:
     background = np.zeros(n, dtype=bool)
     t_omega = config.effective_t_omega
     t_eps = config.effective_t_eps
+    layout = (t, bh, bw, channels) if config.mode == MODE_RGB else (1, 1, 1, descriptors.shape[1])
 
     def update(bucket):
         """Label and update one bucket; returns its (segmentation, maintenance)
@@ -370,15 +372,13 @@ def step(state: EngineState, window) -> StepResult:
         _, omega, epsilon, predicted = residuals_stack(
             bucket.c, bucket.a, bucket.b_pinv, bucket.states[:, -1], v
         )
-        bg, vm = classify_stack(
-            omega, epsilon, bucket.d_eps, (t, bh, bw, channels), config.mode, t_omega, t_eps
-        )
+        bg, vm = classify_stack(omega, epsilon, bucket.d_eps, layout, t_omega, t_eps)
         background[bucket.indices] = bg
-        vox_masks[bucket.indices] = vm
+        vox_masks[bucket.indices] = vm      # in cs_stltp a (g, 1, 1, 1) mask covers the brick
         labelled = time.perf_counter()
 
         v_hat = np.einsum("gmd,gd->gm", bucket.c, predicted)
-        v_bar = compose_stack(v, v_hat, bg, vm, config.mode)
+        v_bar = compose_stack(v, v_hat, vm)
         v_tilde, _ = reweight_stack(bucket.c, bucket.lam, v_bar, config.beta)
         bucket.c, bucket.lam = update_basis_stack(bucket.c, bucket.lam, v_tilde, config.alpha)
         z_new = np.einsum("gmd,gm->gd", bucket.c, v_tilde)

@@ -15,23 +15,17 @@ noise coordinates:
 A brick counts as background only when every innovation coordinate stays
 below the threshold; when the model has no noise dimensions (d_eps = 0)
 the appearance residual alone decides.  Non-background bricks are refined
-to voxel granularity: in rgb mode each voxel is foreground when any of its
-channels' appearance residuals exceed the threshold, and a brick with no
-such voxel (flagged through its innovation alone, as in a blackout, where
-omega is 0) is marked whole; in cs_stltp mode the histogram is not
-voxel-separable so the whole brick is marked (the pipeline re-refines it
-against a running pixel mean).
+to voxel granularity through the descriptor's voxel layout (t, h, w,
+channels): a voxel is foreground when any of its channels' appearance
+residuals exceeds the threshold, and a brick with no such voxel (flagged
+through its innovation alone, as in a blackout, where omega is 0) is
+marked whole.  A descriptor that cannot place foreground inside its brick
+is one voxel of m channels, so its flagged bricks are marked whole.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .features import MODE_CS, MODE_RGB, MODES
-
-# Residual thresholds from the reference operating point.
-DEFAULT_T_OMEGA = {MODE_CS: 3.0, MODE_RGB: 5.0}
-DEFAULT_T_EPS = {MODE_CS: 3.0, MODE_RGB: 4.0}
 
 
 def appearance_residual(c: np.ndarray, v: np.ndarray):
@@ -69,30 +63,21 @@ def row_max(x: np.ndarray) -> np.ndarray:
     return peak
 
 
-def classify_stack(omega, epsilon, d_eps, voxel_shape, mode: str, t_omega: float, t_eps: float):
+def classify_stack(omega, epsilon, d_eps, voxel_shape, t_omega: float, t_eps: float):
     """Label g bricks from their residuals.
 
-    ``d_eps`` is (g,); ``voxel_shape`` is (t, h, w, channels), the
-    descriptor layout in rgb mode and the mask shape in either mode.
-    Returns ``(background, voxel_mask)``: (g,) bool and (g, t, h, w) bool
-    with True = foreground.  Both tests are strict: a residual equal to its
-    threshold trips the detector.
+    ``d_eps`` is (g,); ``voxel_shape`` is the descriptor's voxel layout
+    (t, h, w, channels).  Returns ``(background, voxel_mask)``: (g,) bool
+    and (g, t, h, w) bool with True = foreground.  Both tests are strict: a
+    residual equal to its threshold trips the detector.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
     t, h, w, channels = voxel_shape
     eps_quiet = row_max(np.abs(epsilon)) < t_eps
-    magnitude = np.abs(omega)
-    omega_quiet = magnitude.max(axis=1) < t_omega
+    # A voxel's peak is its largest channel residual, a brick's the largest voxel peak.
+    peak = row_max(np.abs(omega).reshape(-1, channels)).reshape(-1, t * h * w)
+    omega_quiet = peak.max(axis=1) < t_omega
     background = np.where(d_eps > 0, eps_quiet, omega_quiet)
-    if mode == MODE_RGB:
-        # A voxel is foreground when its largest channel residual exceeds t_omega.
-        peak = row_max(magnitude.reshape(-1, channels))
-        voxel_mask = (peak > t_omega).reshape(-1, t, h, w)
-        voxel_mask[background] = False
-        voxel_mask[~background & ~voxel_mask.any(axis=(1, 2, 3))] = True
-    else:
-        voxel_mask = np.broadcast_to(
-            (~background)[:, None, None, None], (background.size, t, h, w)
-        ).copy()
+    voxel_mask = (peak > t_omega).reshape(-1, t, h, w)
+    voxel_mask[background] = False
+    voxel_mask[~background & ~voxel_mask.any(axis=(1, 2, 3))] = True
     return background, voxel_mask

@@ -317,6 +317,45 @@ def test_cli_exit_code_for_stale_output(tmp_path, frames_dir, config_file, capsy
     assert [p.name for p in out.iterdir()] == [stale.name]
 
 
+def test_cli_synth_refuses_one_directory_for_frames_and_truth(tmp_path, scene_file, capsys):
+    """It used to write every frame, then fail on the truth masks (the
+    frames are files they would not overwrite) and leave the frames behind;
+    through a directory not yet made it wrote both sequences into one."""
+    out = tmp_path / "same"
+    for truth in (out, tmp_path / "new" / ".." / "same"):
+        assert main(["synth", "--scene", str(scene_file), "--output", str(out),
+                     "--truth", str(truth)]) == 2
+        assert "same directory" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "new").exists()
+
+
+def test_cli_synth_checks_truth_before_writing_frames(tmp_path, scene_file, capsys):
+    truth = tmp_path / "truth"
+    truth.mkdir()
+    stale = truth / "mask_000061.pgm"            # the scene has 60 frames
+    stale.write_bytes(b"P5\n1 1\n255\n\x00")
+    out = tmp_path / "frames"
+    assert main(["synth", "--scene", str(scene_file), "--output", str(out),
+                 "--truth", str(truth)]) == 3
+    assert "leaves in place" in capsys.readouterr().err
+    assert not out.exists()
+    assert [p.name for p in truth.iterdir()] == [stale.name]
+
+
+def test_cli_run_checks_output_before_segmenting(tmp_path, frames_dir, monkeypatch, capsys):
+    """Masks written into the frame directory would sit beside the frames;
+    the run is refused before the clip is segmented, not after."""
+    import brickbg.cli
+
+    calls = []
+    monkeypatch.setattr(brickbg.cli, "process_video", lambda *args: calls.append(args))
+    before = sorted(p.name for p in frames_dir.iterdir())
+    assert main(["run", "--input", str(frames_dir), "--output", str(frames_dir)]) == 3
+    assert "leaves in place" in capsys.readouterr().err
+    assert calls == []
+    assert sorted(p.name for p in frames_dir.iterdir()) == before
+
+
 def test_cli_exit_code_for_oversized_brick(tmp_path, rng):
     frames = rng.integers(0, 255, size=(60, 16, 16), dtype=np.uint8)
     from brickbg.imageio import write_frames

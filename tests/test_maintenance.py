@@ -58,24 +58,27 @@ def test_synthesize_formula():
     assert np.allclose(got[0], want, atol=1e-14)
 
 
-def compose_one(v_new, background, voxel_mask, v_hat, mode):
+def compose_one(v_new, voxel_mask, v_hat):
     """``compose_stack`` for one brick."""
     out = compose_stack(np.asarray(v_new, dtype=np.float64)[None],
                         np.asarray(v_hat, dtype=np.float64)[None],
-                        np.array([background]), np.asarray(voxel_mask)[None], mode)
+                        np.asarray(voxel_mask)[None])
     return out[0]
+
+
+# A cs_stltp histogram is one voxel of m channels: its mask is (1, 1, 1).
 
 
 def test_compose_cs_background_keeps_observation():
     v_new, v_hat = np.arange(4.0), np.full(4, 9.0)
-    out = compose_one(v_new, True, np.zeros((1, 2, 2), dtype=bool), v_hat, "cs_stltp")
+    out = compose_one(v_new, np.zeros((1, 1, 1), dtype=bool), v_hat)
     assert np.array_equal(out, v_new)
     out[0] = -1.0                      # mutating the result must not alias
     assert v_new[0] == 0.0
 
 
 def test_compose_cs_foreground_takes_prediction_wholesale():
-    out = compose_one(np.arange(4.0), False, np.ones((1, 2, 2), dtype=bool), np.full(4, 9.0), "cs_stltp")
+    out = compose_one(np.arange(4.0), np.ones((1, 1, 1), dtype=bool), np.full(4, 9.0))
     assert np.array_equal(out, np.full(4, 9.0))
 
 
@@ -83,7 +86,7 @@ def test_compose_rgb_per_voxel_with_channel_tiling():
     mask = np.array([[[True, False]]])                # (1, 1, 2) voxels
     v_new = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])  # 2 voxels x 3 channels
     v_hat = np.full(6, 0.0)
-    out = compose_one(v_new, False, mask, v_hat, "rgb")
+    out = compose_one(v_new, mask, v_hat)
     assert np.array_equal(out, [0.0, 0.0, 0.0, 4.0, 5.0, 6.0])
 
 
@@ -96,14 +99,15 @@ def test_compose_stack_blends_into_the_prediction_buffer(mode, channels):
     m = 80 * channels if mode == "rgb" else 48
     v, v_hat = gen.normal(size=(g, m)), gen.normal(size=(g, m))
     background = gen.random(g) < 0.5
-    voxel_mask = gen.random((g, *voxel_shape)) < 0.3
     if mode == "rgb":
+        voxel_mask = gen.random((g, *voxel_shape)) < 0.3
         take_prediction = np.repeat(voxel_mask.reshape(g, -1), channels, axis=1)
-    else:
+    else:                                   # one voxel of m channels
+        voxel_mask = (~background)[:, None, None, None]
         take_prediction = np.broadcast_to(~background[:, None], (g, m))
     want = np.where(take_prediction, v_hat, v)
     v_before = v.copy()
-    out = compose_stack(v, v_hat, background, voxel_mask, mode)
+    out = compose_stack(v, v_hat, voxel_mask)
     assert out is v_hat
     assert np.array_equal(out, want)
     assert np.array_equal(v, v_before)
@@ -112,11 +116,11 @@ def test_compose_stack_blends_into_the_prediction_buffer(mode, channels):
 def test_compose_rejects_bad_tiling_and_lengths():
     mask = np.ones((1, 1, 2), dtype=bool)
     with pytest.raises(ValueError):
-        compose_one(np.zeros(7), False, mask, np.zeros(7), "rgb")   # 7 not divisible by 2
+        compose_one(np.zeros(7), mask, np.zeros(7))   # 7 not divisible by 2
     with pytest.raises(ValueError):
-        compose_one(np.zeros(4), False, mask, np.zeros(6), "rgb")
+        compose_one(np.zeros(4), mask, np.zeros(6))
     with pytest.raises(ValueError):
-        compose_one(np.zeros(4), False, mask, np.zeros(4), "luma")
+        compose_one(np.zeros(1), mask, np.zeros(1))   # fewer entries than voxels
 
 
 # --- robust weighting -----------------------------------------------------

@@ -276,11 +276,13 @@ def cell_descriptor(state, volume, gx, gy, mode, tau):
 
 
 def mirror_label(cell, v, voxel_shape, config):
-    """One cell's labels from the stacked functions: (residuals, background, voxel mask)."""
+    """One cell's labels from the stacked functions: (residuals, background,
+    voxel mask).  The voxel layout is the brick's ``voxel_shape`` in rgb; a
+    cs_stltp histogram is one voxel of m channels, with a (1, 1, 1, 1) mask."""
+    layout = voxel_shape if config.mode == "rgb" else (1, 1, 1, v.size)
     res = residuals_stack(cell.c, cell.a, cell.b_pinv, cell.states[:, -1], v[None])
     background, voxel_mask = classify_stack(
-        res[1], res[2], cell.d_eps, voxel_shape, config.mode,
-        config.effective_t_omega, config.effective_t_eps,
+        res[1], res[2], cell.d_eps, layout, config.effective_t_omega, config.effective_t_eps,
     )
     return res, background, voxel_mask
 
@@ -289,7 +291,7 @@ def mirror_cell_update(cell, v, voxel_shape, config):
     """One cell's engine step recomputed on a one-cell bucket."""
     (_, _, _, predicted), background, voxel_mask = mirror_label(cell, v, voxel_shape, config)
     v_hat = np.einsum("gmd,gd->gm", cell.c, predicted)
-    v_bar = compose_stack(v[None], v_hat, background, voxel_mask, config.mode)
+    v_bar = compose_stack(v[None], v_hat, voxel_mask)
     v_tilde, _ = reweight_stack(cell.c, cell.lam, v_bar, config.beta)
     c, lam = update_basis_stack(cell.c, cell.lam, v_tilde, config.alpha)
     z_new = np.einsum("gmd,gm->gd", c, v_tilde)

@@ -10,14 +10,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from brickbg.config import EngineConfig
-from brickbg.segmentation import (
-    DEFAULT_T_EPS,
-    DEFAULT_T_OMEGA,
-    classify_stack,
-    residuals_stack,
-    row_max,
-)
+from brickbg.config import DEFAULT_T_EPS, DEFAULT_T_OMEGA, EngineConfig
+from brickbg.maintenance import compose_stack
+from brickbg.segmentation import classify_stack, residuals_stack, row_max
 from brickbg.subspace import ModelBucket, learn_initial
 
 
@@ -48,18 +43,21 @@ def residuals_one(model, v):
 
 
 def classify_one(omega, epsilon, voxel_shape, mode, t_omega=None, t_eps=None):
-    """``classify_stack`` for one brick; an empty ``epsilon`` means d_eps = 0."""
+    """``classify_stack`` for one brick of ``voxel_shape`` (t, h, w, channels);
+    an empty ``epsilon`` means d_eps = 0.  As in ``pipeline.step``, a
+    cs_stltp histogram is one voxel of m channels, whose mask covers the brick."""
+    omega = np.asarray(omega, dtype=np.float64)
     epsilon = np.asarray(epsilon, dtype=np.float64)
     d_eps = epsilon.size
     padded = np.zeros(max(d_eps, 1))
     padded[:d_eps] = epsilon
-    t_omega = DEFAULT_T_OMEGA.get(mode, 0.0) if t_omega is None else t_omega
-    t_eps = DEFAULT_T_EPS.get(mode, 0.0) if t_eps is None else t_eps
+    t_omega = DEFAULT_T_OMEGA[mode] if t_omega is None else t_omega
+    t_eps = DEFAULT_T_EPS[mode] if t_eps is None else t_eps
+    layout = voxel_shape if mode == "rgb" else (1, 1, 1, omega.size)
     background, voxel_mask = classify_stack(
-        np.asarray(omega, dtype=np.float64)[None], padded[None], np.array([d_eps]),
-        voxel_shape, mode, t_omega, t_eps,
+        omega[None], padded[None], np.array([d_eps]), layout, t_omega, t_eps,
     )
-    return bool(background[0]), voxel_mask[0]
+    return bool(background[0]), np.broadcast_to(voxel_mask[0], voxel_shape[:3])
 
 
 # --- residuals_stack --------------------------------------------------------
@@ -166,8 +164,7 @@ def test_rgb_voxel_mask_equals_any_channel_oracle(channels):
     epsilon = np.zeros((40, 2))
     epsilon[::2, 0] = 9.0                                  # flagged through the innovation
     d_eps = np.ones(40, dtype=np.int64)
-    background, mask = classify_stack(omega, epsilon, d_eps, (t, h, w, channels), "rgb",
-                                      t_omega, 4.0)
+    background, mask = classify_stack(omega, epsilon, d_eps, (t, h, w, channels), t_omega, 4.0)
     want = (np.abs(omega).reshape(-1, t, h, w, channels) > t_omega).any(axis=-1)
     want[background] = False
     want[~background & ~want.any(axis=(1, 2, 3))] = True
@@ -201,6 +198,36 @@ def test_cs_marks_whole_brick():
     assert mask.all()
 
 
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1.5, 3.0]))
+def test_one_voxel_layout_equals_whole_brick_rule(seed, t_omega):
+    """At layout (1, 1, 1, m), a cs_stltp histogram's, the one voxel is marked
+    exactly when its brick is flagged, and composition takes the prediction
+    wholesale for a flagged brick; the whole-brick rule, stated on
+    ``background``, is the oracle.  Many residuals sit exactly at +-t_omega,
+    where the strict test stays quiet."""
+    gen = np.random.default_rng(seed)
+    g, m, d = 64, 48, 3
+    omega = gen.normal(scale=2.0, size=(g, m))
+    omega[gen.random(omega.shape) < 0.3] = t_omega
+    omega[gen.random(omega.shape) < 0.2] = -t_omega
+    omega[:4] = np.sign(omega[:4]) * t_omega               # every entry at the threshold
+    d_eps = gen.integers(0, d + 1, size=g)
+    epsilon = gen.normal(scale=3.0, size=(g, d))
+    epsilon[gen.random(epsilon.shape) < 0.2] = 3.0          # exactly at t_eps
+    epsilon *= np.arange(d) < d_eps[:, None]                # padded coordinates are 0
+    background, voxel_mask = classify_stack(omega, epsilon, d_eps, (1, 1, 1, m), t_omega, 3.0)
+    want = np.where(d_eps > 0, np.abs(epsilon).max(axis=1) < 3.0,
+                    np.abs(omega).max(axis=1) < t_omega)
+    assert np.array_equal(background, want)
+    assert voxel_mask.shape == (g, 1, 1, 1)
+    brick = (g, 5, 4, 4)
+    assert np.array_equal(np.broadcast_to(voxel_mask, brick),
+                          np.broadcast_to((~background)[:, None, None, None], brick))
+    v, v_hat = gen.normal(size=(g, m)), gen.normal(size=(g, m))
+    want = np.where(background[:, None], v, v_hat)
+    assert np.array_equal(compose_stack(v, v_hat, voxel_mask), want)
+
+
 def test_default_thresholds_per_mode():
     assert DEFAULT_T_OMEGA == {"cs_stltp": 3.0, "rgb": 5.0}
     assert DEFAULT_T_EPS == {"cs_stltp": 3.0, "rgb": 4.0}
@@ -216,11 +243,6 @@ def test_threshold_overrides():
     assert classify_one(omega, eps, (2, 2, 2, 1), "cs_stltp", t_eps=10.0)[0]
     assert not classify_one(omega, eps, (2, 2, 2, 1), "cs_stltp", t_eps=1.0)[0]
     assert classify_one(omega, np.zeros(0), (2, 2, 2, 1), "cs_stltp", t_omega=5.0)[0]
-
-
-def test_unknown_mode_rejected():
-    with pytest.raises(ValueError):
-        classify_one(np.zeros(8), [0.0], (2, 2, 2, 1), "grayscale")
 
 
 @given(st.floats(-10, 10), st.floats(0.1, 5))
