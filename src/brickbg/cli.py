@@ -12,8 +12,9 @@ per-stage time totals of ``EngineState.timings``.
 Exit codes: 0 on success, 2 for unusable arguments or configuration, 3 for
 runtime failures (missing/short/malformed data, numerical breakdown).
 Every destination is checked before anything is written (by ``run``, before
-segmenting): one directory for ``synth``'s frames and truth exits 2, and one
-holding frame files the write would leave in place exits 3.
+segmenting): one directory for ``synth``'s frames and truth, or for ``run``'s
+masks and truth, exits 2, and one holding frame files the write would leave
+in place exits 3.
 """
 
 from __future__ import annotations
@@ -52,6 +53,8 @@ def _print_scores(predicted, truth, report_path) -> None:
 def _cmd_run(args) -> int:
     if args.report and not args.truth:
         raise ConfigError("--report needs --truth to score against")
+    if args.truth and Path(args.output).resolve() == Path(args.truth).resolve():
+        raise ConfigError("--output and --truth name the same directory")
     config = load_config(args.config) if args.config else EngineConfig()
     overrides = {"mode": args.mode, "stride": args.stride}
     config = replace(config, **{k: v for k, v in overrides.items() if v is not None})

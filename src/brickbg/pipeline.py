@@ -6,15 +6,19 @@ grid cell, with overlap only where a clamped edge brick reaches back into
 its neighbour's area).  The grid keeps flat pixel indices, so cutting
 every cell's voxels out of a window and reading the frame masks back out
 of the cells' voxel masks are one ``np.take`` each.  One linear model per
-grid cell is identified from an initial frame window: ``initialize`` fills
-one (cells, windows, m) float64 descriptor matrix window by window, with no
-float64 copy of the whole head, and hands it to
-``subspace.identify_stack``, which identifies every cell from its small
-windows x windows Gram and returns the seeded buckets.  The engine then
-consumes the video in brick-depth windows.  Per window it gathers
-descriptors for all cells at once, classifies them with the
-appearance/innovation residual tests, assembles pixel masks, and updates
-every model from its occlusion-composed, robustly reweighted observation.
+grid cell is identified from an initial frame window: ``initialize`` gives
+each part of the grid (see below) its own (cells, windows, m) float64
+descriptor matrix, gathered straight from the head's frames (rgb) or from
+their bins (cs_stltp), and hands it to ``subspace.identify_stack``, which
+identifies every cell from its small windows x windows Gram and returns
+the seeded buckets.  No whole-grid matrix and no float64 copy of the head
+is made.  ``batch_descriptors`` and ``initialize`` share one descriptor
+path: a window's source (its pixels, or its bins) and the gather of cells'
+rows from it.  The engine then consumes the video in brick-depth windows.
+Per window it gathers descriptors for all cells at once, classifies them
+with the appearance/innovation residual tests, assembles pixel masks, and
+updates every model from its occlusion-composed, robustly reweighted
+observation.
 
 All per-cell maths runs through the stacked functions of ``segmentation``
 (residuals, labels), ``maintenance`` (composition, robust reweighting,
@@ -33,7 +37,9 @@ no LAPACK call sees more than one part.  ``initialize`` identifies each
 part on its own and ``step`` runs each bucket's labelling and upkeep as
 one item, both on ``linalg.parallel_map``, which uses every CPU the
 process may run on; ``features.bin_volume`` bins one frame per item on it
-too.  Masks and models do not depend on how many CPUs ran them.
+too.  An ``initialize`` part gathers its own descriptors as well, so that
+work runs on every CPU.  Masks and models do not depend on how many CPUs
+ran them.
 
 Labels and composition read the descriptor's voxel layout (t, h, w,
 channels), which ``step`` states once.  A ``cs_stltp`` histogram is one voxel
@@ -240,6 +246,25 @@ def _refuse(frames: np.ndarray, config: EngineConfig) -> None:
             )
 
 
+def _window_source(volume: np.ndarray, mode: str, tau: float):
+    """What one (depth, H, W, channels) window's descriptors are gathered
+    from: its (voxels, channels) pixels in rgb, in the window's dtype, and
+    one ``bin_volume`` per channel in cs_stltp."""
+    if mode == MODE_RGB:
+        return volume.reshape(-1, volume.shape[3])
+    return [bin_volume(volume[..., ch], tau) for ch in range(volume.shape[3])]
+
+
+def _gather_rows(source, voxel_index: np.ndarray, mode: str) -> np.ndarray:
+    """float64 descriptors (n, m) of the n cells whose voxels ``voxel_index``
+    lists, cut from a ``_window_source``.  rgb pixels are converted after
+    the gather, which is exact, so only the gathered rows are ever float64."""
+    if mode == MODE_RGB:
+        rows = np.take(source, voxel_index, axis=0)
+        return rows.reshape(len(voxel_index), -1).astype(np.float64, copy=False)
+    return np.concatenate([cell_histograms(bins, voxel_index) for bins in source], axis=1)
+
+
 def batch_descriptors(geometry: GridGeometry, volume: np.ndarray, mode: str, tau: float) -> np.ndarray:
     """Descriptor matrix (locations, m) for one brick-depth frame window.
 
@@ -248,9 +273,10 @@ def batch_descriptors(geometry: GridGeometry, volume: np.ndarray, mode: str, tau
     once: rgb descriptors are one ``np.take`` of the window's (frame,
     pixel) rows at ``geometry.voxel_index``, and ternary patterns are
     evaluated once per frame, not per brick, then pooled through the same
-    index.  ``volume`` is (depth, H, W, channels).
+    index.  ``volume`` is (depth, H, W, channels).  ``initialize`` runs the
+    same two halves, ``_window_source`` then ``_gather_rows``, part by part.
     """
-    depth, height, width, channels = volume.shape
+    depth, height, width, _ = volume.shape
     if (height, width) != (geometry.frame_height, geometry.frame_width):
         raise ValueError(
             f"frame size {width}x{height} does not match the grid "
@@ -258,30 +284,7 @@ def batch_descriptors(geometry: GridGeometry, volume: np.ndarray, mode: str, tau
         )
     if mode not in (MODE_CS, MODE_RGB):
         raise ValueError(f"unknown mode {mode!r}")
-    voxel_index = geometry.voxel_index(depth)
-    if mode == MODE_RGB:
-        rows = np.take(volume.reshape(-1, channels), voxel_index, axis=0)
-        return rows.reshape(geometry.locations, -1)
-    chunks = [
-        cell_histograms(bin_volume(volume[..., ch], tau), voxel_index)
-        for ch in range(channels)
-    ]
-    return np.concatenate(chunks, axis=1)
-
-
-def _head_descriptors(geometry: GridGeometry, head: np.ndarray, config: EngineConfig) -> np.ndarray:
-    """(locations, windows, m) float64 descriptors of the head's brick-depth
-    windows, one row per window, each window converted to float64 on its own."""
-    depth = config.brick_depth
-    n_windows = head.shape[0] // depth
-    w = None
-    for i in range(n_windows):
-        window = head[i * depth : (i + 1) * depth].astype(np.float64)
-        rows = batch_descriptors(geometry, window, config.mode, config.tau)
-        if w is None:
-            w = np.empty((rows.shape[0], n_windows, rows.shape[1]))
-        w[:, i] = rows
-    return w
+    return _gather_rows(_window_source(volume, mode, tau), geometry.voxel_index(depth), mode)
 
 
 def initialize(frames, config: EngineConfig) -> EngineState:
@@ -290,6 +293,13 @@ def initialize(frames, config: EngineConfig) -> EngineState:
     Each part of at most ``PART_CELLS`` cells is identified on its own
     and gives one bucket per state dimension it holds, its ``indices``
     offset to grid cell ids; ``state.buckets`` lists them part by part.
+
+    Each part builds only its own (cells, windows, m) float64 descriptor
+    matrix, one row per head window, gathered straight from the head: in
+    rgb from its frames in their own dtype, in cs_stltp from the int16 bins
+    of each window, binned once on the calling thread.  So the descriptors
+    held at once are those of the ``min(linalg.CPUS, parts)`` parts in
+    flight, not the whole grid's.
     """
     frames = _as_video(frames)
     total, height, width, channels = frames.shape
@@ -300,17 +310,27 @@ def initialize(frames, config: EngineConfig) -> EngineState:
     geometry = make_grid(height, width, config.brick_height, config.brick_width)
     head = frames[: config.init_frames]     # at least two whole windows, see EngineConfig
     _refuse(head, config)
-    w = _head_descriptors(geometry, head, config)
+    depth = config.brick_depth
+    sources = [
+        _window_source(head[start : start + depth], config.mode, config.tau)
+        for start in range(0, config.init_frames, depth)
+    ]
+    voxel_index = geometry.voxel_index(depth)
 
     def identify(start):
-        buckets = identify_stack(
-            w[start : start + PART_CELLS], config.t_d, config.t_deps, config.history
-        )
+        cells = voxel_index[start : start + PART_CELLS]
+        w = None
+        for i, source in enumerate(sources):
+            rows = _gather_rows(source, cells, config.mode)
+            if w is None:
+                w = np.empty((len(cells), len(sources), rows.shape[1]))
+            w[:, i] = rows
+        buckets = identify_stack(w, config.t_d, config.t_deps, config.history)
         for bucket in buckets:
             bucket.indices += start
         return buckets
 
-    parts = linalg.parallel_map(identify, range(0, len(w), PART_CELLS))
+    parts = linalg.parallel_map(identify, range(0, geometry.locations, PART_CELLS))
     return EngineState(
         config=config,
         geometry=geometry,

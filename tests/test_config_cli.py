@@ -356,6 +356,28 @@ def test_cli_run_checks_output_before_segmenting(tmp_path, frames_dir, monkeypat
     assert sorted(p.name for p in frames_dir.iterdir()) == before
 
 
+def test_cli_run_refuses_one_directory_for_masks_and_truth(tmp_path, scene_file, monkeypatch, capsys):
+    """It used to overwrite the truth with its own masks, then score them
+    against themselves: fscore 1.0000 and exit 0.  Now no frame is loaded
+    and no truth file changes."""
+    import brickbg.cli
+
+    frames, truth = tmp_path / "frames", tmp_path / "truth"
+    assert main(["synth", "--scene", str(scene_file), "--output", str(frames),
+                 "--truth", str(truth)]) == 0
+    before = {p.name: p.read_bytes() for p in truth.iterdir()}
+    calls = []
+    monkeypatch.setattr(brickbg.cli, "load_frames", lambda *args: calls.append(args))
+    capsys.readouterr()
+    for output in (truth, tmp_path / "new" / ".." / "truth"):
+        assert main(["run", "--input", str(frames), "--output", str(output),
+                     "--truth", str(truth)]) == 2
+        assert "same directory" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "new").exists()
+    assert {p.name: p.read_bytes() for p in truth.iterdir()} == before
+
+
 def test_cli_exit_code_for_oversized_brick(tmp_path, rng):
     frames = rng.integers(0, 255, size=(60, 16, 16), dtype=np.uint8)
     from brickbg.imageio import write_frames

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from brickbg import pipeline
+from brickbg import linalg, pipeline
 from brickbg.config import EngineConfig
 from brickbg.evaluation import evaluate
 from brickbg.features import brick_descriptor
@@ -175,8 +175,9 @@ def test_initialize_aux_mean_is_window_mean():
 
 @pytest.mark.parametrize("mode", ["cs_stltp", "rgb"])
 def test_initialize_peak_memory_stays_near_the_descriptor_matrix(mode):
-    """``initialize`` fills one (cells, n, m) float64 descriptor matrix window
-    by window and identifies from n x n Grams.  Its traced peak was 6.2x
+    """``initialize`` fills each part's (cells, n, m) float64 descriptor
+    matrix window by window (here the 256 cells are one part) and identifies
+    from n x n Grams.  Its traced peak was 6.2x
     (rgb) and 7.0x (cs_stltp) that matrix, with a float64 copy of the head,
     the per-window columns, their stack and the SVD's full U alive at once."""
     frames, _ = render(load_scene(SCENES / "occlusion.scene"))
@@ -191,6 +192,45 @@ def test_initialize_peak_memory_stays_near_the_descriptor_matrix(mode):
     m = state.buckets[0].c.shape[1]
     matrix = state.geometry.locations * (config.init_frames // config.brick_depth) * m * 8
     assert peak < 3 * matrix, (peak, matrix)
+
+
+def test_initialize_holds_no_whole_grid_descriptor_matrix(monkeypatch):
+    """Each part gathers its own (cells, n, m) descriptors from the head, so
+    with one part in flight the traced peak stays below half the whole grid's
+    (6336, 10, 240) float64 matrix, which ``initialize`` used to build first
+    (156 MB traced peak)."""
+    monkeypatch.setattr(linalg, "CPUS", 1)
+    frames = np.random.default_rng(8).integers(0, 256, size=(50, 288, 352, 3), dtype=np.uint8)
+    config = EngineConfig(mode="rgb")
+    tracemalloc.start()
+    try:
+        state = initialize(frames, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    matrix = state.geometry.locations * (config.init_frames // config.brick_depth) * 240 * 8
+    assert state.geometry.locations == 6336
+    assert peak < matrix / 2, (peak, matrix)
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("mode", ["cs_stltp", "rgb"])
+def test_initialize_converts_the_head_exactly(monkeypatch, mode, channels):
+    """The head is converted to float64 after the gather (rgb) or inside
+    ``bin_volume`` (cs_stltp), not before, so a uint8 head and its float64
+    copy give the same buckets bit for bit, over several parts."""
+    monkeypatch.setattr(pipeline, "PART_CELLS", 37)
+    video, _ = noisy_video(50, 40, 48, channels=channels, seed=9)
+    config = EngineConfig(mode=mode, t_d=0.05, t_deps=0.05)
+    narrow = initialize(video, config)
+    wide = initialize(video.astype(np.float64), config)
+    assert len(narrow.buckets) == len(wide.buckets) >= 4      # 120 cells in 4 parts
+    for got, want in zip(narrow.buckets, wide.buckets):
+        for f in fields(ModelBucket):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+    if mode == "cs_stltp":
+        assert np.array_equal(narrow.aux_mean, wide.aux_mean)
 
 
 def test_initialize_insufficient_frames():
