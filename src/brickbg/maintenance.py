@@ -10,9 +10,11 @@ model's own one-step prediction so moving objects never leak into the
 background model.  Voxels are read through the descriptor's voxel layout
 (t, h, w, channels); a descriptor that cannot place foreground inside its
 brick is one voxel of m channels, so a flagged brick takes the prediction
-wholesale.  The composed vector is then down-weighted entrywise by
-a robust influence function before a rank-one basis update and a dynamics
-refit over the newest ``history`` states.
+wholesale.  A background brick has no foreground voxel, so its composed
+vector is its observation; the engine composes its flagged bricks only.
+The composed vector is then down-weighted entrywise by a robust influence
+function of its appearance residual before a rank-one basis update and a
+dynamics refit over the newest ``history`` states.
 
 The basis update avoids any m x m work.  With Y = [sqrt((1-alpha) lam_j) c_j,
 sqrt(alpha) v~], the eigendecomposition of the small (d+1) x (d+1) Gram
@@ -25,10 +27,11 @@ re-orthonormalized and kept sign-continuous with the previous one.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import linalg
-from .segmentation import appearance_residual
 from .subspace import ModelBucket
 
 DEFAULT_ALPHA = 0.05
@@ -54,11 +57,12 @@ def compose_stack(v, v_hat, voxel_mask) -> np.ndarray:
     from the observation.
     The blend is written into ``v_hat``, which is returned: the entries
     taken from the observation are copied over the prediction under one
-    mask.  ``v`` is left as it is.
+    mask.  ``v`` is left as it is.  A stack of no bricks (g = 0) is
+    returned as it is.
     """
     if v.shape != v_hat.shape:
         raise ValueError("observation and prediction shapes differ")
-    flat = voxel_mask.reshape(voxel_mask.shape[0], -1)
+    flat = voxel_mask.reshape(voxel_mask.shape[0], math.prod(voxel_mask.shape[1:]))
     channels = v.shape[1] // flat.shape[1]
     if channels * flat.shape[1] != v.shape[1]:
         raise ValueError("voxel mask does not tile the descriptor")
@@ -84,17 +88,20 @@ def robust_scale(c: np.ndarray, lam: np.ndarray, beta: float) -> np.ndarray:
     return np.maximum(rho, RHO_FLOOR, out=rho)
 
 
-def reweight_stack(c, lam, v_bar, beta: float = DEFAULT_BETA):
+def reweight_stack(c, lam, v_bar, residual, beta: float = DEFAULT_BETA):
     """Scale composed entries by the square root of their robust weight.
 
-    The weight of an entry is w(r) = 1 / (1 + (r / rho)^2), r its
-    appearance residual in ``v_bar`` (w is even, so the residual's sign
-    does not matter) and rho its ``robust_scale``.  Returns ``(v_tilde,
-    weights)``, both (g, m); entries whose reconstruction residual is large
-    relative to the model spectrum are shrunk toward zero.  The weights are
-    formed in the residual's buffer and ``v_tilde`` in the scale's.
+    The weight of an entry is w(r) = 1 / (1 + (r / rho)^2), r its entry of
+    ``residual``, the (g, m) appearance residual of ``v_bar``
+    (``segmentation.appearance_residual``; w is even, so the residual's
+    sign does not matter), and rho its ``robust_scale``.  The caller passes
+    the residual because it mostly has it already: a background brick's
+    ``v_bar`` is its observation, whose residual labelling formed.
+    Returns ``(v_tilde, weights)``, both (g, m); entries whose
+    reconstruction residual is large relative to the model spectrum are
+    shrunk toward zero.  The weights overwrite ``residual`` in place and
+    ``v_tilde`` is formed in the scale's buffer; ``v_bar`` is left as it is.
     """
-    _, residual = appearance_residual(c, v_bar)
     rho = robust_scale(c, lam, beta)
     residual /= rho
     residual *= residual

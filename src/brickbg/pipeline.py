@@ -15,10 +15,14 @@ the seeded buckets.  No whole-grid matrix and no float64 copy of the head
 is made.  ``batch_descriptors`` and ``initialize`` share one descriptor
 path: a window's source (its pixels, or its bins) and the gather of cells'
 rows from it.  The engine then consumes the video in brick-depth windows.
-Per window it gathers descriptors for all cells at once, classifies them
-with the appearance/innovation residual tests, assembles pixel masks, and
-updates every model from its occlusion-composed, robustly reweighted
-observation.
+Per window it gathers descriptors for all cells at once and classifies
+them with the appearance/innovation residual tests, bucket by bucket.  It
+then updates every model from its occlusion-composed, robustly reweighted
+observation, and beside that upkeep reads each frame's pixel mask out of
+the voxel masks, gates it (cs_stltp) and drops small components.  A
+background brick's composed observation is the observation itself, whose
+appearance residual labelling already formed, so only flagged bricks are
+composed and have their residual formed again.
 
 All per-cell maths runs through the stacked functions of ``segmentation``
 (residuals, labels), ``maintenance`` (composition, robust reweighting,
@@ -34,11 +38,12 @@ one-cell copy of it, which every stacked function (and
 No cell's maths reads another cell's, so the cells are split into parts
 of at most ``PART_CELLS`` in grid order, the same split on every machine;
 no LAPACK call sees more than one part.  ``initialize`` identifies each
-part on its own and ``step`` runs each bucket's labelling and upkeep as
-one item, both on ``linalg.parallel_map``, which uses every CPU the
-process may run on; ``features.bin_volume`` bins one frame per item on it
-too.  An ``initialize`` part gathers its own descriptors as well, so that
-work runs on every CPU.  Masks and models do not depend on how many CPUs
+part on its own; ``step`` labels each bucket as one item, then runs each
+bucket's upkeep and each frame's mask tail as one item, all on
+``linalg.parallel_map``, which uses every CPU the process may run on;
+``features.bin_volume`` bins one frame per item on it too.  An
+``initialize`` part gathers its own descriptors as well, so that work runs
+on every CPU.  Masks and models do not depend on how many CPUs
 ran them.
 
 Labels and composition read the descriptor's voxel layout (t, h, w,
@@ -55,6 +60,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 from scipy import ndimage
@@ -64,7 +70,7 @@ from .config import EngineConfig
 from .features import MODE_CS, MODE_RGB, bin_volume, cell_histograms
 from .imageio import FrameFormatError
 from .maintenance import compose_stack, reweight_stack, update_basis_stack
-from .segmentation import classify_stack, residuals_stack, row_max
+from .segmentation import appearance_residual, classify_stack, residuals_stack, row_max
 from .subspace import (
     InsufficientData,
     ModelBucket,
@@ -171,9 +177,12 @@ class StepResult:
     """One window's masks and labels, and the seconds each stage took.
 
     ``timings`` holds ``descriptors``, ``segmentation``, ``maintenance``,
-    ``assembly`` and ``postprocess``.  ``segmentation`` and ``maintenance``
-    are sums over the buckets, which run concurrently, so either can
-    exceed the step's wall time.
+    ``assembly`` and ``postprocess``.  Only ``descriptors`` is a wall time.
+    ``segmentation`` and ``maintenance`` are sums over the buckets, and
+    ``postprocess`` and most of ``assembly`` sums over the frames; the
+    frames run concurrently with the buckets' upkeep, and the items of one
+    pass with each other, so any of the four can exceed its share of the
+    step's wall time.
     """
 
     masks: np.ndarray             # (depth, H, W) bool after min-area filtering
@@ -359,7 +368,16 @@ def remove_small_components(mask: np.ndarray, min_area: int) -> np.ndarray:
 
 
 def step(state: EngineState, window) -> StepResult:
-    """Consume one brick-depth window of frames; label it and update models."""
+    """Consume one brick-depth window of frames; label it and update models.
+
+    Two ``linalg.parallel_map`` passes.  The first labels each bucket.  The
+    second runs each bucket's upkeep and, beside them, one item per frame
+    that reads the frame's mask out of the owners' voxel masks, applies the
+    cs_stltp pixel gate and drops small components.  The cs_stltp gain,
+    which the gate needs and which reads only the window and ``aux_mean``,
+    is applied between the passes, and quiet pixels are blended into
+    ``aux_mean`` after the second.
+    """
     config = state.config
     geometry = state.geometry
     window = _as_video(window)
@@ -369,7 +387,10 @@ def step(state: EngineState, window) -> StepResult:
     if t != config.brick_depth:
         raise ValueError(f"a step consumes exactly {config.brick_depth} frames, got {t}")
     _refuse(window, config)
-    volume = window.astype(np.float64)
+    # Only cs_stltp reads the window as float64 (its bins and pixel gate);
+    # rgb rows are gathered in the window's dtype and converted after, which
+    # is exact, as in ``initialize``.
+    volume = window.astype(np.float64) if config.mode == MODE_CS else window
     timings = {}
 
     tick = time.perf_counter()
@@ -384,9 +405,9 @@ def step(state: EngineState, window) -> StepResult:
     t_eps = config.effective_t_eps
     layout = (t, bh, bw, channels) if config.mode == MODE_RGB else (1, 1, 1, descriptors.shape[1])
 
-    def update(bucket):
-        """Label and update one bucket; returns its (segmentation, maintenance)
-        seconds.  Buckets write disjoint rows of ``background`` and ``vox_masks``."""
+    def label(bucket):
+        """Label one bucket; returns what its upkeep reads and the seconds
+        spent.  Buckets write disjoint rows of ``background`` and ``vox_masks``."""
         tick = time.perf_counter()
         v = descriptors[bucket.indices]
         _, omega, epsilon, predicted = residuals_stack(
@@ -395,11 +416,27 @@ def step(state: EngineState, window) -> StepResult:
         bg, vm = classify_stack(omega, epsilon, bucket.d_eps, layout, t_omega, t_eps)
         background[bucket.indices] = bg
         vox_masks[bucket.indices] = vm      # in cs_stltp a (g, 1, 1, 1) mask covers the brick
-        labelled = time.perf_counter()
+        return (v, omega, predicted, bg, vm), time.perf_counter() - tick
 
-        v_hat = np.einsum("gmd,gd->gm", bucket.c, predicted)
-        v_bar = compose_stack(v, v_hat, vm)
-        v_tilde, _ = reweight_stack(bucket.c, bucket.lam, v_bar, config.beta)
+    labelled = linalg.parallel_map(label, state.buckets)
+    timings["segmentation"] = sum(seconds for _, seconds in labelled)
+
+    def upkeep(bucket, v, omega, predicted, bg, vm):
+        """Update one bucket from its labelled window; returns the seconds spent.
+
+        A background brick's voxel mask is all False, so its composed vector
+        is ``v`` and its appearance residual ``omega``: only the flagged rows
+        are composed, into ``v``, and have their residual recomputed, into
+        ``omega``."""
+        tick = time.perf_counter()
+        flagged = np.flatnonzero(~bg)
+        c = bucket.c[flagged]
+        v_hat = np.einsum("gmd,gd->gm", c, predicted[flagged])
+        v_bar = compose_stack(v[flagged], v_hat, vm[flagged])
+        v[flagged] = v_bar
+        _, residual = appearance_residual(c, v_bar)
+        omega[flagged] = residual
+        v_tilde, _ = reweight_stack(bucket.c, bucket.lam, v, omega, config.beta)
         bucket.c, bucket.lam = update_basis_stack(bucket.c, bucket.lam, v_tilde, config.alpha)
         z_new = np.einsum("gmd,gm->gd", bucket.c, v_tilde)
         keep = 1 - config.history        # the newest history - 1 states stay
@@ -408,14 +445,9 @@ def step(state: EngineState, window) -> StepResult:
         bucket.a, bucket.b, bucket.b_pinv, bucket.d_eps = fit_dynamics_stack(
             bucket.states, config.t_deps, observed=bucket.observed
         )
-        return labelled - tick, time.perf_counter() - labelled
-
-    spent = linalg.parallel_map(update, state.buckets)
-    timings["segmentation"] = sum(seg for seg, _ in spent)
-    timings["maintenance"] = sum(upkeep for _, upkeep in spent)
+        return time.perf_counter() - tick
 
     tick = time.perf_counter()
-    frame_masks = _assemble_masks(geometry, vox_masks)
     if config.mode == MODE_CS:
         window_mean = volume.mean(axis=0)
         # The histograms are invariant to a global intensity rescale, so the
@@ -429,22 +461,42 @@ def step(state: EngineState, window) -> StepResult:
             gain = np.median(window_mean[steady] / state.aux_mean[steady])
             if GAIN_BAND[0] < gain < GAIN_BAND[1]:
                 state.aux_mean *= gain
-        # Histograms only localize to brick granularity; cut flagged bricks
-        # down to the pixels that differ from the running background mean.
-        # The window is not read again, so its buffer takes the difference.
-        difference = np.subtract(volume, state.aux_mean, out=volume)
-        np.abs(difference, out=difference)
-        peak = row_max(difference.reshape(-1, channels)).reshape(frame_masks.shape)
-        frame_masks &= peak > config.t_rgb
+    scaled = time.perf_counter() - tick
+    frame_masks = np.empty((t, geometry.frame_height, geometry.frame_width), dtype=bool)
+    cleaned = np.empty_like(frame_masks)
+
+    def finish(f):
+        """Frame ``f``'s mask, gated and cleaned; returns the (assembly,
+        postprocess) seconds spent.  Frames write disjoint planes."""
+        tick = time.perf_counter()
+        mask = _assemble_masks(geometry, vox_masks[:, f : f + 1])[0]
+        if config.mode == MODE_CS:
+            # Histograms only localize to brick granularity; cut flagged
+            # bricks down to the pixels that differ from the running
+            # background mean.  The frame is not read again, so its buffer
+            # takes the difference.
+            difference = np.subtract(volume[f], state.aux_mean, out=volume[f])
+            np.abs(difference, out=difference)
+            mask &= row_max(difference.reshape(-1, channels)).reshape(mask.shape) > config.t_rgb
+        frame_masks[f] = mask
+        assembled = time.perf_counter()
+        cleaned[f] = remove_small_components(mask, config.min_area)
+        return assembled - tick, time.perf_counter() - assembled
+
+    items = [partial(upkeep, bucket, *kept) for bucket, (kept, _) in zip(state.buckets, labelled)]
+    items += [partial(finish, f) for f in range(t)]
+    spent = linalg.parallel_map(lambda item: item(), items)
+    timings["maintenance"] = sum(spent[: len(state.buckets)])
+    finished = spent[len(state.buckets):]
+
+    tick = time.perf_counter()
+    if config.mode == MODE_CS:
         quiet = ~frame_masks.any(axis=0)
         window_mean -= state.aux_mean
         window_mean *= config.alpha
         np.add(state.aux_mean, window_mean, out=state.aux_mean, where=quiet[:, :, None])
-    timings["assembly"] = time.perf_counter() - tick
-
-    tick = time.perf_counter()
-    cleaned = np.stack([remove_small_components(m, config.min_area) for m in frame_masks])
-    timings["postprocess"] = time.perf_counter() - tick
+    timings["assembly"] = scaled + time.perf_counter() - tick + sum(a for a, _ in finished)
+    timings["postprocess"] = sum(p for _, p in finished)
 
     state.steps += 1
     for key, value in timings.items():

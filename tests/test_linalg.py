@@ -149,16 +149,6 @@ def test_pinv_matches_numpy_on_full_rank():
 # --- parallel_map ------------------------------------------------------------
 
 
-@pytest.fixture
-def two_runners(monkeypatch):
-    """The caller and one pool worker, whatever this host's CPU count."""
-    pool = ThreadPoolExecutor(1)
-    monkeypatch.setattr(linalg, "CPUS", 2)
-    monkeypatch.setattr(linalg, "_POOL", pool)
-    yield
-    pool.shutdown()
-
-
 def test_parallel_map_returns_results_in_item_order(two_runners):
     def square_after_a_nap(x):
         time.sleep(0.001 * (x % 5))        # runners finish out of item order

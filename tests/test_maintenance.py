@@ -113,6 +113,16 @@ def test_compose_stack_blends_into_the_prediction_buffer(mode, channels):
     assert np.array_equal(v, v_before)
 
 
+@pytest.mark.parametrize("voxel_shape, m", [((5, 4, 4), 240), ((1, 1, 1), 48)],
+                         ids=["rgb", "cs_stltp"])
+def test_compose_stack_takes_no_bricks(voxel_shape, m):
+    """The engine composes a bucket's flagged bricks only, which are often
+    none: a (0, m) stack composes to itself in either voxel layout."""
+    v, v_hat = np.empty((0, m)), np.empty((0, m))
+    out = compose_stack(v, v_hat, np.zeros((0, *voxel_shape), dtype=bool))
+    assert out is v_hat and out.shape == (0, m)
+
+
 def test_compose_rejects_bad_tiling_and_lengths():
     mask = np.ones((1, 1, 2), dtype=bool)
     with pytest.raises(ValueError):
@@ -201,7 +211,8 @@ def test_weight_strictly_decreasing_in_magnitude():
 
 def reweight_one(model, v_bar, beta=DEFAULT_BETA):
     """``reweight_stack`` for a one-cell bucket: (v_tilde, weights)."""
-    v_tilde, w = reweight_stack(model.c, model.lam, v_bar[None], beta)
+    _, residual = appearance_residual(model.c, v_bar[None])
+    v_tilde, w = reweight_stack(model.c, model.lam, v_bar[None], residual, beta)
     return v_tilde[0], w[0]
 
 
@@ -245,8 +256,9 @@ def test_reweight_stack_is_weight_of_appearance_residual(d):
     kept = v_bar.copy()
     _, residual = appearance_residual(c, v_bar)
     want = weight(residual, robust_scale(c, lam, DEFAULT_BETA))
-    v_tilde, w = reweight_stack(c, lam, v_bar, DEFAULT_BETA)
+    v_tilde, w = reweight_stack(c, lam, v_bar, residual, DEFAULT_BETA)
     assert np.array_equal(w, want)
+    assert w is residual
     assert np.array_equal(v_tilde, np.sqrt(want) * kept)
     assert np.array_equal(v_bar, kept)
 

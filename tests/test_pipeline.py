@@ -5,7 +5,9 @@ applying the stacked model functions (residuals -> label -> prediction ->
 composition -> robust reweight -> basis update -> ring append -> dynamics
 refit) to the one-cell bucket that ``model_at`` copies out of the engine,
 and requires the bucketed engine to land on the same model, ring and mask
-for those cells.
+for those cells.  The same functions applied to whole buckets, every row
+composed, are the bit-for-bit oracle of the engine's flagged-rows-only
+upkeep.
 """
 
 import tracemalloc
@@ -34,7 +36,7 @@ from brickbg.pipeline import (
     remove_small_components,
     step,
 )
-from brickbg.segmentation import classify_stack, residuals_stack
+from brickbg.segmentation import appearance_residual, classify_stack, residuals_stack
 from brickbg.subspace import InsufficientData, ModelBucket, fit_dynamics_stack, learn_initial
 from brickbg.synth import load_scene, render
 
@@ -315,31 +317,48 @@ def cell_descriptor(state, volume, gx, gy, mode, tau):
     )
 
 
-def mirror_label(cell, v, voxel_shape, config):
-    """One cell's labels from the stacked functions: (residuals, background,
-    voxel mask).  The voxel layout is the brick's ``voxel_shape`` in rgb; a
-    cs_stltp histogram is one voxel of m channels, with a (1, 1, 1, 1) mask."""
-    layout = voxel_shape if config.mode == "rgb" else (1, 1, 1, v.size)
-    res = residuals_stack(cell.c, cell.a, cell.b_pinv, cell.states[:, -1], v[None])
+def label_rows(bucket, v, layout, config):
+    """A bucket's labels from the stacked functions: (residuals, background,
+    voxel mask) of its (g, m) descriptors ``v``."""
+    res = residuals_stack(bucket.c, bucket.a, bucket.b_pinv, bucket.states[:, -1], v)
     background, voxel_mask = classify_stack(
-        res[1], res[2], cell.d_eps, layout, config.effective_t_omega, config.effective_t_eps,
+        res[1], res[2], bucket.d_eps, layout, config.effective_t_omega, config.effective_t_eps,
     )
     return res, background, voxel_mask
 
 
+def mirror_label(cell, v, voxel_shape, config):
+    """One cell's labels: ``label_rows`` of its (m,) descriptor.  The voxel
+    layout is the brick's ``voxel_shape`` in rgb; a cs_stltp histogram is one
+    voxel of m channels, with a (1, 1, 1, 1) mask."""
+    layout = voxel_shape if config.mode == "rgb" else (1, 1, 1, v.size)
+    return label_rows(cell, v[None], layout, config)
+
+
+def all_rows_update(bucket, v, layout, config):
+    """A bucket's engine step recomputed with every row composed: the
+    prediction of every row, ``compose_stack``, the appearance residual of
+    the composed vectors, then the reweight, basis update, ring append and
+    dynamics refit.  Returns (bucket after, background, voxel mask)."""
+    (_, _, _, predicted), background, voxel_mask = label_rows(bucket, v, layout, config)
+    v_hat = np.einsum("gmd,gd->gm", bucket.c, predicted)
+    v_bar = compose_stack(v, v_hat, voxel_mask)
+    _, residual = appearance_residual(bucket.c, v_bar)
+    v_tilde, _ = reweight_stack(bucket.c, bucket.lam, v_bar, residual, config.beta)
+    c, lam = update_basis_stack(bucket.c, bucket.lam, v_tilde, config.alpha)
+    z_new = np.einsum("gmd,gm->gd", c, v_tilde)
+    states = np.concatenate([bucket.states, z_new[:, None]], axis=1)[:, -config.history:]
+    observed = np.concatenate([bucket.observed, background[:, None]], axis=1)[:, -config.history:]
+    a, b, b_pinv, d_eps = fit_dynamics_stack(states, config.t_deps, observed=observed)
+    after = ModelBucket(indices=bucket.indices, c=c, lam=lam, a=a, b=b, b_pinv=b_pinv,
+                        d_eps=d_eps, states=states, observed=observed)
+    return after, background, voxel_mask
+
+
 def mirror_cell_update(cell, v, voxel_shape, config):
     """One cell's engine step recomputed on a one-cell bucket."""
-    (_, _, _, predicted), background, voxel_mask = mirror_label(cell, v, voxel_shape, config)
-    v_hat = np.einsum("gmd,gd->gm", cell.c, predicted)
-    v_bar = compose_stack(v[None], v_hat, voxel_mask)
-    v_tilde, _ = reweight_stack(cell.c, cell.lam, v_bar, config.beta)
-    c, lam = update_basis_stack(cell.c, cell.lam, v_tilde, config.alpha)
-    z_new = np.einsum("gmd,gm->gd", c, v_tilde)
-    states = np.concatenate([cell.states, z_new[:, None]], axis=1)[:, -config.history:]
-    observed = np.concatenate([cell.observed, background[:, None]], axis=1)[:, -config.history:]
-    a, b, b_pinv, d_eps = fit_dynamics_stack(states, config.t_deps, observed=observed)
-    after = ModelBucket(indices=cell.indices, c=c, lam=lam, a=a, b=b, b_pinv=b_pinv, d_eps=d_eps,
-                        states=states, observed=observed)
+    layout = voxel_shape if config.mode == "rgb" else (1, 1, 1, v.size)
+    after, background, voxel_mask = all_rows_update(cell, v[None], layout, config)
     return after, bool(background[0]), voxel_mask[0]
 
 
@@ -439,6 +458,79 @@ def test_step_labels_buckets_of_every_kind(mode):
             assert np.array_equal(region, voxel_mask), (gx, gy)
     for cell in painted_cells:
         assert not expected[cell % geometry.grid_w, cell // geometry.grid_w][0]
+
+
+@pytest.mark.parametrize("mode", ["rgb", "cs_stltp"])
+def test_step_upkeep_equals_the_all_rows_oracle(monkeypatch, mode):
+    """``step`` composes and re-residuals a bucket's flagged rows only,
+    since a background brick's composed vector is its observation.  Over a
+    painted window and a clean one, every bucket field equals, bit for bit,
+    the upkeep that composes every row (``all_rows_update``), with parts of
+    37 cells, so that several buckets hold flagged and background bricks
+    together, and a low ``t_d``, which gives cs_stltp cells several d."""
+    monkeypatch.setattr(pipeline, "PART_CELLS", 37)
+    frames, _ = render(load_scene(SCENES / "occlusion.scene"))
+    config = EngineConfig(mode=mode, t_d=0.05, t_deps=0.05)
+    state = initialize(frames, config)
+    painted = frames[50:55].copy()
+    painted[:, 6:30, 10:40] = 250
+    channels = frames.shape[3]
+    mixed = 0
+    for window in (painted, frames[55:60]):
+        descriptors = batch_descriptors(state.geometry, window.astype(np.float64),
+                                        mode, config.tau)
+        layout = (5, 4, 4, channels) if mode == "rgb" else (1, 1, 1, descriptors.shape[1])
+        oracle = [all_rows_update(bucket, descriptors[bucket.indices], layout, config)
+                  for bucket in state.buckets]
+        result = step(state, window)
+        assert len(oracle) == len(state.buckets)
+        for (want, background, _), got in zip(oracle, state.buckets):
+            assert np.array_equal(result.brick_background.reshape(-1)[got.indices], background)
+            mixed += bool(background.any() and not background.all())
+            for f in fields(ModelBucket):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+    if mode == "cs_stltp":
+        assert len({bucket.d for bucket in state.buckets}) > 1
+    assert mixed >= 2
+
+
+def stream_windows(frames, config, windows):
+    """Initialize on ``frames`` and step ``windows`` windows ``stride`` apart."""
+    state = initialize(frames, config)
+    results = []
+    for i in range(windows):
+        start = config.init_frames + i * config.effective_stride
+        results.append(step(state, frames[start : start + config.brick_depth]))
+    return state, results
+
+
+@pytest.mark.parametrize("stride", [5, 1])
+@pytest.mark.parametrize("mode, scene", [("cs_stltp", "moving_box"), ("rgb", "moving_box_rgb")])
+def test_step_does_not_depend_on_the_cpu_count(monkeypatch, two_runners, mode, scene, stride):
+    """Bucket upkeep and the per-frame mask tail share one ``parallel_map``
+    pass, so frames are gated and cleaned on workers too.  Streamed on two
+    runners and on one CPU, a moving-box crop gives equal masks, labels,
+    running mean and models."""
+    frames, _ = render(load_scene(SCENES / f"{scene}.scene"))
+    frames = frames[:75, 16:112, :96]            # the box crosses the crop from frame 50
+    monkeypatch.setattr(pipeline, "PART_CELLS", 100)
+    config = EngineConfig(mode=mode, stride=stride)
+    two = stream_windows(frames, config, 5)
+    monkeypatch.setattr(linalg, "CPUS", 1)
+    monkeypatch.setattr(linalg, "_POOL", None)
+    one = stream_windows(frames, config, 5)
+    (state, results), (state_one, results_one) = two, one
+    assert any(result.masks.any() for result in results)
+    for got, want in zip(results, results_one):
+        for key in ("masks", "raw_masks", "brick_background"):
+            assert np.array_equal(getattr(got, key), getattr(want, key)), key
+    if mode == "cs_stltp":
+        assert np.array_equal(state.aux_mean, state_one.aux_mean)
+    assert len(state.buckets) == len(state_one.buckets) > 1
+    for got, want in zip(state.buckets, state_one.buckets):
+        for f in fields(ModelBucket):
+            assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
 
 
 # --- non-finite input -------------------------------------------------------------------
