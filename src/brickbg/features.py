@@ -31,9 +31,9 @@ and the trits are folded into int8 transition and sum counts.  Each
 output frame is one item of ``linalg.parallel_map``.
 ``brick_descriptor`` returns the (m,) vector of one brick, a per-cell view
 of the path the engine runs (``bin_volume`` then ``cell_histograms``).
-``cell_histograms`` pools every cell at once through a flat voxel index,
-each cell's voxels as positions in the flattened bin volume
-(``pipeline.GridGeometry.voxel_index`` for the grid).
+``cell_histograms`` pools every cell at once through a flat pixel index,
+each cell's pixels as positions in one flattened frame
+(``pipeline.GridGeometry.pixel_index`` for the grid), over every frame.
 """
 
 from __future__ import annotations
@@ -156,16 +156,17 @@ def bin_volume(volume, tau: float = DEFAULT_TAU) -> np.ndarray:
     return bins
 
 
-def cell_histograms(bins: np.ndarray, voxel_index: np.ndarray) -> np.ndarray:
+def cell_histograms(bins: np.ndarray, pixel_index: np.ndarray) -> np.ndarray:
     """Histograms (n, 48) of n cells cut from one bin-index volume.
 
     ``bins`` is a (t, y, x) volume from ``bin_volume``; row i of
-    ``voxel_index`` (n, k) lists cell i's voxels as positions in ``bins``
-    flattened, so the whole grid is gathered by one ``np.take``.  Every
-    voxel adds ``COUNTS_PER_VOXEL`` to its bin.
+    ``pixel_index`` (n, k) lists cell i's pixels as positions in one frame
+    of ``bins`` flattened, and the cell pools them over every frame, so the
+    whole grid is gathered by one ``np.take``.  Every voxel adds
+    ``COUNTS_PER_VOXEL`` to its bin.
     """
-    n = voxel_index.shape[0]
-    flat = np.take(bins.reshape(-1), voxel_index).astype(np.intp)
+    n = pixel_index.shape[0]
+    flat = np.take(bins.reshape(bins.shape[0], -1), pixel_index, axis=1).astype(np.intp)
     flat += (np.arange(n) * HISTOGRAM_BINS)[:, None]
     counts = np.bincount(flat.reshape(-1), minlength=n * HISTOGRAM_BINS).reshape(n, HISTOGRAM_BINS)
     return counts.astype(np.float64) * COUNTS_PER_VOXEL
@@ -199,8 +200,8 @@ def brick_descriptor(
         return volume[:, y0 : y0 + height, x0 : x0 + width, :].reshape(-1).copy()
     if mode != MODE_CS:
         raise ValueError(f"unknown descriptor mode {mode!r}")
-    voxels = np.arange(nt * ny * nx).reshape(nt, ny, nx)[:, y0 : y0 + height, x0 : x0 + width]
-    voxel_index = voxels.reshape(1, -1)
+    pixels = np.arange(ny * nx).reshape(ny, nx)[y0 : y0 + height, x0 : x0 + width]
+    pixel_index = pixels.reshape(1, -1)
     return np.concatenate(
-        [cell_histograms(bin_volume(volume[..., c], tau), voxel_index)[0] for c in range(channels)]
+        [cell_histograms(bin_volume(volume[..., c], tau), pixel_index)[0] for c in range(channels)]
     )

@@ -3,9 +3,11 @@
 The frame area is tiled by a fixed grid of bricks (edge bricks anchor
 inward so every brick is full-size; each pixel is owned by exactly one
 grid cell, with overlap only where a clamped edge brick reaches back into
-its neighbour's area).  The grid keeps flat pixel indices, so cutting
-every cell's voxels out of a window and reading the frame masks back out
-of the cells' voxel masks are one ``np.take`` each.  One linear model per
+its neighbour's area).  A brick is the same patch in every frame of a
+window, so the grid keeps one flat index of each cell's pixels in a frame:
+cutting every cell's voxels out of a window is one ``np.take`` along the
+pixel axis of all its frames, and reading a frame's mask back out of the
+cells' voxel masks is one ``np.take`` through the pixels' owners.  One linear model per
 grid cell is identified from an initial frame window: ``initialize`` gives
 each part of the grid (see below) its own (cells, windows, m) float64
 descriptor matrix, gathered straight from the head's frames (rgb) or from
@@ -97,8 +99,8 @@ class GridGeometry:
 
     Both indices address flattened arrays, so each gather is one
     ``np.take``.  ``pixel_index`` lists every cell's window pixels, in
-    (y, x) order, as frame positions y * W + x; ``voxel_index`` extends it
-    over the frames of a window.  ``owner_index`` gives, for every pixel,
+    (y, x) order, as frame positions y * W + x; a brick takes them from
+    every frame of its window.  ``owner_index`` gives, for every pixel,
     its position in the flattened (locations, h, w) cell windows of its
     owner.  A pixel's owner is the cell of its grid row and column, pixel
     // brick size clamped to the last one, so where a clamped edge brick
@@ -119,12 +121,6 @@ class GridGeometry:
     @property
     def locations(self) -> int:
         return self.grid_w * self.grid_h
-
-    def voxel_index(self, depth: int) -> np.ndarray:
-        """(locations, depth * h * w) positions t * H * W + y * W + x of every
-        cell's voxels, in (t, y, x) order, in a flattened depth-frame window."""
-        frames = np.arange(depth)[:, None] * (self.frame_height * self.frame_width)
-        return (frames + self.pixel_index[:, None, :]).reshape(self.locations, -1)
 
 
 def make_grid(frame_height: int, frame_width: int, brick_height: int, brick_width: int) -> GridGeometry:
@@ -257,21 +253,22 @@ def _refuse(frames: np.ndarray, config: EngineConfig) -> None:
 
 def _window_source(volume: np.ndarray, mode: str, tau: float):
     """What one (depth, H, W, channels) window's descriptors are gathered
-    from: its (voxels, channels) pixels in rgb, in the window's dtype, and
-    one ``bin_volume`` per channel in cs_stltp."""
+    from: its (depth, pixels, channels) frames in rgb, in the window's
+    dtype, and one ``bin_volume`` per channel in cs_stltp."""
     if mode == MODE_RGB:
-        return volume.reshape(-1, volume.shape[3])
+        return volume.reshape(volume.shape[0], -1, volume.shape[3])
     return [bin_volume(volume[..., ch], tau) for ch in range(volume.shape[3])]
 
 
-def _gather_rows(source, voxel_index: np.ndarray, mode: str) -> np.ndarray:
-    """float64 descriptors (n, m) of the n cells whose voxels ``voxel_index``
-    lists, cut from a ``_window_source``.  rgb pixels are converted after
-    the gather, which is exact, so only the gathered rows are ever float64."""
+def _gather_rows(source, pixel_index: np.ndarray, mode: str) -> np.ndarray:
+    """float64 descriptors (n, m) of the n cells whose pixels ``pixel_index``
+    lists, cut from every frame of a ``_window_source``.  rgb rows are taken
+    frame by frame and put in (t, y, x, channel) order, then converted,
+    which is exact, so only the gathered rows are ever float64."""
     if mode == MODE_RGB:
-        rows = np.take(source, voxel_index, axis=0)
-        return rows.reshape(len(voxel_index), -1).astype(np.float64, copy=False)
-    return np.concatenate([cell_histograms(bins, voxel_index) for bins in source], axis=1)
+        rows = np.moveaxis(np.take(source, pixel_index, axis=1), 0, 1)
+        return rows.astype(np.float64, order="C", copy=False).reshape(len(pixel_index), -1)
+    return np.concatenate([cell_histograms(bins, pixel_index) for bins in source], axis=1)
 
 
 def batch_descriptors(geometry: GridGeometry, volume: np.ndarray, mode: str, tau: float) -> np.ndarray:
@@ -279,13 +276,13 @@ def batch_descriptors(geometry: GridGeometry, volume: np.ndarray, mode: str, tau
 
     Equal to ``features.brick_descriptor`` applied cell by cell with the
     window frames as the brick volume, but computed for the whole grid at
-    once: rgb descriptors are one ``np.take`` of the window's (frame,
-    pixel) rows at ``geometry.voxel_index``, and ternary patterns are
-    evaluated once per frame, not per brick, then pooled through the same
-    index.  ``volume`` is (depth, H, W, channels).  ``initialize`` runs the
+    once: rgb descriptors are one ``np.take`` of every frame's pixels at
+    ``geometry.pixel_index``, and ternary patterns are evaluated once per
+    frame, not per brick, then pooled through the same index over the
+    frames.  ``volume`` is (depth, H, W, channels).  ``initialize`` runs the
     same two halves, ``_window_source`` then ``_gather_rows``, part by part.
     """
-    depth, height, width, _ = volume.shape
+    _, height, width, _ = volume.shape
     if (height, width) != (geometry.frame_height, geometry.frame_width):
         raise ValueError(
             f"frame size {width}x{height} does not match the grid "
@@ -293,7 +290,7 @@ def batch_descriptors(geometry: GridGeometry, volume: np.ndarray, mode: str, tau
         )
     if mode not in (MODE_CS, MODE_RGB):
         raise ValueError(f"unknown mode {mode!r}")
-    return _gather_rows(_window_source(volume, mode, tau), geometry.voxel_index(depth), mode)
+    return _gather_rows(_window_source(volume, mode, tau), geometry.pixel_index, mode)
 
 
 def initialize(frames, config: EngineConfig) -> EngineState:
@@ -324,10 +321,9 @@ def initialize(frames, config: EngineConfig) -> EngineState:
         _window_source(head[start : start + depth], config.mode, config.tau)
         for start in range(0, config.init_frames, depth)
     ]
-    voxel_index = geometry.voxel_index(depth)
 
     def identify(start):
-        cells = voxel_index[start : start + PART_CELLS]
+        cells = geometry.pixel_index[start : start + PART_CELLS]
         w = None
         for i, source in enumerate(sources):
             rows = _gather_rows(source, cells, config.mode)
@@ -347,12 +343,6 @@ def initialize(frames, config: EngineConfig) -> EngineState:
         buckets=[bucket for part in parts for bucket in part],
         aux_mean=head.mean(axis=0, dtype=np.float64) if config.mode == MODE_CS else None,
     )
-
-
-def _assemble_masks(geometry: GridGeometry, vox_masks: np.ndarray) -> np.ndarray:
-    """Frame masks (t, H, W) read from the owners' (locations, t, h, w) voxel masks."""
-    per_frame = np.moveaxis(vox_masks, 1, 0).reshape(vox_masks.shape[1], -1)
-    return np.take(per_frame, geometry.owner_index, axis=1)
 
 
 def remove_small_components(mask: np.ndarray, min_area: int) -> np.ndarray:
@@ -469,7 +459,7 @@ def step(state: EngineState, window) -> StepResult:
         """Frame ``f``'s mask, gated and cleaned; returns the (assembly,
         postprocess) seconds spent.  Frames write disjoint planes."""
         tick = time.perf_counter()
-        mask = _assemble_masks(geometry, vox_masks[:, f : f + 1])[0]
+        mask = np.take(vox_masks[:, f], geometry.owner_index)
         if config.mode == MODE_CS:
             # Histograms only localize to brick granularity; cut flagged
             # bricks down to the pixels that differ from the running

@@ -26,7 +26,6 @@ from brickbg.maintenance import compose_stack, reweight_stack, update_basis_stac
 from brickbg.pipeline import (
     GAIN_BAND,
     EngineState,
-    _assemble_masks,
     batch_descriptors,
     initialize,
     make_grid,
@@ -60,7 +59,6 @@ def test_make_grid_divisible():
     assert list(g.x0) == [0, 4, 8]
     assert list(g.y0) == [0, 4]
     assert g.pixel_index.shape == (6, 4 * 4)
-    assert g.voxel_index(5).shape == (6, 5 * 4 * 4)
     assert g.owner_index.shape == (8, 12)
 
 
@@ -103,14 +101,19 @@ def test_make_grid_rejects_oversized_brick():
 
 
 @pytest.mark.parametrize("mode", ["cs_stltp", "rgb"])
-@pytest.mark.parametrize("channels", [1, 3])
-def test_batch_descriptors_match_per_brick(mode, channels):
+@pytest.mark.parametrize(
+    "channels, depth",
+    # the default depth 5 keeps the short id "<channels>"
+    [pytest.param(c, d, id=str(c) if d == 5 else f"{c}-depth{d}") for c in (1, 3) for d in (1, 3, 5)],
+)
+def test_batch_descriptors_match_per_brick(mode, channels, depth):
     """On 8x12 the 4x4 bricks tile the frame; 10x13 leaves a remainder on
     both axes, so the last row and column of bricks anchor inward and
-    overlap their neighbours."""
+    overlap their neighbours.  Each cell's pixels are gathered from every
+    frame of the window, whatever its depth."""
     gen = np.random.default_rng(4)
     for height, width in ((8, 12), (10, 13)):
-        volume = gen.integers(0, 256, size=(5, height, width, channels)).astype(np.float64)
+        volume = gen.integers(0, 256, size=(depth, height, width, channels)).astype(np.float64)
         geometry = make_grid(height, width, 4, 4)
         batch = batch_descriptors(geometry, volume, mode, tau=0.2)
         assert batch.shape[0] == geometry.locations
@@ -138,16 +141,18 @@ def test_batch_descriptors_rejects_frames_off_the_grid(shape):
 
 def test_assemble_masks_matches_per_pixel_loop():
     """Every frame voxel takes the voxel mask of its owning cell, also where
-    the inward-anchored edge bricks overlap their neighbours."""
+    the inward-anchored edge bricks overlap their neighbours; ``step`` reads
+    frame f's mask as ``owner_index`` taken from the cells' frame-f masks."""
     geometry = make_grid(10, 13, 4, 4)
     gen = np.random.default_rng(5)
     vox_masks = gen.random((geometry.locations, 5, 4, 4)) < 0.5
-    frame_masks = _assemble_masks(geometry, vox_masks)
-    assert frame_masks.shape == (5, 10, 13) and frame_masks.dtype == bool
-    for y in range(10):
-        for x in range(13):
-            cell, local_y, local_x = pixel_owner(geometry, y, x)
-            assert np.array_equal(frame_masks[:, y, x], vox_masks[cell, :, local_y, local_x]), (y, x)
+    for f in range(5):
+        frame_mask = np.take(vox_masks[:, f], geometry.owner_index)
+        assert frame_mask.shape == (10, 13) and frame_mask.dtype == bool
+        for y in range(10):
+            for x in range(13):
+                cell, local_y, local_x = pixel_owner(geometry, y, x)
+                assert frame_mask[y, x] == vox_masks[cell, f, local_y, local_x], (f, y, x)
 
 
 # --- initialization -------------------------------------------------------------
