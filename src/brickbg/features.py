@@ -26,9 +26,10 @@ place it is applied, refuses negative or NaN input on every path.
 ``bin_volume`` makes each floating-point product and comparison once per
 volume: the padded volume is scaled once into (1 + tau) and (1 - tau)
 copies, both members of every pair are slices of these, each of the 13
-distinct offsets among the 16 ``PAIR_OFFSETS`` gets its trit formed once,
-and the trits are folded into int8 transition and sum counts.  Each
-output frame is one item of ``linalg.parallel_map``.
+distinct offsets among the 16 ``PAIR_OFFSETS`` gets its trit formed once
+per band of rows, and the trits are folded into int8 transition and sum
+counts.  Each padded frame, and then each half of an output frame's rows,
+is one item of ``linalg.parallel_map``.
 ``brick_descriptor`` returns the (m,) vector of one brick, a per-cell view
 of the path the engine runs (``bin_volume`` then ``cell_histograms``).
 ``cell_histograms`` pools every cell at once through a flat pixel index,
@@ -92,46 +93,62 @@ def bin_volume(volume, tau: float = DEFAULT_TAU) -> np.ndarray:
     non-negative intensities (below zero both comparisons can hold), so a
     volume holding a negative value or NaN raises ``FrameFormatError``.
 
-    The volume is edge-padded once and scaled once into (1 + tau) and
-    (1 - tau) copies, so every product is formed once.  Flattened, each
-    pair member of a run of voxels is a contiguous slice of one of these
-    arrays at a fixed shift, which also spans the padding columns between
-    rows; those voxels are computed and dropped.  The walk runs one output
-    frame at a time, over the three padded frames it reads.  Each distinct
-    offset's trit is formed once per frame into a reused int8 buffer; an
+    The volume is edge-padded once, as float64, and scaled once into
+    (1 + tau) and (1 - tau) copies, so every product is formed once; each
+    padded frame and its two scaled copies are one item of
+    ``linalg.parallel_map``, written into preallocated arrays.  Flattened,
+    each pair member of a run of voxels is a contiguous slice of one of
+    these arrays at a fixed shift, which also spans the padding columns
+    between rows; those voxels are computed and dropped.  The walk runs
+    one band of rows of one output frame at a time, over the three padded
+    frames it reads: each output frame is cut into two row halves, and
+    each band is one item of ``linalg.parallel_map`` with its own buffers,
+    so its bins do not depend on which runner took it.  Each distinct
+    offset's trit is formed once per band into a reused int8 buffer; an
     offset that recurs in ``PAIR_OFFSETS`` keeps its trit held for its
     later places in the chain.  Every trit is folded into int8 transition
     and sum counts as soon as it is in place, and only the bin is widened.
-    Each output frame is one item of ``linalg.parallel_map`` with its own
-    buffers, so its bins do not depend on which runner took it.
     """
-    volume = np.asarray(volume, dtype=np.float64)
-    if volume.ndim != 3:
-        raise ValueError(f"expected a (t, y, x) volume, got shape {volume.shape}")
-    if not volume.min(initial=0.0) >= 0:       # NaN fails too
+    volume = np.asarray(volume)
+    if volume.ndim != 3 or not volume.size:
+        raise ValueError(f"expected a non-empty (t, y, x) volume, got shape {volume.shape}")
+    if not volume.min(initial=0) >= 0:         # NaN fails too
         raise FrameFormatError("cs_stltp intensities must not be negative or NaN")
     nt, ny, nx = volume.shape
-    flat = np.pad(volume, 1, mode="edge").reshape(-1)
-    upper = (1.0 + tau) * flat
-    lower = (1.0 - tau) * flat
     row = nx + 2
     frame = (ny + 2) * row
-    span = (ny - 1) * row + nx          # from voxel (y, x) = (0, 0) to (ny-1, nx-1)
+    flat, upper, lower = (np.empty((nt + 2) * frame) for _ in range(3))
 
+    def pad_frame(p):
+        """Padded frame p: volume frame p - 1, clamped, with its edges."""
+        cut = slice(p * frame, (p + 1) * frame)
+        padded = flat[cut].reshape(ny + 2, row)
+        padded[1:-1, 1:-1] = volume[min(max(p - 1, 0), nt - 1)]
+        padded[0, 1:-1] = padded[1, 1:-1]
+        padded[-1, 1:-1] = padded[-2, 1:-1]
+        padded[:, 0] = padded[:, 1]
+        padded[:, -1] = padded[:, -2]
+        np.multiply(flat[cut], 1.0 + tau, out=upper[cut])
+        np.multiply(flat[cut], 1.0 - tau, out=lower[cut])
+
+    linalg.parallel_map(pad_frame, range(nt + 2))
     bins = np.empty(volume.shape, dtype=np.int16)
 
-    def bin_frame(t):
-        centre = (t + 1) * frame + row + 1          # voxel (t, 0, 0) in flat
+    def bin_band(band):
+        t, y0, y1 = band
+        rows = y1 - y0
+        span = (rows - 1) * row + nx    # from voxel (y0, 0) to (y1 - 1, nx - 1)
+        centre = (t + 1) * frame + (y0 + 1) * row + 1   # voxel (t, y0, 0) in flat
         above = np.empty(span, dtype=bool)
         below = np.empty(span, dtype=bool)
         differs = np.empty(span, dtype=bool)
         # Alternating buffers, so a trit is never formed over its predecessor.
         scratch = (np.empty(span, dtype=np.int8), np.empty(span, dtype=np.int8))
         held = {offset: np.empty(span, dtype=np.int8) for offset in _RECURRING}
-        # The counts cover ny whole padded rows, so they read back as (ny, row);
+        # The counts cover whole padded rows, so they read back as (rows, row);
         # the run slices sum into their first span entries.
-        transitions = np.zeros(ny * row, dtype=np.int8)
-        total = np.zeros(ny * row, dtype=np.int8)
+        transitions = np.zeros(rows * row, dtype=np.int8)
+        total = np.zeros(rows * row, dtype=np.int8)
         run_transitions, run_total = transitions[:span], total[:span]
         formed = set()
         previous = None
@@ -148,11 +165,17 @@ def bin_volume(volume, tau: float = DEFAULT_TAU) -> np.ndarray:
             if previous is not None:
                 run_transitions += np.not_equal(trit, previous, out=differs).view(np.int8)
             previous = trit
-        np.multiply(transitions.reshape(ny, row)[:, :nx], 3, out=bins[t], dtype=np.int16)
-        bins[t] += np.sign(total.reshape(ny, row)[:, :nx])
-        bins[t] += 1
+        out = bins[t, y0:y1]
+        np.multiply(transitions.reshape(rows, row)[:, :nx], 3, out=out, dtype=np.int16)
+        out += np.sign(total.reshape(rows, row)[:, :nx])
+        out += 1
 
-    linalg.parallel_map(bin_frame, range(nt))
+    # Two bands per frame: a 5x288x352 window bins in 4.8 ms on a 2-core
+    # host against 5.4 ms with whole frames, and in 7.0 and 10.6 ms with 4
+    # and 8 bands, whose shorter numpy calls hand the GIL back and forth.
+    half = (ny + 1) // 2
+    linalg.parallel_map(bin_band, [(t, y0, y1) for t in range(nt)
+                                   for y0, y1 in ((0, half), (half, ny)) if y1 > y0])
     return bins
 
 

@@ -69,7 +69,10 @@ def parallel_map(fn, items) -> list:
     re-raised as it is, type included.  Helpers no worker has started yet
     are cancelled, not awaited, so a call made from inside a worker (whose
     helpers may wait behind it in the pool) runs its items itself and
-    returns.
+    returns.  A worker can hold a helper a little past the call (a finished
+    one until it loops back, a cancelled one until it takes it from the
+    queue), so the helpers reach neither ``fn`` nor the items once the call
+    returns: nothing of theirs outlives it.
     """
     items = list(items)
     results = [None] * len(items)
@@ -94,6 +97,7 @@ def parallel_map(fn, items) -> list:
     for helper in helpers:
         if not helper.cancel():
             helper.result()
+    del fn, items           # empties the cells the helpers' ``run`` reads
     if failures:
         raise failures[min(failures)]
     return results

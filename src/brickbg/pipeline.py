@@ -42,10 +42,11 @@ of at most ``PART_CELLS`` in grid order, the same split on every machine;
 no LAPACK call sees more than one part.  ``initialize`` identifies each
 part on its own; ``step`` labels each bucket as one item, then runs each
 bucket's upkeep and each frame's mask tail as one item, all on
-``linalg.parallel_map``, which uses every CPU the process may run on;
-``features.bin_volume`` bins one frame per item on it too.  An
-``initialize`` part gathers its own descriptors as well, so that work runs
-on every CPU.  Masks and models do not depend on how many CPUs
+``linalg.parallel_map``, which uses every CPU the process may run on.
+``features.bin_volume`` pads one frame and then bins one half-frame band
+of rows per item on it too, ``batch_descriptors`` gathers one part's rows
+per item, and an ``initialize`` part gathers its own descriptors, so that
+work runs on every CPU.  Masks and models do not depend on how many CPUs
 ran them.
 
 Labels and composition read the descriptor's voxel layout (t, h, w,
@@ -69,7 +70,7 @@ from scipy import ndimage
 
 from . import linalg
 from .config import EngineConfig
-from .features import MODE_CS, MODE_RGB, bin_volume, cell_histograms
+from .features import HISTOGRAM_BINS, MODE_CS, MODE_RGB, bin_volume, cell_histograms
 from .imageio import FrameFormatError
 from .maintenance import compose_stack, reweight_stack, update_basis_stack
 from .segmentation import appearance_residual, classify_stack, residuals_stack, row_max
@@ -174,11 +175,13 @@ class StepResult:
 
     ``timings`` holds ``descriptors``, ``segmentation``, ``maintenance``,
     ``assembly`` and ``postprocess``.  Only ``descriptors`` is a wall time.
-    ``segmentation`` and ``maintenance`` are sums over the buckets, and
-    ``postprocess`` and most of ``assembly`` sums over the frames; the
-    frames run concurrently with the buckets' upkeep, and the items of one
-    pass with each other, so any of the four can exceed its share of the
-    step's wall time.
+    ``segmentation`` and ``maintenance`` are sums over the buckets only,
+    and ``postprocess`` and most of ``assembly`` sums over the frames;
+    ``assembly`` also holds the cs_stltp gain, estimated beside the labels
+    and applied between the passes.  The frames run concurrently with the
+    buckets' upkeep, the gain with the labels, and the items of one pass
+    with each other, so any of the four can exceed its share of the step's
+    wall time.
     """
 
     masks: np.ndarray             # (depth, H, W) bool after min-area filtering
@@ -260,15 +263,28 @@ def _window_source(volume: np.ndarray, mode: str, tau: float):
     return [bin_volume(volume[..., ch], tau) for ch in range(volume.shape[3])]
 
 
-def _gather_rows(source, pixel_index: np.ndarray, mode: str) -> np.ndarray:
-    """float64 descriptors (n, m) of the n cells whose pixels ``pixel_index``
-    lists, cut from every frame of a ``_window_source``.  rgb rows are taken
-    frame by frame and put in (t, y, x, channel) order, then converted,
-    which is exact, so only the gathered rows are ever float64."""
+def _row_length(source, mode: str, cell_pixels: int) -> int:
+    """m, the length of a descriptor gathered from a ``_window_source``
+    for cells of ``cell_pixels`` pixels."""
     if mode == MODE_RGB:
-        rows = np.moveaxis(np.take(source, pixel_index, axis=1), 0, 1)
-        return rows.astype(np.float64, order="C", copy=False).reshape(len(pixel_index), -1)
-    return np.concatenate([cell_histograms(bins, pixel_index) for bins in source], axis=1)
+        return source.shape[0] * cell_pixels * source.shape[2]
+    return HISTOGRAM_BINS * len(source)
+
+
+def _gather_rows(source, pixel_index: np.ndarray, mode: str, out: np.ndarray) -> None:
+    """Write into ``out`` (n, m), float64 with unit stride along m, the
+    descriptors of the n cells whose pixels ``pixel_index`` lists, cut from
+    every frame of a ``_window_source``.  rgb rows are taken frame by frame
+    and put in (t, y, x, channel) order, converted on assignment, which is
+    exact, so only the gathered rows are ever float64; cs_stltp writes each
+    channel's histograms into its block of 48 columns."""
+    if mode == MODE_RGB:
+        taken = np.take(source, pixel_index, axis=1)
+        depth, n, pixels, channels = taken.shape
+        out.reshape(n, depth, pixels, channels)[...] = np.moveaxis(taken, 0, 1)
+        return
+    for ch, bins in enumerate(source):
+        out[:, ch * HISTOGRAM_BINS : (ch + 1) * HISTOGRAM_BINS] = cell_histograms(bins, pixel_index)
 
 
 def batch_descriptors(geometry: GridGeometry, volume: np.ndarray, mode: str, tau: float) -> np.ndarray:
@@ -279,8 +295,11 @@ def batch_descriptors(geometry: GridGeometry, volume: np.ndarray, mode: str, tau
     once: rgb descriptors are one ``np.take`` of every frame's pixels at
     ``geometry.pixel_index``, and ternary patterns are evaluated once per
     frame, not per brick, then pooled through the same index over the
-    frames.  ``volume`` is (depth, H, W, channels).  ``initialize`` runs the
-    same two halves, ``_window_source`` then ``_gather_rows``, part by part.
+    frames.  ``volume`` is (depth, H, W, channels).  The rows are gathered
+    part by part (``PART_CELLS`` cells each) on ``linalg.parallel_map``,
+    each part into its block of one preallocated matrix.  ``initialize``
+    runs the same two halves, ``_window_source`` then ``_gather_rows``,
+    part by part.
     """
     _, height, width, _ = volume.shape
     if (height, width) != (geometry.frame_height, geometry.frame_width):
@@ -290,7 +309,16 @@ def batch_descriptors(geometry: GridGeometry, volume: np.ndarray, mode: str, tau
         )
     if mode not in (MODE_CS, MODE_RGB):
         raise ValueError(f"unknown mode {mode!r}")
-    return _gather_rows(_window_source(volume, mode, tau), geometry.pixel_index, mode)
+    source = _window_source(volume, mode, tau)
+    cells = geometry.pixel_index
+    rows = np.empty((len(cells), _row_length(source, mode, cells.shape[1])))
+
+    def gather(start):
+        part = slice(start, start + PART_CELLS)
+        _gather_rows(source, cells[part], mode, rows[part])
+
+    linalg.parallel_map(gather, range(0, len(cells), PART_CELLS))
+    return rows
 
 
 def initialize(frames, config: EngineConfig) -> EngineState:
@@ -303,9 +331,10 @@ def initialize(frames, config: EngineConfig) -> EngineState:
     Each part builds only its own (cells, windows, m) float64 descriptor
     matrix, one row per head window, gathered straight from the head: in
     rgb from its frames in their own dtype, in cs_stltp from the int16 bins
-    of each window, binned once on the calling thread.  So the descriptors
-    held at once are those of the ``min(linalg.CPUS, parts)`` parts in
-    flight, not the whole grid's.
+    of each window, binned once, window by window, before the parts start
+    (each ``bin_volume`` on every CPU).  So the descriptors held at once
+    are those of the ``min(linalg.CPUS, parts)`` parts in flight, not the
+    whole grid's.
     """
     frames = _as_video(frames)
     total, height, width, channels = frames.shape
@@ -322,14 +351,13 @@ def initialize(frames, config: EngineConfig) -> EngineState:
         for start in range(0, config.init_frames, depth)
     ]
 
+    m = _row_length(sources[0], config.mode, geometry.pixel_index.shape[1])
+
     def identify(start):
         cells = geometry.pixel_index[start : start + PART_CELLS]
-        w = None
+        w = np.empty((len(cells), len(sources), m))
         for i, source in enumerate(sources):
-            rows = _gather_rows(source, cells, config.mode)
-            if w is None:
-                w = np.empty((len(cells), len(sources), rows.shape[1]))
-            w[:, i] = rows
+            _gather_rows(source, cells, config.mode, w[:, i])
         buckets = identify_stack(w, config.t_d, config.t_deps, config.history)
         for bucket in buckets:
             bucket.indices += start
@@ -360,13 +388,14 @@ def remove_small_components(mask: np.ndarray, min_area: int) -> np.ndarray:
 def step(state: EngineState, window) -> StepResult:
     """Consume one brick-depth window of frames; label it and update models.
 
-    Two ``linalg.parallel_map`` passes.  The first labels each bucket.  The
-    second runs each bucket's upkeep and, beside them, one item per frame
-    that reads the frame's mask out of the owners' voxel masks, applies the
-    cs_stltp pixel gate and drops small components.  The cs_stltp gain,
-    which the gate needs and which reads only the window and ``aux_mean``,
-    is applied between the passes, and quiet pixels are blended into
-    ``aux_mean`` after the second.
+    Two ``linalg.parallel_map`` passes.  The first labels each bucket and,
+    in cs_stltp, beside the labels estimates the window's mean and its gain
+    over ``aux_mean``, which the pixel gate needs and which read only the
+    window and ``aux_mean``.  The gain is applied to ``aux_mean`` between
+    the passes.  The second runs each bucket's upkeep and, beside them, one
+    item per frame that reads the frame's mask out of the owners' voxel
+    masks, applies the cs_stltp pixel gate and drops small components.
+    Quiet pixels are blended into ``aux_mean`` after the second.
     """
     config = state.config
     geometry = state.geometry
@@ -378,8 +407,8 @@ def step(state: EngineState, window) -> StepResult:
         raise ValueError(f"a step consumes exactly {config.brick_depth} frames, got {t}")
     _refuse(window, config)
     # Only cs_stltp reads the window as float64 (its bins and pixel gate);
-    # rgb rows are gathered in the window's dtype and converted after, which
-    # is exact, as in ``initialize``.
+    # rgb rows are gathered in the window's dtype and converted as they are
+    # written, which is exact, as in ``initialize``.
     volume = window.astype(np.float64) if config.mode == MODE_CS else window
     timings = {}
 
@@ -408,7 +437,33 @@ def step(state: EngineState, window) -> StepResult:
         vox_masks[bucket.indices] = vm      # in cs_stltp a (g, 1, 1, 1) mask covers the brick
         return (v, omega, predicted, bg, vm), time.perf_counter() - tick
 
-    labelled = linalg.parallel_map(label, state.buckets)
+    def estimate_gain():
+        """The window's mean, and the median ratio of it to ``aux_mean`` over
+        the steady pixels (None if there are none), with the seconds spent.
+
+        The histograms are invariant to a global intensity rescale, so the
+        pixel gate must track illumination as well: a gain step would
+        otherwise leave every flagged brick entirely above t_rgb until the
+        slow exponential blend catches up.  The median intensity ratio over
+        the frame estimates the global factor robustly (foreground covers
+        far less than half the frame)."""
+        tick = time.perf_counter()
+        window_mean = volume.mean(axis=0)
+        steady = state.aux_mean > 1.0
+        gain = np.median(window_mean[steady] / state.aux_mean[steady]) if steady.any() else None
+        return (window_mean, gain), time.perf_counter() - tick
+
+    items = [partial(label, bucket) for bucket in state.buckets]
+    if config.mode == MODE_CS:
+        items.insert(0, estimate_gain)      # the longest item, so taken first
+    labelled = linalg.parallel_map(lambda item: item(), items)
+    gained = 0.0        # seconds of the cs_stltp gain, counted under assembly
+    if config.mode == MODE_CS:
+        (window_mean, gain), gained = labelled.pop(0)
+        tick = time.perf_counter()
+        if gain is not None and GAIN_BAND[0] < gain < GAIN_BAND[1]:
+            state.aux_mean *= gain
+        gained += time.perf_counter() - tick
     timings["segmentation"] = sum(seconds for _, seconds in labelled)
 
     def upkeep(bucket, v, omega, predicted, bg, vm):
@@ -437,21 +492,6 @@ def step(state: EngineState, window) -> StepResult:
         )
         return time.perf_counter() - tick
 
-    tick = time.perf_counter()
-    if config.mode == MODE_CS:
-        window_mean = volume.mean(axis=0)
-        # The histograms are invariant to a global intensity rescale, so the
-        # pixel gate must track illumination as well: a gain step would
-        # otherwise leave every flagged brick entirely above t_rgb until the
-        # slow exponential blend catches up.  The median intensity ratio over
-        # the frame estimates the global factor robustly (foreground covers
-        # far less than half the frame).
-        steady = state.aux_mean > 1.0
-        if steady.any():
-            gain = np.median(window_mean[steady] / state.aux_mean[steady])
-            if GAIN_BAND[0] < gain < GAIN_BAND[1]:
-                state.aux_mean *= gain
-    scaled = time.perf_counter() - tick
     frame_masks = np.empty((t, geometry.frame_height, geometry.frame_width), dtype=bool)
     cleaned = np.empty_like(frame_masks)
 
@@ -485,7 +525,7 @@ def step(state: EngineState, window) -> StepResult:
         window_mean -= state.aux_mean
         window_mean *= config.alpha
         np.add(state.aux_mean, window_mean, out=state.aux_mean, where=quiet[:, :, None])
-    timings["assembly"] = scaled + time.perf_counter() - tick + sum(a for a, _ in finished)
+    timings["assembly"] = gained + time.perf_counter() - tick + sum(a for a, _ in finished)
     timings["postprocess"] = sum(p for _, p in finished)
 
     state.steps += 1

@@ -202,19 +202,23 @@ def test_bin_volume_matches_scalar_reference(seed):
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 5, 8])
 def test_bin_volume_is_the_same_in_any_number_of_shares(monkeypatch, cpus):
-    """Each frame is one item of ``linalg.parallel_map``; any count of
-    runners (more runners than frames at 8) gives the one-runner bins."""
-    vol = np.random.default_rng(6).uniform(20.0, 200.0, size=(5, 9, 11))
-    whole = bin_volume(vol)
+    """Each padded frame and each row half of an output frame is one item
+    of ``linalg.parallel_map``; any count of runners (more runners than
+    items at 8) gives the one-runner bins.  Volumes of 1, 2, 3 and 9 rows
+    give an empty, a single-row and an odd half."""
+    gen = np.random.default_rng(6)
+    volumes = [gen.uniform(20.0, 200.0, size=(5, rows, 11)) for rows in (1, 2, 3, 9)]
+    wholes = [bin_volume(vol) for vol in volumes]
     pool = ThreadPoolExecutor(1)
     monkeypatch.setattr(linalg, "CPUS", cpus)
     monkeypatch.setattr(linalg, "_POOL", pool)
     try:
-        bins = bin_volume(vol)
+        shared = [bin_volume(vol) for vol in volumes]
     finally:
         pool.shutdown()
-    assert bins.dtype == whole.dtype and np.array_equal(bins, whole)
-    assert np.array_equal(bins, oracle_bins(vol, DEFAULT_TAU))
+    for vol, whole, bins in zip(volumes, wholes, shared):
+        assert bins.dtype == whole.dtype and np.array_equal(bins, whole), vol.shape
+        assert np.array_equal(bins, oracle_bins(vol, DEFAULT_TAU)), vol.shape
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.float32, np.float64])

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -214,6 +215,30 @@ def test_parallel_map_nested_in_a_worker_returns(two_runners):
     runner.join(timeout=60)
     assert not runner.is_alive(), "nested parallel_map did not return"
     assert result["value"] == [10 * i for i in range(8)]
+
+
+def test_parallel_map_keeps_nothing_alive_once_it_returns(two_runners):
+    """With the worker busy, the call's helper is cancelled but stays in the
+    pool's queue until the worker takes it; it must not keep the function or
+    the items alive past the call.  It did, and so a ``cs_stltp`` window's
+    padded arrays lived on into the next window's ``bin_volume`` now and
+    then, which raised the traced peak of ``initialize``."""
+
+    class Token:
+        def __call__(self, item):
+            return 1
+
+    release = threading.Event()
+    blocker = linalg._POOL.submit(release.wait, 60)
+    fn, item = Token(), Token()
+    seen = (weakref.ref(fn), weakref.ref(item))
+    try:
+        assert linalg.parallel_map(fn, [item, Token()]) == [1, 1]
+        del fn, item
+        assert [ref() for ref in seen] == [None, None]
+    finally:
+        release.set()
+        assert blocker.result(timeout=60)
 
 
 def test_parallel_map_on_one_cpu_is_a_loop_on_the_caller(monkeypatch):

@@ -223,8 +223,8 @@ def test_initialize_holds_no_whole_grid_descriptor_matrix(monkeypatch):
 @pytest.mark.parametrize("channels", [1, 3])
 @pytest.mark.parametrize("mode", ["cs_stltp", "rgb"])
 def test_initialize_converts_the_head_exactly(monkeypatch, mode, channels):
-    """The head is converted to float64 after the gather (rgb) or inside
-    ``bin_volume`` (cs_stltp), not before, so a uint8 head and its float64
+    """The head is converted to float64 as the gathered rows are written
+    (rgb) or inside ``bin_volume`` (cs_stltp), not before, so a uint8 head and its float64
     copy give the same buckets bit for bit, over several parts."""
     monkeypatch.setattr(pipeline, "PART_CELLS", 37)
     video, _ = noisy_video(50, 40, 48, channels=channels, seed=9)
@@ -238,6 +238,35 @@ def test_initialize_converts_the_head_exactly(monkeypatch, mode, channels):
             assert a.dtype == b.dtype and np.array_equal(a, b), f.name
     if mode == "cs_stltp":
         assert np.array_equal(narrow.aux_mean, wide.aux_mean)
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("mode", ["cs_stltp", "rgb"])
+def test_descriptors_do_not_depend_on_the_split(monkeypatch, two_runners, mode, channels):
+    """``batch_descriptors`` gathers its rows part by part on
+    ``linalg.parallel_map``, each part into its block of one matrix, and
+    each ``initialize`` part writes its windows' rows into its own matrix.
+    Parts of 37 cells on two runners give the one-CPU, one-part rows bit
+    for bit, as one float64 C-contiguous matrix, and the one-CPU buckets."""
+    video, _ = noisy_video(50, 40, 48, channels=channels, seed=11)
+    geometry = make_grid(40, 48, 4, 4)          # 120 cells: parts of 37, 37, 37 and 9
+    config = EngineConfig(mode=mode, t_d=0.05, t_deps=0.05)
+    monkeypatch.setattr(pipeline, "PART_CELLS", 37)
+    rows = batch_descriptors(geometry, video[20:25], mode, config.tau)
+    state = initialize(video, config)
+    monkeypatch.setattr(linalg, "CPUS", 1)
+    monkeypatch.setattr(linalg, "_POOL", None)
+    state_one = initialize(video, config)
+    monkeypatch.setattr(pipeline, "PART_CELLS", geometry.locations)
+    whole = batch_descriptors(geometry, video[20:25], mode, config.tau)
+    assert rows.dtype == np.float64 and rows.flags.c_contiguous
+    assert rows.shape == whole.shape == (120, 48 * channels if mode == "cs_stltp" else 80 * channels)
+    assert np.array_equal(rows, whole)
+    assert len(state.buckets) == len(state_one.buckets) >= 4
+    for got, want in zip(state.buckets, state_one.buckets):
+        for f in fields(ModelBucket):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
 
 
 def test_initialize_insufficient_frames():
@@ -307,7 +336,7 @@ def test_aux_mean_is_kept_for_the_cs_stltp_gate_only():
     scaled = state.aux_mean * np.median(window_mean / state.aux_mean)
     result = step(state, window)
     assert not result.raw_masks.any()            # every pixel is quiet
-    assert np.allclose(state.aux_mean, scaled + config.alpha * (window_mean - scaled))
+    assert np.array_equal(state.aux_mean, scaled + config.alpha * (window_mean - scaled))
     assert not np.allclose(state.aux_mean, scaled)
 
 
