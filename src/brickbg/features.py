@@ -28,8 +28,9 @@ volume: the padded volume is scaled once into (1 + tau) and (1 - tau)
 copies, both members of every pair are slices of these, each of the 13
 distinct offsets among the 16 ``PAIR_OFFSETS`` gets its trit formed once
 per band of rows, and the trits are folded into int8 transition and sum
-counts.  Each padded frame, and then each half of an output frame's rows,
-is one item of ``linalg.parallel_map``.
+counts.  The volume is padded by one ``np.pad`` in its own dtype and made
+float64 once, on the calling thread; each half of an output frame's rows
+is then one item of ``linalg.parallel_map``.
 ``brick_descriptor`` returns the (m,) vector of one brick, a per-cell view
 of the path the engine runs (``bin_volume`` then ``cell_histograms``).
 ``cell_histograms`` pools every cell at once through a flat pixel index,
@@ -93,21 +94,21 @@ def bin_volume(volume, tau: float = DEFAULT_TAU) -> np.ndarray:
     non-negative intensities (below zero both comparisons can hold), so a
     volume holding a negative value or NaN raises ``FrameFormatError``.
 
-    The volume is edge-padded once, as float64, and scaled once into
-    (1 + tau) and (1 - tau) copies, so every product is formed once; each
-    padded frame and its two scaled copies are one item of
-    ``linalg.parallel_map``, written into preallocated arrays.  Flattened,
-    each pair member of a run of voxels is a contiguous slice of one of
-    these arrays at a fixed shift, which also spans the padding columns
-    between rows; those voxels are computed and dropped.  The walk runs
-    one band of rows of one output frame at a time, over the three padded
-    frames it reads: each output frame is cut into two row halves, and
-    each band is one item of ``linalg.parallel_map`` with its own buffers,
-    so its bins do not depend on which runner took it.  Each distinct
-    offset's trit is formed once per band into a reused int8 buffer; an
-    offset that recurs in ``PAIR_OFFSETS`` keeps its trit held for its
-    later places in the chain.  Every trit is folded into int8 transition
-    and sum counts as soon as it is in place, and only the bin is widened.
+    The volume is edge-padded by one ``np.pad`` in its own dtype, converted
+    once to float64 (the one place a cs_stltp window becomes float64) and
+    scaled once into (1 + tau) and (1 - tau) copies, so every product is
+    formed once.  Flattened, each pair member of a run of voxels is a
+    contiguous slice of one of these arrays at a fixed shift, which also
+    spans the padding columns between rows; those voxels are computed and
+    dropped.  The walk runs one band of rows of one output frame at a time,
+    over the three padded frames it reads: each output frame is cut into
+    two row halves, and each band is one item of ``linalg.parallel_map``
+    with its own buffers, so its bins do not depend on which runner took
+    it.  Each distinct offset's trit is formed once per band into a reused
+    int8 buffer; an offset that recurs in ``PAIR_OFFSETS`` keeps its trit
+    held for its later places in the chain.  Every trit is folded into
+    int8 transition and sum counts as soon as it is in place, and only the
+    bin is widened.
     """
     volume = np.asarray(volume)
     if volume.ndim != 3 or not volume.size:
@@ -117,21 +118,9 @@ def bin_volume(volume, tau: float = DEFAULT_TAU) -> np.ndarray:
     nt, ny, nx = volume.shape
     row = nx + 2
     frame = (ny + 2) * row
-    flat, upper, lower = (np.empty((nt + 2) * frame) for _ in range(3))
-
-    def pad_frame(p):
-        """Padded frame p: volume frame p - 1, clamped, with its edges."""
-        cut = slice(p * frame, (p + 1) * frame)
-        padded = flat[cut].reshape(ny + 2, row)
-        padded[1:-1, 1:-1] = volume[min(max(p - 1, 0), nt - 1)]
-        padded[0, 1:-1] = padded[1, 1:-1]
-        padded[-1, 1:-1] = padded[-2, 1:-1]
-        padded[:, 0] = padded[:, 1]
-        padded[:, -1] = padded[:, -2]
-        np.multiply(flat[cut], 1.0 + tau, out=upper[cut])
-        np.multiply(flat[cut], 1.0 - tau, out=lower[cut])
-
-    linalg.parallel_map(pad_frame, range(nt + 2))
+    flat = np.pad(volume, 1, mode="edge").astype(np.float64, copy=False).reshape(-1)
+    upper = flat * (1.0 + tau)
+    lower = flat * (1.0 - tau)
     bins = np.empty(volume.shape, dtype=np.int16)
 
     def bin_band(band):

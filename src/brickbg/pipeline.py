@@ -43,11 +43,11 @@ no LAPACK call sees more than one part.  ``initialize`` identifies each
 part on its own; ``step`` labels each bucket as one item, then runs each
 bucket's upkeep and each frame's mask tail as one item, all on
 ``linalg.parallel_map``, which uses every CPU the process may run on.
-``features.bin_volume`` pads one frame and then bins one half-frame band
-of rows per item on it too, ``batch_descriptors`` gathers one part's rows
-per item, and an ``initialize`` part gathers its own descriptors, so that
-work runs on every CPU.  Masks and models do not depend on how many CPUs
-ran them.
+``features.bin_volume`` pads a window on the calling thread and then bins
+one half-frame band of rows per item on it too, ``batch_descriptors``
+gathers one part's rows per item, and an ``initialize`` part gathers its
+own descriptors, so that work runs on every CPU.  Masks and models do not
+depend on how many CPUs ran them.
 
 Labels and composition read the descriptor's voxel layout (t, h, w,
 channels), which ``step`` states once.  A ``cs_stltp`` histogram is one voxel
@@ -114,8 +114,6 @@ class GridGeometry:
     brick_height: int
     grid_w: int
     grid_h: int
-    x0: np.ndarray           # (grid_w,) window anchor of each grid column
-    y0: np.ndarray           # (grid_h,)
     pixel_index: np.ndarray  # (locations, brick_height * brick_width)
     owner_index: np.ndarray  # (H, W)
 
@@ -151,8 +149,6 @@ def make_grid(frame_height: int, frame_width: int, brick_height: int, brick_widt
         brick_height=brick_height,
         grid_w=grid_w,
         grid_h=grid_h,
-        x0=x0,
-        y0=y0,
         pixel_index=pixel_index.reshape(grid_h * grid_w, -1).astype(np.intp),
         owner_index=(owner * (brick_height * brick_width) + local).astype(np.intp),
     )
@@ -217,9 +213,13 @@ def pixel_safe_magnitude(tau: float, frames: int) -> float:
 
 
 def _refuse(frames: np.ndarray, config: EngineConfig) -> None:
-    """Refuse frames that are not finite or large enough to overflow the
-    engine's arithmetic; ``initialize`` and ``step`` call it on the frames
-    they read.
+    """Refuse frames that are not bool, integer or float, not finite, or
+    large enough to overflow the engine's arithmetic; ``initialize`` and
+    ``step`` call it on the frames they read.
+
+    Every other dtype (complex, object, datetime, string, ...) is refused
+    outright: none can be bounded by one ``min`` and ``max``, and the
+    engine's casts would drop or fail on what they hold.
 
     rgb descriptors are the pixel values, so the Grams the engine sums grow
     with their squares; ``subspace.gram_safe_magnitude`` bounds them for
@@ -230,8 +230,11 @@ def _refuse(frames: np.ndarray, config: EngineConfig) -> None:
     sums of up to ``init_frames`` frames.  One ``min`` and one ``max``
     decide both rules, since they carry any NaN and show any infinity.
     Frames are scanned only when their dtype can hold a value out of range:
-    always for floats, never for ``uint8``.
+    always for floats, never for bool or ``uint8``.
     """
+    kind = frames.dtype.kind
+    if kind not in "biuf":
+        raise FrameFormatError(f"frames must be bool, integer or float, not {frames.dtype}")
     if config.mode == MODE_RGB:
         channels = frames.shape[3]
         m = config.brick_depth * config.brick_height * config.brick_width * channels
@@ -241,7 +244,6 @@ def _refuse(frames: np.ndarray, config: EngineConfig) -> None:
     else:
         limit = pixel_safe_magnitude(config.tau, config.init_frames)
         overflows = "the trit products and pixel-gate sums overflow"
-    kind = frames.dtype.kind
     if kind == "f" or (kind in "iu" and np.iinfo(frames.dtype).max > limit):
         low, high = float(frames.min()), float(frames.max())
         if not (np.isfinite(low) and np.isfinite(high)):
@@ -406,14 +408,10 @@ def step(state: EngineState, window) -> StepResult:
     if t != config.brick_depth:
         raise ValueError(f"a step consumes exactly {config.brick_depth} frames, got {t}")
     _refuse(window, config)
-    # Only cs_stltp reads the window as float64 (its bins and pixel gate);
-    # rgb rows are gathered in the window's dtype and converted as they are
-    # written, which is exact, as in ``initialize``.
-    volume = window.astype(np.float64) if config.mode == MODE_CS else window
     timings = {}
 
     tick = time.perf_counter()
-    descriptors = batch_descriptors(geometry, volume, config.mode, config.tau)
+    descriptors = batch_descriptors(geometry, window, config.mode, config.tau)
     timings["descriptors"] = time.perf_counter() - tick
 
     n = geometry.locations
@@ -448,7 +446,7 @@ def step(state: EngineState, window) -> StepResult:
         the frame estimates the global factor robustly (foreground covers
         far less than half the frame)."""
         tick = time.perf_counter()
-        window_mean = volume.mean(axis=0)
+        window_mean = window.mean(axis=0, dtype=np.float64)
         steady = state.aux_mean > 1.0
         gain = np.median(window_mean[steady] / state.aux_mean[steady]) if steady.any() else None
         return (window_mean, gain), time.perf_counter() - tick
@@ -503,9 +501,9 @@ def step(state: EngineState, window) -> StepResult:
         if config.mode == MODE_CS:
             # Histograms only localize to brick granularity; cut flagged
             # bricks down to the pixels that differ from the running
-            # background mean.  The frame is not read again, so its buffer
-            # takes the difference.
-            difference = np.subtract(volume[f], state.aux_mean, out=volume[f])
+            # background mean.  The difference is a fresh float64 frame, so
+            # the caller's window is never written.
+            difference = np.subtract(window[f], state.aux_mean)
             np.abs(difference, out=difference)
             mask &= row_max(difference.reshape(-1, channels)).reshape(mask.shape) > config.t_rgb
         frame_masks[f] = mask

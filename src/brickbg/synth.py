@@ -89,12 +89,16 @@ class SceneScript:
             raise ConfigError("channels must be 1 or 3")
         if self.width < 1 or self.height < 1 or self.frame_count < 1:
             raise ConfigError("scene dimensions must be positive")
-        for name in ("base_value", "base_low", "base_high", "arma_amplitude", "arma_radius"):
+        for name in ("base_value", "base_low", "base_high", "arma_amplitude"):
             if not abs(getattr(self, name)) < math.inf:   # NaN fails too, here and below
                 raise ConfigError(f"{name} must be finite")
         if self.base_kind == "three_tone" and self.base_low * self.base_high < 0:
             # the middle tone is the geometric mean of the outer two
             raise ConfigError("three_tone needs base_low and base_high of the same sign")
+        if not 0 <= self.arma_radius < 1:
+            # a spectral radius is not negative, and at 1 or more the planted
+            # state never settles to a stationary spread
+            raise ConfigError("arma_radius must be in [0, 1)")
         if not 0 <= self.noise_sigma < math.inf:
             raise ConfigError("noise_sigma must be finite and non-negative")
         if not 0 < self.gain < math.inf:

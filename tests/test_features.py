@@ -202,10 +202,11 @@ def test_bin_volume_matches_scalar_reference(seed):
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 5, 8])
 def test_bin_volume_is_the_same_in_any_number_of_shares(monkeypatch, cpus):
-    """Each padded frame and each row half of an output frame is one item
-    of ``linalg.parallel_map``; any count of runners (more runners than
-    items at 8) gives the one-runner bins.  Volumes of 1, 2, 3 and 9 rows
-    give an empty, a single-row and an odd half."""
+    """Each row half of an output frame is one item of
+    ``linalg.parallel_map`` (the padding is one ``np.pad`` on the calling
+    thread); any count of runners (more runners than items at 8) gives the
+    one-runner bins.  Volumes of 1, 2, 3 and 9 rows give an empty, a
+    single-row and an odd half."""
     gen = np.random.default_rng(6)
     volumes = [gen.uniform(20.0, 200.0, size=(5, rows, 11)) for rows in (1, 2, 3, 9)]
     wholes = [bin_volume(vol) for vol in volumes]

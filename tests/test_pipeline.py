@@ -53,11 +53,22 @@ def noisy_video(frames, height, width, channels=1, seed=0, base=None):
 # --- geometry ---------------------------------------------------------------
 
 
+def anchor(geometry, gx, gy):
+    """(x0, y0) of grid cell (gx, gy): the frame position of its first pixel."""
+    y0, x0 = divmod(int(geometry.pixel_index[gy * geometry.grid_w + gx, 0]), geometry.frame_width)
+    return x0, y0
+
+
+def anchors(geometry):
+    """The x0 of every grid column and the y0 of every grid row."""
+    return ([anchor(geometry, gx, 0)[0] for gx in range(geometry.grid_w)],
+            [anchor(geometry, 0, gy)[1] for gy in range(geometry.grid_h)])
+
+
 def test_make_grid_divisible():
     g = make_grid(8, 12, 4, 4)
     assert (g.grid_w, g.grid_h) == (3, 2)
-    assert list(g.x0) == [0, 4, 8]
-    assert list(g.y0) == [0, 4]
+    assert anchors(g) == ([0, 4, 8], [0, 4])
     assert g.pixel_index.shape == (6, 4 * 4)
     assert g.owner_index.shape == (8, 12)
 
@@ -65,8 +76,7 @@ def test_make_grid_divisible():
 def test_make_grid_anchors_edge_bricks_inward():
     g = make_grid(6, 10, 4, 4)
     assert (g.grid_w, g.grid_h) == (3, 2)
-    assert list(g.x0) == [0, 4, 6]      # last column reaches back
-    assert list(g.y0) == [0, 2]
+    assert anchors(g) == ([0, 4, 6], [0, 2])      # last row and column reach back
 
 
 def pixel_owner(geometry, y, x):
@@ -75,7 +85,8 @@ def pixel_owner(geometry, y, x):
     cell's window."""
     gx = min(x // geometry.brick_width, geometry.grid_w - 1)
     gy = min(y // geometry.brick_height, geometry.grid_h - 1)
-    return gy * geometry.grid_w + gx, y - int(geometry.y0[gy]), x - int(geometry.x0[gx])
+    x0, y0 = anchor(geometry, gx, gy)
+    return gy * geometry.grid_w + gx, y - y0, x - x0
 
 
 def test_make_grid_ownership_partitions_pixels():
@@ -119,9 +130,7 @@ def test_batch_descriptors_match_per_brick(mode, channels, depth):
         assert batch.shape[0] == geometry.locations
         for cell in range(geometry.locations):
             gx, gy = cell % geometry.grid_w, cell // geometry.grid_w
-            single = brick_descriptor(
-                volume, int(geometry.x0[gx]), int(geometry.y0[gy]), 4, 4, mode=mode, tau=0.2
-            )
+            single = brick_descriptor(volume, *anchor(geometry, gx, gy), 4, 4, mode=mode, tau=0.2)
             assert np.array_equal(batch[cell], single), (height, width, cell)
 
 
@@ -223,21 +232,39 @@ def test_initialize_holds_no_whole_grid_descriptor_matrix(monkeypatch):
 @pytest.mark.parametrize("channels", [1, 3])
 @pytest.mark.parametrize("mode", ["cs_stltp", "rgb"])
 def test_initialize_converts_the_head_exactly(monkeypatch, mode, channels):
-    """The head is converted to float64 as the gathered rows are written
-    (rgb) or inside ``bin_volume`` (cs_stltp), not before, so a uint8 head and its float64
-    copy give the same buckets bit for bit, over several parts."""
+    """Frames are converted to float64 as the gathered rows are written
+    (rgb) or inside ``bin_volume`` (cs_stltp), not before, so a uint8 clip
+    and its float64 copy give the same buckets bit for bit, over several
+    parts, after ``initialize`` and after each ``step``: one of a clean
+    window and one of a painted window, whose flagged bricks the cs_stltp
+    pixel gate cuts down.  The pixel gate never writes into the caller's
+    frames."""
     monkeypatch.setattr(pipeline, "PART_CELLS", 37)
-    video, _ = noisy_video(50, 40, 48, channels=channels, seed=9)
+    video, _ = noisy_video(60, 40, 48, channels=channels, seed=9)
+    video[55:60, 8:20, 12:28] = 250
     config = EngineConfig(mode=mode, t_d=0.05, t_deps=0.05)
-    narrow = initialize(video, config)
-    wide = initialize(video.astype(np.float64), config)
-    assert len(narrow.buckets) == len(wide.buckets) >= 4      # 120 cells in 4 parts
-    for got, want in zip(narrow.buckets, wide.buckets):
-        for f in fields(ModelBucket):
-            a, b = getattr(got, f.name), getattr(want, f.name)
-            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
-    if mode == "cs_stltp":
-        assert np.array_equal(narrow.aux_mean, wide.aux_mean)
+    narrow = initialize(video[:50], config)
+    wide = initialize(video[:50].astype(np.float64), config)
+
+    def assert_same_models():
+        assert len(narrow.buckets) == len(wide.buckets) >= 4      # 120 cells in 4 parts
+        for got, want in zip(narrow.buckets, wide.buckets):
+            for f in fields(ModelBucket):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+        if mode == "cs_stltp":
+            assert np.array_equal(narrow.aux_mean, wide.aux_mean)
+
+    assert_same_models()
+    for start in (50, 55):
+        window = video[start : start + 5].astype(np.float64)
+        kept = window.copy()
+        got, want = step(narrow, video[start : start + 5]), step(wide, window)
+        assert np.array_equal(window, kept)
+        for name in ("masks", "raw_masks", "brick_background"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert_same_models()
+    assert not got.brick_background.all() and got.masks.any()    # the painted window
 
 
 @pytest.mark.parametrize("channels", [1, 3])
@@ -346,7 +373,7 @@ def test_aux_mean_is_kept_for_the_cs_stltp_gate_only():
 def cell_descriptor(state, volume, gx, gy, mode, tau):
     geometry = state.geometry
     return brick_descriptor(
-        volume, int(geometry.x0[gx]), int(geometry.y0[gy]),
+        volume, *anchor(geometry, gx, gy),
         geometry.brick_width, geometry.brick_height, mode=mode, tau=tau,
     )
 
@@ -438,7 +465,7 @@ def test_engine_step_equals_single_model_mirror(mode, history):
             assert np.array_equal(after.d_eps, mirrored.d_eps)
             assert np.array_equal(after.observed, mirrored.observed)
             if mode == "rgb":
-                x0, y0 = int(geometry.x0[gx]), int(geometry.y0[gy])
+                x0, y0 = anchor(geometry, gx, gy)
                 region = result.raw_masks[:, y0 : y0 + 4, x0 : x0 + 4]
                 assert np.array_equal(region, voxel_mask)
         # the painted square tripped its cell only
@@ -473,7 +500,8 @@ def test_step_labels_buckets_of_every_kind(mode):
     window = video[30:35].copy()
     for cell in painted_cells:
         gx, gy = cell % geometry.grid_w, cell // geometry.grid_w
-        window[:, geometry.y0[gy] : geometry.y0[gy] + 4, geometry.x0[gx] : geometry.x0[gx] + 4] = 250
+        x0, y0 = anchor(geometry, gx, gy)
+        window[:, y0 : y0 + 4, x0 : x0 + 4] = 250
     volume = window.astype(np.float64)
     expected = {}
     for cell in range(geometry.locations):
@@ -487,7 +515,7 @@ def test_step_labels_buckets_of_every_kind(mode):
     for (gx, gy), (background, voxel_mask) in expected.items():
         assert background == result.brick_background[gy, gx], (gx, gy)
         if mode == "rgb":
-            x0, y0 = int(geometry.x0[gx]), int(geometry.y0[gy])
+            x0, y0 = anchor(geometry, gx, gy)
             region = result.raw_masks[:, y0 : y0 + 4, x0 : x0 + 4]
             assert np.array_equal(region, voxel_mask), (gx, gy)
     for cell in painted_cells:
@@ -590,6 +618,25 @@ def test_non_finite_frames_are_rejected(mode):
     frames[60, 10, 10] = np.inf
     with pytest.raises(FrameFormatError):
         initialize(frames[55:105], config)
+
+
+@pytest.mark.parametrize("mode", ["cs_stltp", "rgb"])
+def test_frames_of_other_dtypes_are_refused(mode):
+    """Only bool, integer and float frames are taken.  A complex or object
+    window holding one infinity used to raise a bare LinAlgError, a 1e300
+    entry slipped past the Gram bound, and complex frames lost their
+    imaginary part with only a ComplexWarning."""
+    frames, _ = render(load_scene(SCENES / "occlusion.scene"))
+    config = EngineConfig(mode=mode)
+    state = initialize(frames[:50], config)
+    for dtype in (np.complex128, object):
+        odd = frames[:65].astype(dtype)
+        odd[60, 10, 10] = np.inf
+        with pytest.raises(FrameFormatError, match="bool, integer or float"):
+            initialize(odd, config)
+        with pytest.raises(FrameFormatError, match="bool, integer or float"):
+            step(state, odd[60:65])
+    assert state.steps == 0
 
 
 @pytest.mark.parametrize("bad", [-1.0, np.nan])

@@ -338,6 +338,9 @@ def test_scene_validation():
         dict(base_high=inf),
         dict(arma_amplitude=nan),
         dict(arma_radius=nan),
+        dict(arma_radius=1.0),
+        dict(arma_radius=-0.5),
+        dict(arma_radius=1e3),
         dict(seed=-1),
         dict(arma_dim=-1),
         dict(gain_frame=-3),
