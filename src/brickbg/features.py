@@ -20,17 +20,19 @@ frames.  Two descriptor flavours are supported:
 Neighbour lookups clamp to the edges of the supplied frame volume, so the
 first/last frames and the image border reuse their nearest voxels;
 ``bin_volume`` implements the clamp as one edge padding of the volume.
-The trit rule needs non-negative intensities, so ``bin_volume``, the one
-place it is applied, refuses negative or NaN input on every path.
+The trit rule needs non-negative intensities and a finite tau >= 0, so
+``bin_volume``, the one place it is applied, refuses anything else on
+every path.
 
-``bin_volume`` makes each floating-point product and comparison once per
-volume: the padded volume is scaled once into (1 + tau) and (1 - tau)
-copies, both members of every pair are slices of these, each of the 13
-distinct offsets among the 16 ``PAIR_OFFSETS`` gets its trit formed once
-per band of rows, and the trits are folded into int8 transition and sum
-counts.  The volume is padded by one ``np.pad`` in its own dtype and made
-float64 once, on the calling thread; each half of an output frame's rows
-is then one item of ``linalg.parallel_map``.
+``bin_volume`` pads the volume by one ``np.pad`` in its own dtype.  A
+``uint8`` volume (every frame file the engine reads is 8-bit) is compared in
+its own 8-bit domain, against bounds read from two 256-entry tables of the
+float64 products rounded to integers, which give the same trits; any other
+dtype is made float64 once and scaled once into (1 + tau) and (1 - tau)
+copies.  Each of the 13 distinct offsets among the 16 ``PAIR_OFFSETS``
+gets its trit formed once per piece, and the trits are folded into int8
+transition and sum counts.  The whole volume is one flat run, cut into one
+contiguous piece per CPU, each piece one item of ``linalg.parallel_map``.
 ``brick_descriptor`` returns the (m,) vector of one brick, a per-cell view
 of the path the engine runs (``bin_volume`` then ``cell_histograms``).
 ``cell_histograms`` pools every cell at once through a flat pixel index,
@@ -91,80 +93,105 @@ def bin_volume(volume, tau: float = DEFAULT_TAU) -> np.ndarray:
     p_m < (1 - tau) p_s, else 0.  Its bin is ``transitions * 3 + sign + 1``,
     ``transitions`` counting adjacent unequal trits in ``PAIR_OFFSETS``
     order (0..15) and ``sign`` the sign of the trit sum.  The rule needs
-    non-negative intensities (below zero both comparisons can hold), so a
-    volume holding a negative value or NaN raises ``FrameFormatError``.
+    non-negative intensities and a finite tau >= 0 (below zero both
+    comparisons can hold), so a volume holding a negative value or NaN
+    raises ``FrameFormatError``, and a negative or non-finite tau
+    ``ValueError``.
 
-    The volume is edge-padded by one ``np.pad`` in its own dtype, converted
-    once to float64 (the one place a cs_stltp window becomes float64) and
-    scaled once into (1 + tau) and (1 - tau) copies, so every product is
-    formed once.  Flattened, each pair member of a run of voxels is a
-    contiguous slice of one of these arrays at a fixed shift, which also
-    spans the padding columns between rows; those voxels are computed and
-    dropped.  The walk runs one band of rows of one output frame at a time,
-    over the three padded frames it reads: each output frame is cut into
-    two row halves, and each band is one item of ``linalg.parallel_map``
-    with its own buffers, so its bins do not depend on which runner took
-    it.  Each distinct offset's trit is formed once per band into a reused
-    int8 buffer; an offset that recurs in ``PAIR_OFFSETS`` keeps its trit
-    held for its later places in the chain.  Every trit is folded into
-    int8 transition and sum counts as soon as it is in place, and only the
-    bin is widened.
+    The volume is edge-padded by one ``np.pad`` in its own dtype.  A
+    ``uint8`` volume stays ``uint8``: the bounds (1 + tau) p_s and
+    (1 - tau) p_s are read from two 256-entry tables of the float64
+    products, rounded down (upper) and up (lower) and clipped to 0..255.
+    An integer p_m exceeds a real bound exactly when it exceeds its floor,
+    and falls below one exactly when it falls below its ceiling, so every
+    trit is the one the float64 products give, at 1 byte per operand.  Any
+    other dtype is converted once to float64 and scaled once into
+    (1 + tau) and (1 - tau) copies, so every product is formed once.
+
+    Flattened, each pair member of a run of voxels is a contiguous slice at
+    a fixed shift, which also spans the padding between rows and between
+    frames; those voxels are computed and dropped.  The run over the whole
+    volume is cut into ``linalg.CPUS`` contiguous pieces (cuts may fall
+    mid-row), each one item of ``linalg.parallel_map`` with its own
+    buffers, so its bins do not depend on which runner took it.  A
+    ``uint8`` piece looks up the bounds of the stretch it reads (its run
+    and one padded frame, row and voxel either side) on its runner.  Each
+    distinct offset's trit is formed once per piece into a reused int8
+    buffer; an offset that recurs in ``PAIR_OFFSETS`` keeps its trit held
+    for its later places in the chain.  Every trit is folded into the
+    piece's slice of int8 transition and sum counts as soon as it is in
+    place, the piece's bins are formed there in int8, and only the
+    volume's bins are widened.
     """
     volume = np.asarray(volume)
     if volume.ndim != 3 or not volume.size:
         raise ValueError(f"expected a non-empty (t, y, x) volume, got shape {volume.shape}")
-    if not volume.min(initial=0) >= 0:         # NaN fails too
+    if not 0.0 <= tau < np.inf:                 # NaN fails too, here and below
+        raise ValueError(f"tau must be finite and non-negative, got {tau!r}")
+    if not volume.min(initial=0) >= 0:
         raise FrameFormatError("cs_stltp intensities must not be negative or NaN")
     nt, ny, nx = volume.shape
     row = nx + 2
     frame = (ny + 2) * row
-    flat = np.pad(volume, 1, mode="edge").astype(np.float64, copy=False).reshape(-1)
-    upper = flat * (1.0 + tau)
-    lower = flat * (1.0 - tau)
-    bins = np.empty(volume.shape, dtype=np.int16)
+    flat = np.pad(volume, 1, mode="edge").reshape(-1)
+    if flat.dtype == np.uint8:
+        levels = np.arange(256, dtype=np.float64)
+        tables = (np.minimum(np.floor(levels * (1.0 + tau)), 255).astype(np.uint8),
+                  np.maximum(np.ceil(levels * (1.0 - tau)), 0).astype(np.uint8))
 
-    def bin_band(band):
-        t, y0, y1 = band
-        rows = y1 - y0
-        span = (rows - 1) * row + nx    # from voxel (y0, 0) to (y1 - 1, nx - 1)
-        centre = (t + 1) * frame + (y0 + 1) * row + 1   # voxel (t, y0, 0) in flat
-        above = np.empty(span, dtype=bool)
-        below = np.empty(span, dtype=bool)
-        differs = np.empty(span, dtype=bool)
+        def bounds(segment):    # uint8 indices are all in range: "clip" only skips a check
+            return [np.take(table, flat[segment], mode="clip") for table in tables]
+    else:
+        flat = flat.astype(np.float64, copy=False)
+        scaled = (flat * (1.0 + tau), flat * (1.0 - tau))
+
+        def bounds(segment):
+            return [copy[segment] for copy in scaled]
+
+    # Every PAIR_OFFSETS shift is at most reach = frame + row + 1 in flat,
+    # which is also where voxel (0, 0, 0) sits.  Run position i is voxel i of
+    # the volume laid out as (nt, ny + 2, row), at flat[reach + i], and its
+    # pairs lie in flat[i : i + 2 * reach + 1].
+    reach = frame + row + 1
+    span = (nt - 1) * frame + (ny - 1) * row + nx
+    run_bins = np.empty(nt * frame, dtype=np.int8)     # transitions, then bins
+
+    def bin_piece(piece):
+        a, b = piece
+        n = b - a
+        upper, lower = bounds(slice(a, b + 2 * reach))
+        above = np.empty(n, dtype=bool)
+        below = np.empty(n, dtype=bool)
+        differs = np.empty(n, dtype=bool)
         # Alternating buffers, so a trit is never formed over its predecessor.
-        scratch = (np.empty(span, dtype=np.int8), np.empty(span, dtype=np.int8))
-        held = {offset: np.empty(span, dtype=np.int8) for offset in _RECURRING}
-        # The counts cover whole padded rows, so they read back as (rows, row);
-        # the run slices sum into their first span entries.
-        transitions = np.zeros(rows * row, dtype=np.int8)
-        total = np.zeros(rows * row, dtype=np.int8)
-        run_transitions, run_total = transitions[:span], total[:span]
+        scratch = (np.empty(n, dtype=np.int8), np.empty(n, dtype=np.int8))
+        held = {offset: np.empty(n, dtype=np.int8) for offset in _RECURRING}
+        transitions = run_bins[a:b]
+        transitions[...] = 0
+        total = np.zeros(n, dtype=np.int8)
         formed = set()
         previous = None
         for i, offset in enumerate(PAIR_OFFSETS):
             trit = held.get(offset, scratch[i % 2])
             if offset not in formed:
                 shift = offset[0] * frame + offset[1] * row + offset[2]
-                p_m = flat[centre + shift : centre + shift + span]
-                np.greater(p_m, upper[centre - shift : centre - shift + span], out=above)
-                np.less(p_m, lower[centre - shift : centre - shift + span], out=below)
+                p_m = flat[reach + a + shift : reach + a + shift + n]
+                np.greater(p_m, upper[reach - shift : reach - shift + n], out=above)
+                np.less(p_m, lower[reach - shift : reach - shift + n], out=below)
                 np.subtract(above.view(np.int8), below.view(np.int8), out=trit)
                 formed.add(offset)
-            run_total += trit
+            total += trit
             if previous is not None:
-                run_transitions += np.not_equal(trit, previous, out=differs).view(np.int8)
+                transitions += np.not_equal(trit, previous, out=differs).view(np.int8)
             previous = trit
-        out = bins[t, y0:y1]
-        np.multiply(transitions.reshape(rows, row)[:, :nx], 3, out=out, dtype=np.int16)
-        out += np.sign(total.reshape(rows, row)[:, :nx])
-        out += 1
+        transitions *= 3                        # at most 15 * 3 + 1 + 1 = 47
+        transitions += np.sign(total, out=total)
+        transitions += 1
 
-    # Two bands per frame: a 5x288x352 window bins in 4.8 ms on a 2-core
-    # host against 5.4 ms with whole frames, and in 7.0 and 10.6 ms with 4
-    # and 8 bands, whose shorter numpy calls hand the GIL back and forth.
-    half = (ny + 1) // 2
-    linalg.parallel_map(bin_band, [(t, y0, y1) for t in range(nt)
-                                   for y0, y1 in ((0, half), (half, ny)) if y1 > y0])
+    cuts = [span * k // linalg.CPUS for k in range(linalg.CPUS + 1)]
+    linalg.parallel_map(bin_piece, [(a, b) for a, b in zip(cuts, cuts[1:]) if b > a])
+    bins = np.empty(volume.shape, dtype=np.int16)
+    bins[...] = run_bins.reshape(nt, ny + 2, row)[:, :ny, :nx]
     return bins
 
 
@@ -193,10 +220,11 @@ def brick_descriptor(
     is cut from; cs_stltp reads neighbours from it, so a brick sees across
     its own spatial boundary.
     cs_stltp: 48 raw histogram counts per channel, concatenated channel by
-    channel; every voxel contributes four counts to its pattern's bin.
-    rgb: voxel intensities flattened in (t, y, x, channel) order.
+    channel; every voxel contributes four counts to its pattern's bin.  The
+    volume is binned in its own dtype, as the engine bins it.
+    rgb: voxel intensities as float64, flattened in (t, y, x, channel) order.
     """
-    volume = np.asarray(volume, dtype=np.float64)
+    volume = np.asarray(volume)
     if volume.ndim == 3:
         volume = volume[..., None]
     if volume.ndim != 4:
@@ -209,7 +237,7 @@ def brick_descriptor(
     if not (0 <= y0 and y0 + height <= ny):
         raise ValueError("brick y-window outside volume")
     if mode == MODE_RGB:
-        return volume[:, y0 : y0 + height, x0 : x0 + width, :].reshape(-1).copy()
+        return volume[:, y0 : y0 + height, x0 : x0 + width, :].reshape(-1).astype(np.float64)
     if mode != MODE_CS:
         raise ValueError(f"unknown descriptor mode {mode!r}")
     pixels = np.arange(ny * nx).reshape(ny, nx)[y0 : y0 + height, x0 : x0 + width]

@@ -44,7 +44,7 @@ part on its own; ``step`` labels each bucket as one item, then runs each
 bucket's upkeep and each frame's mask tail as one item, all on
 ``linalg.parallel_map``, which uses every CPU the process may run on.
 ``features.bin_volume`` pads a window on the calling thread and then bins
-one half-frame band of rows per item on it too, ``batch_descriptors``
+it as one run cut into one piece per CPU on it too, ``batch_descriptors``
 gathers one part's rows per item, and an ``initialize`` part gathers its
 own descriptors, so that work runs on every CPU.  Masks and models do not
 depend on how many CPUs ran them.

@@ -202,13 +202,15 @@ def test_bin_volume_matches_scalar_reference(seed):
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 5, 8])
 def test_bin_volume_is_the_same_in_any_number_of_shares(monkeypatch, cpus):
-    """Each row half of an output frame is one item of
-    ``linalg.parallel_map`` (the padding is one ``np.pad`` on the calling
-    thread); any count of runners (more runners than items at 8) gives the
-    one-runner bins.  Volumes of 1, 2, 3 and 9 rows give an empty, a
-    single-row and an odd half."""
+    """The whole volume is one run, cut into one contiguous piece per
+    runner, each piece one item of ``linalg.parallel_map``; no frame is
+    cut into row halves.  Any count of runners gives the one-runner bins,
+    for ``uint8`` volumes and float64 ones: at 3 the cuts land mid-row, and
+    at 8 the 1x1x2 volume has fewer voxels than runners."""
     gen = np.random.default_rng(6)
-    volumes = [gen.uniform(20.0, 200.0, size=(5, rows, 11)) for rows in (1, 2, 3, 9)]
+    shapes = [(5, rows, 11) for rows in (1, 2, 3, 9)] + [(1, 1, 2)]
+    volumes = [gen.integers(0, 8, size=shape).astype(np.uint8) for shape in shapes]
+    volumes += [gen.uniform(20.0, 200.0, size=shape) for shape in shapes]
     wholes = [bin_volume(vol) for vol in volumes]
     pool = ThreadPoolExecutor(1)
     monkeypatch.setattr(linalg, "CPUS", cpus)
@@ -218,8 +220,38 @@ def test_bin_volume_is_the_same_in_any_number_of_shares(monkeypatch, cpus):
     finally:
         pool.shutdown()
     for vol, whole, bins in zip(volumes, wholes, shared):
-        assert bins.dtype == whole.dtype and np.array_equal(bins, whole), vol.shape
-        assert np.array_equal(bins, oracle_bins(vol, DEFAULT_TAU)), vol.shape
+        assert bins.dtype == whole.dtype and np.array_equal(bins, whole), (vol.dtype, vol.shape)
+        assert np.array_equal(bins, oracle_bins(vol, DEFAULT_TAU)), (vol.dtype, vol.shape)
+
+
+def all_pairs_volume():
+    """(3, 3, 3 * 65536) uint8 volume of 3x3x3 cubes side by side.  The
+    centre of cube k has p_m = k // 256 at each of the 13 distinct
+    ``PAIR_OFFSETS`` and p_s = k % 256 at its negation, so every offset
+    direction meets every pair of 8-bit values, and the centre's 16 trits
+    are all equal."""
+    first = np.zeros((3, 3, 3), dtype=bool)
+    for dt, dy, dx in PAIR_OFFSETS:
+        first[1 + dt, 1 + dy, 1 + dx] = True
+    assert first.sum() == 13 and not (first & first[::-1, ::-1, ::-1]).any()
+    p_m, p_s = np.divmod(np.arange(256 * 256), 256)
+    cubes = np.where(first[:, :, None, :], p_m[:, None], p_s[:, None])     # (3, 3, k, 3)
+    return cubes.reshape(3, 3, -1).astype(np.uint8), p_m, p_s
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tau", [0.0, 0.05, 0.2, 1 / 3, 0.5, 0.999, 1.0, 1.5, 2.5, 254.0, 1e300])
+def test_uint8_bins_equal_the_float64_bins_for_every_pair(tau):
+    """A ``uint8`` volume is compared against bounds from 256-entry tables
+    of the float64 products rounded to integers; for every (p_m, p_s) pair
+    along every offset, and at tolerances where the bounds leave 0..255,
+    it bins as its float64 copy does, which the scalar rule confirms at the
+    cube centres (bin 2, 1 or 0 for trits all +1, 0 or -1)."""
+    vol, p_m, p_s = all_pairs_volume()
+    bins = bin_volume(vol, tau)
+    assert np.array_equal(bins, bin_volume(vol.astype(np.float64), tau))
+    trit = (p_m > (1.0 + tau) * p_s).astype(int) - (p_m < (1.0 - tau) * p_s)
+    assert np.array_equal(bins[1, 1, 1::3], trit + 1)
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.float32, np.float64])
@@ -289,6 +321,19 @@ def test_brick_descriptor_refuses_negative_intensities():
         brick_descriptor(vol, 2, 2, 4, 4, "cs_stltp")
     assert np.array_equal(brick_descriptor(vol, 2, 2, 4, 4, "rgb"), vol[:, 2:6, 2:6].reshape(-1))
     assert brick_descriptor(np.abs(vol), 2, 2, 4, 4, "cs_stltp").sum() == 320
+
+
+@pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf, -0.5])
+def test_invalid_tau_is_refused(tau):
+    """The trit rule needs a finite tau >= 0: at NaN or inf every voxel used
+    to get bin 1, and at -0.5 both comparisons can hold (bins 10-19 on a
+    uniform(20, 200) volume), all without notice."""
+    vol = random_volume(8)
+    for volume in (vol, vol.astype(np.uint8)):
+        with pytest.raises(ValueError, match="tau"):
+            bin_volume(volume, tau)
+        with pytest.raises(ValueError, match="tau"):
+            brick_descriptor(volume, 1, 1, 4, 4, "cs_stltp", tau)
 
 
 @pytest.mark.parametrize("bad", [-1.0, np.nan])

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from brickbg import linalg, pipeline
+from brickbg import features, linalg, pipeline
 from brickbg.config import EngineConfig
 from brickbg.evaluation import evaluate
 from brickbg.features import brick_descriptor
@@ -134,6 +134,30 @@ def test_batch_descriptors_match_per_brick(mode, channels, depth):
             assert np.array_equal(batch[cell], single), (height, width, cell)
 
 
+@pytest.mark.parametrize("channels", [1, 3])
+def test_brick_descriptor_takes_the_engine_path_on_uint8(monkeypatch, channels):
+    """``brick_descriptor`` bins a ``uint8`` window in its own dtype, as
+    ``batch_descriptors`` does, not a float64 copy of it, and its vector
+    equals the matching row in both modes; the rgb vector is float64."""
+    seen = []
+    binned = features.bin_volume
+
+    def spy(volume, tau):
+        seen.append(volume.dtype)
+        return binned(volume, tau)
+
+    monkeypatch.setattr(features, "bin_volume", spy)
+    video, _ = noisy_video(5, 10, 13, channels=channels, seed=12)
+    geometry = make_grid(10, 13, 4, 4)
+    for mode in ("cs_stltp", "rgb"):
+        batch = batch_descriptors(geometry, video, mode, tau=0.2)
+        for cell in range(geometry.locations):
+            gx, gy = cell % geometry.grid_w, cell // geometry.grid_w
+            single = brick_descriptor(video, *anchor(geometry, gx, gy), 4, 4, mode=mode, tau=0.2)
+            assert single.dtype == np.float64 and np.array_equal(batch[cell], single), (mode, cell)
+    assert seen == [np.uint8] * (geometry.locations * channels)
+
+
 def test_batch_descriptors_rejects_unknown_mode():
     geometry = make_grid(8, 8, 4, 4)
     with pytest.raises(ValueError):
@@ -232,8 +256,9 @@ def test_initialize_holds_no_whole_grid_descriptor_matrix(monkeypatch):
 @pytest.mark.parametrize("channels", [1, 3])
 @pytest.mark.parametrize("mode", ["cs_stltp", "rgb"])
 def test_initialize_converts_the_head_exactly(monkeypatch, mode, channels):
-    """Frames are converted to float64 as the gathered rows are written
-    (rgb) or inside ``bin_volume`` (cs_stltp), not before, so a uint8 clip
+    """rgb frames are converted to float64 as the gathered rows are
+    written, not before, and a cs_stltp ``uint8`` window is binned in its
+    own 8-bit domain, whose bins are the float64 ones; so a uint8 clip
     and its float64 copy give the same buckets bit for bit, over several
     parts, after ``initialize`` and after each ``step``: one of a clean
     window and one of a painted window, whose flagged bricks the cs_stltp
