@@ -12,9 +12,9 @@ per-stage time totals of ``EngineState.timings``.
 Exit codes: 0 on success, 2 for unusable arguments or configuration, 3 for
 runtime failures (missing/short/malformed data, numerical breakdown).
 Every destination is checked before anything is written (by ``run``, before
-segmenting): one directory for ``synth``'s frames and truth, or for ``run``'s
-masks and truth, exits 2, and one holding frame files the write would leave
-in place exits 3.
+segmenting; by ``synth``, before rendering): one directory for ``synth``'s
+frames and truth, or for ``run``'s masks and truth, exits 2, and one holding
+frame files the write would leave in place exits 3.
 """
 
 from __future__ import annotations
@@ -122,11 +122,11 @@ def _cmd_synth(args) -> int:
     scene = load_scene(args.scene)
     if not scene.quantize:
         raise ConfigError("synth writes 8-bit frames; the scene must set quantize = true")
-    frames, truth = render(scene)
-    check_destination(args.output, frames.shape[0], frames.shape[-1])
+    check_destination(args.output, scene.frame_count, scene.channels)
     if args.truth:
-        check_destination(args.truth, truth.shape[0], prefix="mask")
-    write_frames(args.output, frames[..., 0] if frames.shape[-1] == 1 else frames)
+        check_destination(args.truth, scene.frame_count, prefix="mask")
+    frames, truth = render(scene)
+    write_frames(args.output, frames)
     print(f"wrote {frames.shape[0]} frames to {args.output}")
     if args.truth:
         write_masks(args.truth, truth)

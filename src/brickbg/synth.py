@@ -3,15 +3,18 @@
 A scene script fixes the frame geometry, the background, an optional
 illumination gain change, and a set of moving rectangles.  Rendering is a
 pure function of the script (seeded generator), so the same script always
-produces bit-identical frames and truth masks.
+produces bit-identical frames and truth masks.  Frames are rendered one at a
+time, in order, so peak memory is about the output clip, and a shorter
+``frame_count`` gives the exact head of a longer clip.
 
 The background is built from three parts, each switched on by its numbers:
 
 * a static base image, flat or drawn per pixel (``base_kind``)
 * an ARMA process planted when ``arma_dim >= 1``: a random pattern matrix
-  maps a slowly evolving state vector to a per-frame additive term, so
-  rendered frames follow a known subspace model exactly when noise and
-  quantization are turned off
+  maps a slowly evolving state vector to the additive term
+  ``patterns @ states[f]`` of frame f (``planted_model``), so rendered
+  frames follow a known subspace model exactly when noise and quantization
+  are turned off
 * i.i.d. Gaussian sensor noise per frame when ``noise_sigma > 0`` (applied
   after objects are drawn)
 """
@@ -164,10 +167,12 @@ def planted_model(script: SceneScript):
 
 
 def render(script: SceneScript):
-    """Render a scene to ``(frames, truth)``.
+    """Render a scene to ``(frames, truth)``, one finished frame at a time.
 
     frames: (F, H, W, channels) uint8 (float64 when ``quantize`` is off);
     truth: (F, H, W) bool, True where a live object covers the pixel.
+    Frame f is the base plus its planted term ``patterns @ states[f]``, then
+    the objects and noise, times its gain, rounded and clipped to 8 bits.
     """
     h, w, ch, n = script.height, script.width, script.channels, script.frame_count
     rng = np.random.default_rng(script.seed)
@@ -184,21 +189,20 @@ def render(script: SceneScript):
     else:
         base = rng.uniform(script.base_low, script.base_high, size=(h, w, ch))
 
-    arma_terms = None
     if script.arma_dim >= 1:
         patterns, _, states = planted_model(script)
-        arma_terms = (states @ patterns.T).reshape(n, h, w, ch)
 
     colors = [
         np.broadcast_to(np.asarray(rect.color, dtype=np.float64).reshape(-1), (ch,))
         for rect in script.objects
     ]
-    frames = np.empty((n, h, w, ch), dtype=np.float64)
+    frames = np.empty((n, h, w, ch), dtype=np.uint8 if script.quantize else np.float64)
     truth = np.zeros((n, h, w), dtype=bool)
+    start, ramp = script.gain_frame, script.gain_ramp
     for f in range(n):
         frame = base.copy()
-        if arma_terms is not None:
-            frame += arma_terms[f]
+        if script.arma_dim >= 1:
+            frame += (patterns @ states[f]).reshape(h, w, ch)
         for rect, color in zip(script.objects, colors):
             if not rect.alive(f):
                 continue
@@ -206,20 +210,15 @@ def render(script: SceneScript):
             frame[y : y + rect.height, x : x + rect.width, :] = color
             truth[f, y : y + rect.height, x : x + rect.width] = True
         if script.noise_sigma:
-            frame = frame + rng.normal(scale=script.noise_sigma, size=frame.shape)
-        frames[f] = frame
-
-    if script.gain != 1.0:
-        ramp = script.gain_ramp
-        for f in range(script.gain_frame, n):
-            if ramp and f < script.gain_frame + ramp:
-                g = 1.0 + (script.gain - 1.0) * (f - script.gain_frame + 1) / ramp
+            frame += rng.normal(scale=script.noise_sigma, size=frame.shape)
+        if script.gain != 1.0 and f >= start:
+            if ramp and f < start + ramp:
+                frame *= 1.0 + (script.gain - 1.0) * (f - start + 1) / ramp
             else:
-                g = script.gain
-            frames[f] *= g
-
-    if script.quantize:
-        frames = np.clip(np.rint(frames), 0, 255).astype(np.uint8)
+                frame *= script.gain
+        if script.quantize:
+            np.clip(np.rint(frame, out=frame), 0, 255, out=frame)
+        frames[f] = frame
     return frames, truth
 
 

@@ -356,6 +356,27 @@ def test_cli_run_checks_output_before_segmenting(tmp_path, frames_dir, monkeypat
     assert sorted(p.name for p in frames_dir.iterdir()) == before
 
 
+def test_cli_synth_checks_destinations_before_rendering(tmp_path, scene_file, monkeypatch, capsys):
+    """A populated ``--output`` or ``--truth`` used to be refused only after
+    the whole clip was rendered; now it is refused before ``render`` runs."""
+    import brickbg.cli
+
+    calls = []
+    monkeypatch.setattr(brickbg.cli, "render", lambda *args: calls.append(args))
+    stale = b"P5\n1 1\n255\n\x00"
+    out, truth = tmp_path / "frames", tmp_path / "truth"
+    out.mkdir()
+    (out / "frame_000061.pgm").write_bytes(stale)             # the scene has 60 frames
+    assert main(["synth", "--scene", str(scene_file), "--output", str(out)]) == 3
+    truth.mkdir()
+    (truth / "mask_000061.pgm").write_bytes(stale)
+    assert main(["synth", "--scene", str(scene_file), "--output", str(tmp_path / "new"),
+                 "--truth", str(truth)]) == 3
+    assert capsys.readouterr().err.count("leaves in place") == 2
+    assert calls == []
+    assert not (tmp_path / "new").exists()
+
+
 def test_cli_run_refuses_one_directory_for_masks_and_truth(tmp_path, scene_file, monkeypatch, capsys):
     """It used to overwrite the truth with its own masks, then score them
     against themselves: fscore 1.0000 and exit 0.  Now no frame is loaded

@@ -11,7 +11,7 @@ upkeep.
 """
 
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -599,8 +599,8 @@ def test_step_does_not_depend_on_the_cpu_count(monkeypatch, two_runners, mode, s
     pass, so frames are gated and cleaned on workers too.  Streamed on two
     runners and on one CPU, a moving-box crop gives equal masks, labels,
     running mean and models."""
-    frames, _ = render(load_scene(SCENES / f"{scene}.scene"))
-    frames = frames[:75, 16:112, :96]            # the box crosses the crop from frame 50
+    frames, _ = render(replace(load_scene(SCENES / f"{scene}.scene"), frame_count=75))
+    frames = frames[:, 16:112, :96]              # the box crosses the crop from frame 50
     monkeypatch.setattr(pipeline, "PART_CELLS", 100)
     config = EngineConfig(mode=mode, stride=stride)
     two = stream_windows(frames, config, 5)

@@ -1,5 +1,6 @@
 """Scene generator: determinism, exact truth masks, planted processes."""
 
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -176,8 +177,8 @@ def test_planted_background_follows_model_exactly():
     patterns, transition, states = planted_model(script)
     frames, _ = render(script)
     h, w = script.height, script.width
-    rebuilt = 128.0 + (states @ patterns.T).reshape(20, h, w, 1)
-    assert np.allclose(frames, rebuilt, atol=1e-12)
+    for f in range(20):
+        assert np.array_equal(frames[f], 128.0 + (patterns @ states[f]).reshape(h, w, 1))
     # states follow the transition map between steps
     for f in range(1, 20):
         assert np.allclose(states[f], transition @ states[f - 1], atol=1e-12)
@@ -196,6 +197,26 @@ def test_planted_arma_step_holds_state():
     _, _, states = planted_model(script)
     for f in range(15):
         assert np.array_equal(states[f], states[5 * (f // 5)])
+
+
+def test_render_memory_is_about_the_output():
+    """Frames are finished one at a time into the uint8 clip.  The whole-clip
+    float64 passes (planted terms, frames, rint, clip) peaked at about 160
+    float64 frames above the outputs here."""
+    rect = MovingRect(width=8, height=8, color=(200.0, 90.0, 30.0), start=(4, 4),
+                      velocity=(1.0, 1.0))
+    script = SceneScript(width=64, height=64, frame_count=40, channels=3, arma_dim=3,
+                         base_kind="texture", noise_sigma=2.0, gain=1.3, gain_frame=10,
+                         gain_ramp=5, objects=[rect])
+    patterns, _, _ = planted_model(script)
+    tracemalloc.start()
+    try:
+        frames, truth = render(script)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    float_frame = 64 * 64 * 3 * 8
+    assert peak < frames.nbytes + truth.nbytes + patterns.nbytes + 6 * float_frame
 
 
 # --- illumination gain ----------------------------------------------------------
