@@ -14,7 +14,11 @@ runtime failures (missing/short/malformed data, numerical breakdown).
 Every destination is checked before anything is written (by ``run``, before
 segmenting; by ``synth``, before rendering): one directory for ``synth``'s
 frames and truth, or for ``run``'s masks and truth, exits 2, and one holding
-frame files the write would leave in place exits 3.
+frame files the write would leave in place exits 3.  ``run`` also loads its
+truth before segmenting and checks that it holds one mask per frame: a
+missing or mis-shaped truth exits 3 with no mask written.  ``run`` and
+``eval`` refuse (exit 3) a ``--report`` path that is a directory or whose
+directory is missing before they load anything.
 """
 
 from __future__ import annotations
@@ -50,6 +54,13 @@ def _print_scores(predicted, truth, report_path) -> None:
         write_report(report_path, report)
 
 
+def _check_report(path) -> None:
+    """Refuse a ``--report`` path that is a directory or whose directory is
+    missing, before any work that the report would score."""
+    if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+        raise FileNotFoundError(f"{path}: the report needs a file in an existing directory")
+
+
 def _cmd_run(args) -> int:
     if args.report and not args.truth:
         raise ConfigError("--report needs --truth to score against")
@@ -58,8 +69,14 @@ def _cmd_run(args) -> int:
     config = load_config(args.config) if args.config else EngineConfig()
     overrides = {"mode": args.mode, "stride": args.stride}
     config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
+    _check_report(args.report)
     frames = load_frames(args.input)
     check_destination(args.output, frames.shape[0], prefix="mask")
+    truth = load_masks(args.truth) if args.truth else None
+    if truth is not None and truth.shape != frames.shape[:3]:
+        raise FrameFormatError(
+            f"truth shape {truth.shape} does not match the frames' {frames.shape[:3]}"
+        )
     started = time.perf_counter()
     masks, state = process_video(frames, config)
     elapsed = time.perf_counter() - started
@@ -72,17 +89,13 @@ def _cmd_run(args) -> int:
     )
     totals = sorted(state.timings.items())
     print("stage totals: " + "  ".join(f"{stage} {seconds:.3f}s" for stage, seconds in totals))
-    if args.truth:
-        truth = load_masks(args.truth)
-        if truth.shape != masks.shape:
-            raise FrameFormatError(
-                f"truth shape {truth.shape} does not match output {masks.shape}"
-            )
+    if truth is not None:
         _print_scores(masks, truth, args.report)
     return 0
 
 
 def _cmd_eval(args) -> int:
+    _check_report(args.report)
     truth = load_masks(args.truth)
     if args.pred:
         predicted = load_masks(args.pred)

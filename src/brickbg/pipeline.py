@@ -37,17 +37,24 @@ held, and refits the dynamics from all of them.  Each bucket is a
 one-cell copy of it, which every stacked function (and
 ``maintenance.synthesize``) takes as it is.
 
-No cell's maths reads another cell's, so the cells are split into parts
-of at most ``PART_CELLS`` in grid order, the same split on every machine;
-no LAPACK call sees more than one part.  ``initialize`` identifies each
-part on its own; ``step`` labels each bucket as one item, then runs each
-bucket's upkeep and each frame's mask tail as one item, all on
-``linalg.parallel_map``, which uses every CPU the process may run on.
-``features.bin_volume`` pads a window on the calling thread and then bins
-it as one run cut into one piece per CPU on it too, ``batch_descriptors``
-gathers one part's rows per item, and an ``initialize`` part gathers its
-own descriptors, so that work runs on every CPU.  Masks and models do not
-depend on how many CPUs ran them.
+No cell's maths reads another cell's, so the grid is cut into
+``grid_parts``: runs of cells in grid order of about ``PART_ENTRIES``
+descriptor entries (cells x m) each, the same split on every machine.
+Each item of work costs a fixed run of numpy calls besides its arrays, so
+parts are sized by entries, not by cells: a 352 x 288 grid makes 7 parts
+at m = 240 (rgb) and 2 at m = 48 (gray cs_stltp).  Every bucket lies in
+one part, so no LAPACK call sees more than one part's cells.
+``initialize`` identifies each part as one item, in chunks of at most
+``PART_CELLS`` cells, which bound its (cells, windows, m) descriptor
+matrices, and ``subspace.regroup`` joins the chunks' buckets by d.
+``step`` labels each bucket as one item, then runs each bucket's upkeep
+and each frame's mask tail as one item, all on ``linalg.parallel_map``,
+which uses every CPU the process may run on.  ``features.bin_volume`` pads
+a window on the calling thread and then bins it as one run cut into one
+piece per CPU on it too, ``batch_descriptors`` gathers one part's rows per
+item, and an ``initialize`` chunk gathers its own descriptors, so that
+work runs on every CPU.  Masks and models do not depend on how many CPUs
+ran them, nor on how the cells were cut.
 
 Labels and composition read the descriptor's voxel layout (t, h, w,
 channels), which ``step`` states once.  A ``cs_stltp`` histogram is one voxel
@@ -80,12 +87,20 @@ from .subspace import (
     fit_dynamics_stack,
     gram_safe_magnitude,
     identify_stack,
+    regroup,
 )
 
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
 
-# Largest number of cells identified or stepped as one item.  It bounds
-# every LAPACK stack and its transient buffers, and changes no cell's result.
+# Descriptor entries (cells x m) of about one work item: the grid is cut
+# into ``grid_parts``, each gathered, identified and stepped as one item.
+# It bounds a step item's (cells, m) arrays, and changes no cell's result.
+PART_ENTRIES = 1024 * 240
+
+# Largest number of cells identified as one stack.  It bounds an
+# identification's (cells, windows, m) descriptor matrix and LAPACK stacks,
+# and changes no cell's result.  A 3168-cell gray cs_stltp part identified
+# whole holds 4x the descriptors of a chunk, which raised peak RSS.
 PART_CELLS = 1024
 
 # Open band of median gains the cs_stltp pixel gate follows; a ratio
@@ -289,6 +304,21 @@ def _gather_rows(source, pixel_index: np.ndarray, mode: str, out: np.ndarray) ->
         out[:, ch * HISTOGRAM_BINS : (ch + 1) * HISTOGRAM_BINS] = cell_histograms(bins, pixel_index)
 
 
+def _runs(start: int, stop: int, count: int) -> list[slice]:
+    """``count`` contiguous runs covering ``start:stop`` whose sizes differ
+    by at most one."""
+    bounds = [start + i * (stop - start) // count for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def grid_parts(locations: int, m: int) -> list[slice]:
+    """The grid's work items: ``ceil(locations * m / PART_ENTRIES)`` runs of
+    cells in grid order, but never more runs than cells, whose sizes differ
+    by at most one cell.  They depend on the grid and m only, not on the
+    CPUs."""
+    return _runs(0, locations, min(-(-locations * m // PART_ENTRIES), locations))
+
+
 def batch_descriptors(geometry: GridGeometry, volume: np.ndarray, mode: str, tau: float) -> np.ndarray:
     """Descriptor matrix (locations, m) for one brick-depth frame window.
 
@@ -298,10 +328,10 @@ def batch_descriptors(geometry: GridGeometry, volume: np.ndarray, mode: str, tau
     ``geometry.pixel_index``, and ternary patterns are evaluated once per
     frame, not per brick, then pooled through the same index over the
     frames.  ``volume`` is (depth, H, W, channels).  The rows are gathered
-    part by part (``PART_CELLS`` cells each) on ``linalg.parallel_map``,
-    each part into its block of one preallocated matrix.  ``initialize``
-    runs the same two halves, ``_window_source`` then ``_gather_rows``,
-    part by part.
+    one ``grid_parts`` part per item on ``linalg.parallel_map``, each part
+    into its block of one preallocated matrix.  ``initialize`` runs the
+    same two halves, ``_window_source`` then ``_gather_rows``, over the same
+    parts.
     """
     _, height, width, _ = volume.shape
     if (height, width) != (geometry.frame_height, geometry.frame_width):
@@ -315,27 +345,28 @@ def batch_descriptors(geometry: GridGeometry, volume: np.ndarray, mode: str, tau
     cells = geometry.pixel_index
     rows = np.empty((len(cells), _row_length(source, mode, cells.shape[1])))
 
-    def gather(start):
-        part = slice(start, start + PART_CELLS)
+    def gather(part):
         _gather_rows(source, cells[part], mode, rows[part])
 
-    linalg.parallel_map(gather, range(0, len(cells), PART_CELLS))
+    linalg.parallel_map(gather, grid_parts(*rows.shape))
     return rows
 
 
 def initialize(frames, config: EngineConfig) -> EngineState:
     """Identify one model per grid cell from the first ``init_frames`` frames.
 
-    Each part of at most ``PART_CELLS`` cells is identified on its own
-    and gives one bucket per state dimension it holds, its ``indices``
-    offset to grid cell ids; ``state.buckets`` lists them part by part.
+    Each ``grid_parts`` part is one item on ``linalg.parallel_map``.  It
+    identifies its cells in balanced chunks of at most ``PART_CELLS``, one
+    after another, and ``subspace.regroup`` joins the chunks' buckets into
+    one per state dimension the part holds, its ``indices`` grid cell ids;
+    ``state.buckets`` lists them part by part.
 
-    Each part builds only its own (cells, windows, m) float64 descriptor
+    Each chunk builds only its own (cells, windows, m) float64 descriptor
     matrix, one row per head window, gathered straight from the head: in
     rgb from its frames in their own dtype, in cs_stltp from the int16 bins
     of each window, binned once, window by window, before the parts start
     (each ``bin_volume`` on every CPU).  So the descriptors held at once
-    are those of the ``min(linalg.CPUS, parts)`` parts in flight, not the
+    are those of the ``min(linalg.CPUS, parts)`` chunks in flight, not the
     whole grid's.
     """
     frames = _as_video(frames)
@@ -355,17 +386,21 @@ def initialize(frames, config: EngineConfig) -> EngineState:
 
     m = _row_length(sources[0], config.mode, geometry.pixel_index.shape[1])
 
-    def identify(start):
-        cells = geometry.pixel_index[start : start + PART_CELLS]
+    def identify_chunk(chunk):
+        cells = geometry.pixel_index[chunk]
         w = np.empty((len(cells), len(sources), m))
         for i, source in enumerate(sources):
             _gather_rows(source, cells, config.mode, w[:, i])
         buckets = identify_stack(w, config.t_d, config.t_deps, config.history)
         for bucket in buckets:
-            bucket.indices += start
+            bucket.indices += chunk.start
         return buckets
 
-    parts = linalg.parallel_map(identify, range(0, geometry.locations, PART_CELLS))
+    def identify(part):
+        chunks = _runs(part.start, part.stop, -(-(part.stop - part.start) // PART_CELLS))
+        return regroup([bucket for chunk in chunks for bucket in identify_chunk(chunk)])
+
+    parts = linalg.parallel_map(identify, grid_parts(geometry.locations, m))
     return EngineState(
         config=config,
         geometry=geometry,

@@ -20,13 +20,14 @@ singular values of R.  No factorization ever sees a ring-sized matrix.
 share a state dimension.  ``identify_stack`` is the one identification
 path: from g stacked descriptor matrices it cuts each rank, forms the
 bases, fits the dynamics and keeps the newest states, returning one bucket
-per state dimension.  ``pipeline.initialize`` calls it on every grid cell and
-``learn_initial`` is its one-cell view.
+per state dimension.  ``pipeline.initialize`` calls it on every grid cell,
+chunk by chunk, and ``regroup`` joins the chunks' buckets of each state
+dimension; ``learn_initial`` is its one-cell view.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -171,7 +172,8 @@ def fit_dynamics_stack(states: np.ndarray, t_deps: float, observed=None):
     snap = radius >= 1.0 - tolerance
     divisor = np.where(snap & (radius > 0), radius, 1.0)
     a = a / divisor[:, None, None]
-    resid = z2 - fitted / divisor[:, None, None]      # (g, d, k-1)
+    fitted /= divisor[:, None, None]
+    resid = np.subtract(z2, fitted, out=rough)         # (g, d, k-1)
     real = np.ones((g, k), dtype=bool) if observed is None else np.asarray(observed, dtype=bool)
     if real.shape != (g, k):
         raise ValueError(f"observed must be shaped {(g, k)}, got {real.shape}")
@@ -179,7 +181,7 @@ def fit_dynamics_stack(states: np.ndarray, t_deps: float, observed=None):
     n_eff = real[:, 1:].sum(axis=1)
     mu, u = _gram_spectrum(resid @ np.swapaxes(resid, 1, 2))
     s = np.sqrt(mu)
-    magnitude = np.abs(states).max(axis=(1, 2))
+    magnitude = np.maximum(states.max(axis=(1, 2)), -states.min(axis=(1, 2)))
     floor = EXACT_DYNAMICS_RTOL * np.maximum(magnitude, np.finfo(np.float64).tiny)
     top = s[:, 0]
     counted = select_dims(s, t_deps * top[:, None])
@@ -262,6 +264,24 @@ def identify_stack(w, t_d: float, t_deps: float, history: int) -> list[ModelBuck
             observed=np.ones((idx.size, seed), dtype=bool),
         ))
     return buckets
+
+
+def regroup(buckets) -> list[ModelBucket]:
+    """One bucket per state dimension of ``buckets``, ascending in d.
+
+    Each joins the fields of the buckets of its d along the cell axis, in
+    the order given, so cells keep their relative order; a d held by one
+    bucket keeps that bucket as it is.  The buckets must hold equally many
+    states.
+    """
+    joined = []
+    for d in sorted({bucket.d for bucket in buckets}):
+        group = [bucket for bucket in buckets if bucket.d == d]
+        joined.append(group[0] if len(group) == 1 else ModelBucket(**{
+            f.name: np.concatenate([getattr(bucket, f.name) for bucket in group])
+            for f in fields(ModelBucket)
+        }))
+    return joined
 
 
 def learn_initial(

@@ -356,6 +356,52 @@ def test_cli_run_checks_output_before_segmenting(tmp_path, frames_dir, monkeypat
     assert sorted(p.name for p in frames_dir.iterdir()) == before
 
 
+def test_cli_run_checks_truth_and_report_before_segmenting(tmp_path, frames_dir, monkeypatch,
+                                                          capsys):
+    """A missing truth, a truth of another shape, or a report bound for a
+    missing directory used to be refused only after the whole clip was
+    segmented and its masks written; each now exits 3 before the clip is
+    segmented, with no mask written."""
+    import brickbg.cli
+
+    calls = []
+    monkeypatch.setattr(brickbg.cli, "process_video", lambda *args: calls.append(args))
+    truth, short = tmp_path / "truth", tmp_path / "short"
+    write_masks(truth, np.zeros((60, 36, 48), dtype=bool))
+    write_masks(short, np.zeros((59, 36, 48), dtype=bool))
+    out = tmp_path / "masks"
+    for extra in (["--truth", str(tmp_path / "missing")],
+                  ["--truth", str(short)],
+                  ["--truth", str(truth), "--report", str(tmp_path / "nodir" / "r.csv")],
+                  ["--truth", str(truth), "--report", str(tmp_path)]):
+        assert main(["run", "--input", str(frames_dir), "--output", str(out)] + extra) == 3
+        assert "error:" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists() and not (tmp_path / "nodir").exists()
+
+
+def test_cli_eval_checks_report_before_scoring(tmp_path, monkeypatch, capsys):
+    """``eval --report nodir/r.csv`` used to load and score every mask and
+    print the scores before it failed on the missing directory; now a report
+    path that is a directory or lies in a missing one exits 3 before any
+    mask is loaded."""
+    import brickbg.cli
+
+    calls = []
+    monkeypatch.setattr(brickbg.cli, "load_masks", lambda *args: calls.append(args))
+    truth = tmp_path / "truth"
+    write_masks(truth, np.zeros((4, 8, 8), dtype=bool))
+    (tmp_path / "sweep" / "a").mkdir(parents=True)
+    for source in (["--pred", str(truth)], ["--sweep", str(tmp_path / "sweep")]):
+        for report in (tmp_path / "nodir" / "r.csv", tmp_path):
+            argv = ["eval", "--truth", str(truth), "--report", str(report)] + source
+            assert main(argv) == 3
+            captured = capsys.readouterr()
+            assert "error:" in captured.err and "fscore" not in captured.out
+    assert calls == []
+    assert not (tmp_path / "nodir").exists()
+
+
 def test_cli_synth_checks_destinations_before_rendering(tmp_path, scene_file, monkeypatch, capsys):
     """A populated ``--output`` or ``--truth`` used to be refused only after
     the whole clip was rendered; now it is refused before ``render`` runs."""

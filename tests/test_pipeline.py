@@ -27,6 +27,7 @@ from brickbg.pipeline import (
     GAIN_BAND,
     EngineState,
     batch_descriptors,
+    grid_parts,
     initialize,
     make_grid,
     model_at,
@@ -48,6 +49,14 @@ def noisy_video(frames, height, width, channels=1, seed=0, base=None):
         base = gen.choice([70.0, 105.0, 160.0], size=(height, width, channels))
     video = base + gen.normal(scale=5.0, size=(frames, height, width, channels))
     return np.clip(np.rint(video), 0, 255).astype(np.uint8), base
+
+
+def cut_parts(monkeypatch, cells, mode, channels=1):
+    """Cut 4x4x5 bricks' grid into ``grid_parts`` of about ``cells`` cells,
+    each identified as one chunk."""
+    m = (48 if mode == "cs_stltp" else 80) * channels
+    monkeypatch.setattr(pipeline, "PART_ENTRIES", cells * m)
+    monkeypatch.setattr(pipeline, "PART_CELLS", cells)
 
 
 # --- geometry ---------------------------------------------------------------
@@ -264,7 +273,7 @@ def test_initialize_converts_the_head_exactly(monkeypatch, mode, channels):
     window and one of a painted window, whose flagged bricks the cs_stltp
     pixel gate cuts down.  The pixel gate never writes into the caller's
     frames."""
-    monkeypatch.setattr(pipeline, "PART_CELLS", 37)
+    cut_parts(monkeypatch, 37, mode, channels)
     video, _ = noisy_video(60, 40, 48, channels=channels, seed=9)
     video[55:60, 8:20, 12:28] = 250
     config = EngineConfig(mode=mode, t_d=0.05, t_deps=0.05)
@@ -272,7 +281,7 @@ def test_initialize_converts_the_head_exactly(monkeypatch, mode, channels):
     wide = initialize(video[:50].astype(np.float64), config)
 
     def assert_same_models():
-        assert len(narrow.buckets) == len(wide.buckets) >= 4      # 120 cells in 4 parts
+        assert len(narrow.buckets) == len(wide.buckets) >= 4      # 120 cells in 4 parts of 30
         for got, want in zip(narrow.buckets, wide.buckets):
             for f in fields(ModelBucket):
                 a, b = getattr(got, f.name), getattr(want, f.name)
@@ -298,18 +307,18 @@ def test_descriptors_do_not_depend_on_the_split(monkeypatch, two_runners, mode, 
     """``batch_descriptors`` gathers its rows part by part on
     ``linalg.parallel_map``, each part into its block of one matrix, and
     each ``initialize`` part writes its windows' rows into its own matrix.
-    Parts of 37 cells on two runners give the one-CPU, one-part rows bit
+    Parts of 30 cells on two runners give the one-CPU, one-part rows bit
     for bit, as one float64 C-contiguous matrix, and the one-CPU buckets."""
     video, _ = noisy_video(50, 40, 48, channels=channels, seed=11)
-    geometry = make_grid(40, 48, 4, 4)          # 120 cells: parts of 37, 37, 37 and 9
+    geometry = make_grid(40, 48, 4, 4)          # 120 cells: four parts of 30
     config = EngineConfig(mode=mode, t_d=0.05, t_deps=0.05)
-    monkeypatch.setattr(pipeline, "PART_CELLS", 37)
+    cut_parts(monkeypatch, 37, mode, channels)
     rows = batch_descriptors(geometry, video[20:25], mode, config.tau)
     state = initialize(video, config)
     monkeypatch.setattr(linalg, "CPUS", 1)
     monkeypatch.setattr(linalg, "_POOL", None)
     state_one = initialize(video, config)
-    monkeypatch.setattr(pipeline, "PART_CELLS", geometry.locations)
+    cut_parts(monkeypatch, geometry.locations, mode, channels)
     whole = batch_descriptors(geometry, video[20:25], mode, config.tau)
     assert rows.dtype == np.float64 and rows.flags.c_contiguous
     assert rows.shape == whole.shape == (120, 48 * channels if mode == "cs_stltp" else 80 * channels)
@@ -555,7 +564,7 @@ def test_step_upkeep_equals_the_all_rows_oracle(monkeypatch, mode):
     the upkeep that composes every row (``all_rows_update``), with parts of
     37 cells, so that several buckets hold flagged and background bricks
     together, and a low ``t_d``, which gives cs_stltp cells several d."""
-    monkeypatch.setattr(pipeline, "PART_CELLS", 37)
+    cut_parts(monkeypatch, 37, mode)
     frames, _ = render(load_scene(SCENES / "occlusion.scene"))
     config = EngineConfig(mode=mode, t_d=0.05, t_deps=0.05)
     state = initialize(frames, config)
@@ -601,7 +610,7 @@ def test_step_does_not_depend_on_the_cpu_count(monkeypatch, two_runners, mode, s
     running mean and models."""
     frames, _ = render(replace(load_scene(SCENES / f"{scene}.scene"), frame_count=75))
     frames = frames[:, 16:112, :96]              # the box crosses the crop from frame 50
-    monkeypatch.setattr(pipeline, "PART_CELLS", 100)
+    cut_parts(monkeypatch, 100, mode, channels=frames.shape[3])
     config = EngineConfig(mode=mode, stride=stride)
     two = stream_windows(frames, config, 5)
     monkeypatch.setattr(linalg, "CPUS", 1)
@@ -926,16 +935,16 @@ def run_cells(config):
 @pytest.mark.parametrize("stride", [5, 1])
 @pytest.mark.parametrize("mode, t_d", [("cs_stltp", 0.05), ("rgb", 0.02)])
 def test_parts_of_any_size_give_the_one_part_run(monkeypatch, mode, t_d, stride):
-    """Cells are identified and stepped in parts of at most
-    ``pipeline.PART_CELLS``; at 37 the 256 cells fall into 7 parts, split
-    further by d, and masks and every model field match the one-part run bit
-    for bit.  The parts are the only split: no LAPACK call sees more than 37
-    matrices, and the engine runs no SVD.  The low ``t_d`` gives both modes
-    several d (rgb keeps d = 1 everywhere at 0.05)."""
+    """Cells are identified and stepped in ``pipeline.grid_parts``; at 37
+    cells' entries (``PART_ENTRIES``) the 256 cells fall into 7 parts,
+    split further by d, and masks and every model field match the one-part
+    run bit for bit.  The parts are the only split: no LAPACK call sees more
+    than 37 matrices, and the engine runs no SVD.  The low ``t_d`` gives
+    both modes several d (rgb keeps d = 1 everywhere at 0.05)."""
     config = EngineConfig(mode=mode, stride=stride, t_d=t_d, t_deps=t_d)
     masks, state, models = run_cells(config)
     assert len({bucket.d for bucket in state.buckets}) > 1
-    monkeypatch.setattr(pipeline, "PART_CELLS", 37)
+    cut_parts(monkeypatch, 37, mode)
     batches = {name: [] for name in ("eigh", "qr", "eigvals", "svd")}
     for name, seen in batches.items():
         def counted(a, *args, _call=getattr(np.linalg, name), _seen=seen, **kwargs):
@@ -953,3 +962,62 @@ def test_parts_of_any_size_give_the_one_part_run(monkeypatch, mode, t_d, stride)
         for f in fields(ModelBucket):
             want, got = getattr(model, f.name), getattr(part_model, f.name)
             assert got.dtype == want.dtype and np.array_equal(got, want), (cell, f.name)
+
+
+@pytest.mark.parametrize("m, count", [(240, 7), (48, 2), (144, 4), (10**6, 6336)])
+def test_grid_parts_cut_by_descriptor_entries(m, count):
+    """A 352x288 frame's 6336 cells are cut by descriptor entries, not by
+    cells: 7 parts in rgb (m = 240), 2 in gray cs_stltp and 4 in colour
+    cs_stltp (m = 144), and never more parts than cells.  The parts run in
+    grid order, cover every cell once, differ in size by one cell at most
+    and hold at most ``PART_ENTRIES`` entries plus one cell's."""
+    parts = grid_parts(6336, m)
+    assert len(parts) == count
+    assert np.array_equal(np.concatenate([np.arange(6336)[part] for part in parts]),
+                          np.arange(6336))
+    sizes = [part.stop - part.start for part in parts]
+    assert max(sizes) - min(sizes) <= 1 and min(sizes) >= 1
+    assert max(sizes) * m < pipeline.PART_ENTRIES + m or max(sizes) == 1
+
+
+@pytest.mark.parametrize("mode, t_d", [("cs_stltp", 0.05), ("rgb", 0.02)])
+def test_a_part_identified_in_chunks_joins_them_by_d(monkeypatch, mode, t_d):
+    """An ``initialize`` part identifies its cells in balanced chunks of at
+    most ``PART_CELLS``, one after another, and joins their buckets by d.
+    With parts of about 86 cells and chunks of at most 37 (three of 28 or
+    29 per part): no identification LAPACK stack exceeds 37 matrices, each
+    part holds one bucket per d, its cells in grid order, and every cell's
+    model is the one-part one bit for bit."""
+    frames, _ = render(load_scene(SCENES / "occlusion.scene"))
+    config = EngineConfig(mode=mode, t_d=t_d, t_deps=t_d)
+    whole = initialize(frames, config)
+    geometry = whole.geometry
+    cut_parts(monkeypatch, 86, mode)
+    monkeypatch.setattr(pipeline, "PART_CELLS", 37)
+    seen = []
+    for name in ("eigh", "qr"):
+        def counted(a, *args, _call=getattr(np.linalg, name), **kwargs):
+            seen.append(int(np.prod(np.shape(a)[:-2])))
+            return _call(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    state = initialize(frames, config)
+    assert seen and max(seen) == 29              # balanced chunks of 28 or 29 cells
+    parts = grid_parts(geometry.locations, whole.buckets[0].c.shape[1])
+    assert [part.stop - part.start for part in parts] == [85, 85, 86]
+    listed = []
+    for part in parts:
+        held = [bucket for bucket in state.buckets if part.start <= bucket.indices[0] < part.stop]
+        assert [bucket.d for bucket in held] == sorted({bucket.d for bucket in held})
+        for bucket in held:
+            assert np.all(np.diff(bucket.indices) > 0)
+        cells = np.sort(np.concatenate([bucket.indices for bucket in held]))
+        assert np.array_equal(cells, np.arange(part.start, part.stop))
+        listed += held
+    assert [id(b) for b in listed] == [id(b) for b in state.buckets]
+    assert len(listed) > len(parts)
+    for cell in range(geometry.locations):
+        at = (cell % geometry.grid_w, cell // geometry.grid_w)
+        got, want = model_at(state, *at), model_at(whole, *at)
+        for f in fields(ModelBucket):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (cell, f.name)
