@@ -13,12 +13,14 @@ Exit codes: 0 on success, 2 for unusable arguments or configuration, 3 for
 runtime failures (missing/short/malformed data, numerical breakdown).
 Every destination is checked before anything is written (by ``run``, before
 segmenting; by ``synth``, before rendering): one directory for ``synth``'s
-frames and truth, or for ``run``'s masks and truth, exits 2, and one holding
-frame files the write would leave in place exits 3.  ``run`` also loads its
-truth before segmenting and checks that it holds one mask per frame: a
-missing or mis-shaped truth exits 3 with no mask written.  ``run`` and
-``eval`` refuse (exit 3) a ``--report`` path that is a directory or whose
-directory is missing before they load anything.
+frames and truth, or for ``run``'s masks and truth, exits 2, and one that is
+(or lies under) a file, or holds frame files the write would leave in place,
+exits 3.  An input, truth or prediction that is neither a frame directory nor
+a UTF-8 manifest exits 3, and a config or scene that is not UTF-8 text exits
+2.  ``run`` also loads its truth before segmenting and checks that it holds
+one mask per frame: a missing or mis-shaped truth exits 3 with no mask
+written.  ``run`` and ``eval`` refuse (exit 3) a ``--report`` path that is a
+directory or whose directory is missing before they load anything.
 """
 
 from __future__ import annotations

@@ -147,11 +147,16 @@ def config_from_mapping(pairs: dict) -> EngineConfig:
     return EngineConfig(**kwargs)
 
 
-def load_config(path) -> EngineConfig:
+def read_text(path, what: str) -> str:
+    """The UTF-8 text of a key=value file; one that cannot be read or
+    decoded raises ``ConfigError`` naming it as ``what``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
-    return config_from_mapping(parse_kv_text(text))
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
+
+
+def load_config(path) -> EngineConfig:
+    return config_from_mapping(parse_kv_text(read_text(path, "config")))
 

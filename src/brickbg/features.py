@@ -31,13 +31,15 @@ float64 products rounded to integers, which give the same trits; any other
 dtype is made float64 once and scaled once into (1 + tau) and (1 - tau)
 copies.  Each of the 13 distinct offsets among the 16 ``PAIR_OFFSETS``
 gets its trit formed once per piece, and the trits are folded into int8
-transition and sum counts.  The whole volume is one flat run, cut into one
-contiguous piece per CPU, each piece one item of ``linalg.parallel_map``.
+transition and sum counts, which become the int8 bins returned.  The whole
+volume is one flat run, cut into one contiguous piece per CPU, each piece
+one item of ``linalg.parallel_map``.
 ``brick_descriptor`` returns the (m,) vector of one brick, a per-cell view
 of the path the engine runs (``bin_volume`` then ``cell_histograms``).
 ``cell_histograms`` pools every cell at once through a flat pixel index,
 each cell's pixels as positions in one flattened frame
-(``pipeline.GridGeometry.pixel_index`` for the grid), over every frame.
+(``pipeline.GridGeometry.pixel_index`` for the grid), over every frame,
+and can write the scaled counts straight into a caller's descriptor rows.
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ _RECURRING = tuple(offset for offset, n in Counter(PAIR_OFFSETS).items() if n > 
 
 
 def bin_volume(volume, tau: float = DEFAULT_TAU) -> np.ndarray:
-    """Histogram-bin index (int16) of every voxel in a single-channel volume.
+    """Histogram-bin index (int8) of every voxel in a single-channel volume.
 
     A voxel's 16 trits compare each ``PAIR_OFFSETS`` pair (p_m at the
     offset, p_s at its negation): +1 where p_m > (1 + tau) p_s, -1 where
@@ -120,8 +122,8 @@ def bin_volume(volume, tau: float = DEFAULT_TAU) -> np.ndarray:
     buffer; an offset that recurs in ``PAIR_OFFSETS`` keeps its trit held
     for its later places in the chain.  Every trit is folded into the
     piece's slice of int8 transition and sum counts as soon as it is in
-    place, the piece's bins are formed there in int8, and only the
-    volume's bins are widened.
+    place, and the piece's bins are formed there, so the volume's bins
+    are the run's, cropped in one copy.
     """
     volume = np.asarray(volume)
     if volume.ndim != 3 or not volume.size:
@@ -190,25 +192,25 @@ def bin_volume(volume, tau: float = DEFAULT_TAU) -> np.ndarray:
 
     cuts = [span * k // linalg.CPUS for k in range(linalg.CPUS + 1)]
     linalg.parallel_map(bin_piece, [(a, b) for a, b in zip(cuts, cuts[1:]) if b > a])
-    bins = np.empty(volume.shape, dtype=np.int16)
-    bins[...] = run_bins.reshape(nt, ny + 2, row)[:, :ny, :nx]
-    return bins
+    return np.ascontiguousarray(run_bins.reshape(nt, ny + 2, row)[:, :ny, :nx])
 
 
-def cell_histograms(bins: np.ndarray, pixel_index: np.ndarray) -> np.ndarray:
-    """Histograms (n, 48) of n cells cut from one bin-index volume.
+def cell_histograms(bins: np.ndarray, pixel_index: np.ndarray, out=None) -> np.ndarray:
+    """Histograms (n, 48), float64, of n cells cut from one bin-index volume.
 
     ``bins`` is a (t, y, x) volume from ``bin_volume``; row i of
     ``pixel_index`` (n, k) lists cell i's pixels as positions in one frame
     of ``bins`` flattened, and the cell pools them over every frame, so the
     whole grid is gathered by one ``np.take``.  Every voxel adds
-    ``COUNTS_PER_VOXEL`` to its bin.
+    ``COUNTS_PER_VOXEL`` to its bin: the counts are scaled and made float64
+    by one ``np.multiply``, exactly, written into ``out`` (any (n, 48)
+    float64 block, such as a caller's descriptor columns) if it is given.
     """
     n = pixel_index.shape[0]
     flat = np.take(bins.reshape(bins.shape[0], -1), pixel_index, axis=1).astype(np.intp)
     flat += (np.arange(n) * HISTOGRAM_BINS)[:, None]
     counts = np.bincount(flat.reshape(-1), minlength=n * HISTOGRAM_BINS).reshape(n, HISTOGRAM_BINS)
-    return counts.astype(np.float64) * COUNTS_PER_VOXEL
+    return np.multiply(counts, COUNTS_PER_VOXEL, out=out, dtype=np.float64)
 
 
 def brick_descriptor(

@@ -132,7 +132,7 @@ def load_frames(source) -> np.ndarray:
     else:
         try:
             lines = source.read_text(encoding="utf-8").splitlines()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:     # an image file is not a manifest
             raise FrameFormatError(f"cannot read {source}: {exc}") from None
         paths = [
             (source.parent / line.strip())
@@ -153,9 +153,13 @@ def load_frames(source) -> np.ndarray:
 
 def check_destination(directory, count: int, channels: int = 1, prefix: str = "frame"):
     """Names of ``count`` numbered frames to write to ``directory``; refuses a
-    directory holding a file ``list_frames`` would read that they do not
-    overwrite (a higher number, the other extension or another prefix)."""
+    path that is, or lies under, an existing non-directory, and a directory
+    holding a file ``list_frames`` would read that they do not overwrite (a
+    higher number, the other extension or another prefix)."""
     directory = Path(directory)
+    for path in (directory, *directory.parents):
+        if path.exists() and not path.is_dir():
+            raise FrameFormatError(f"{directory}: {path} exists and is not a directory")
     ext = "ppm" if channels == 3 else "pgm"
     names = [f"{prefix}_{i:06d}.{ext}" for i in range(1, count + 1)]
     if directory.is_dir():

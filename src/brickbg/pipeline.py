@@ -188,11 +188,10 @@ class StepResult:
     ``assembly`` and ``postprocess``.  Only ``descriptors`` is a wall time.
     ``segmentation`` and ``maintenance`` are sums over the buckets only,
     and ``postprocess`` and most of ``assembly`` sums over the frames;
-    ``assembly`` also holds the cs_stltp gain, estimated beside the labels
-    and applied between the passes.  The frames run concurrently with the
-    buckets' upkeep, the gain with the labels, and the items of one pass
-    with each other, so any of the four can exceed its share of the step's
-    wall time.
+    ``assembly`` also holds the cs_stltp gain, estimated and applied beside
+    the labels.  The frames run concurrently with the buckets' upkeep, the
+    gain with the labels, and the items of one pass with each other, so any
+    of the four can exceed its share of the step's wall time.
     """
 
     masks: np.ndarray             # (depth, H, W) bool after min-area filtering
@@ -293,15 +292,15 @@ def _gather_rows(source, pixel_index: np.ndarray, mode: str, out: np.ndarray) ->
     descriptors of the n cells whose pixels ``pixel_index`` lists, cut from
     every frame of a ``_window_source``.  rgb rows are taken frame by frame
     and put in (t, y, x, channel) order, converted on assignment, which is
-    exact, so only the gathered rows are ever float64; cs_stltp writes each
-    channel's histograms into its block of 48 columns."""
+    exact, so only the gathered rows are ever float64; cs_stltp counts each
+    channel's histograms straight into its block of 48 columns."""
     if mode == MODE_RGB:
         taken = np.take(source, pixel_index, axis=1)
         depth, n, pixels, channels = taken.shape
         out.reshape(n, depth, pixels, channels)[...] = np.moveaxis(taken, 0, 1)
         return
     for ch, bins in enumerate(source):
-        out[:, ch * HISTOGRAM_BINS : (ch + 1) * HISTOGRAM_BINS] = cell_histograms(bins, pixel_index)
+        cell_histograms(bins, pixel_index, out[:, ch * HISTOGRAM_BINS : (ch + 1) * HISTOGRAM_BINS])
 
 
 def _runs(start: int, stop: int, count: int) -> list[slice]:
@@ -363,7 +362,7 @@ def initialize(frames, config: EngineConfig) -> EngineState:
 
     Each chunk builds only its own (cells, windows, m) float64 descriptor
     matrix, one row per head window, gathered straight from the head: in
-    rgb from its frames in their own dtype, in cs_stltp from the int16 bins
+    rgb from its frames in their own dtype, in cs_stltp from the int8 bins
     of each window, binned once, window by window, before the parts start
     (each ``bin_volume`` on every CPU).  So the descriptors held at once
     are those of the ``min(linalg.CPUS, parts)`` chunks in flight, not the
@@ -426,13 +425,13 @@ def step(state: EngineState, window) -> StepResult:
     """Consume one brick-depth window of frames; label it and update models.
 
     Two ``linalg.parallel_map`` passes.  The first labels each bucket and,
-    in cs_stltp, beside the labels estimates the window's mean and its gain
-    over ``aux_mean``, which the pixel gate needs and which read only the
-    window and ``aux_mean``.  The gain is applied to ``aux_mean`` between
-    the passes.  The second runs each bucket's upkeep and, beside them, one
-    item per frame that reads the frame's mask out of the owners' voxel
-    masks, applies the cs_stltp pixel gate and drops small components.
-    Quiet pixels are blended into ``aux_mean`` after the second.
+    in cs_stltp, beside the labels one item estimates the window's mean and
+    its gain over ``aux_mean`` and applies the gain to ``aux_mean``, which
+    the pixel gate needs and which no label reads.  The second runs each
+    bucket's upkeep and, beside them, one item per frame that reads the
+    frame's mask out of the owners' voxel masks, applies the cs_stltp pixel
+    gate and drops small components.  Quiet pixels are blended into
+    ``aux_mean`` after the second.
     """
     config = state.config
     geometry = state.geometry
@@ -471,8 +470,9 @@ def step(state: EngineState, window) -> StepResult:
         return (v, omega, predicted, bg, vm), time.perf_counter() - tick
 
     def estimate_gain():
-        """The window's mean, and the median ratio of it to ``aux_mean`` over
-        the steady pixels (None if there are none), with the seconds spent.
+        """Scale ``aux_mean`` by the median ratio of the window's mean to it
+        over the steady pixels, if there are any and the ratio lies inside
+        ``GAIN_BAND``; returns the window's mean and the seconds spent.
 
         The histograms are invariant to a global intensity rescale, so the
         pixel gate must track illumination as well: a gain step would
@@ -483,20 +483,17 @@ def step(state: EngineState, window) -> StepResult:
         tick = time.perf_counter()
         window_mean = window.mean(axis=0, dtype=np.float64)
         steady = state.aux_mean > 1.0
-        gain = np.median(window_mean[steady] / state.aux_mean[steady]) if steady.any() else None
-        return (window_mean, gain), time.perf_counter() - tick
+        gain = np.median(window_mean[steady] / state.aux_mean[steady]) if steady.any() else 0.0
+        if GAIN_BAND[0] < gain < GAIN_BAND[1]:
+            state.aux_mean *= gain
+        return window_mean, time.perf_counter() - tick
 
     items = [partial(label, bucket) for bucket in state.buckets]
     if config.mode == MODE_CS:
         items.insert(0, estimate_gain)      # the longest item, so taken first
     labelled = linalg.parallel_map(lambda item: item(), items)
-    gained = 0.0        # seconds of the cs_stltp gain, counted under assembly
-    if config.mode == MODE_CS:
-        (window_mean, gain), gained = labelled.pop(0)
-        tick = time.perf_counter()
-        if gain is not None and GAIN_BAND[0] < gain < GAIN_BAND[1]:
-            state.aux_mean *= gain
-        gained += time.perf_counter() - tick
+    # the cs_stltp gain's seconds are counted under assembly
+    window_mean, gained = labelled.pop(0) if config.mode == MODE_CS else (None, 0.0)
     timings["segmentation"] = sum(seconds for _, seconds in labelled)
 
     def upkeep(bucket, v, omega, predicted, bg, vm):

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ConfigError, _to_float, _to_int, parse_kv_text
+from .config import ConfigError, _to_float, _to_int, parse_kv_text, read_text
 
 BASE_KINDS = ("flat", "texture", "two_tone", "three_tone")
 
@@ -296,9 +296,4 @@ def parse_scene_text(text: str) -> SceneScript:
 
 
 def load_scene(path) -> SceneScript:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read scene script {path}: {exc}") from None
-    return parse_scene_text(text)
+    return parse_scene_text(read_text(path, "scene script"))

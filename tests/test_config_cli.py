@@ -445,6 +445,73 @@ def test_cli_run_refuses_one_directory_for_masks_and_truth(tmp_path, scene_file,
     assert {p.name: p.read_bytes() for p in truth.iterdir()} == before
 
 
+# Not UTF-8: a PGM header, then raster bytes no UTF-8 text holds.
+BINARY = b"P5\n2 1\n255\n\xff\xfe"
+
+
+def test_cli_binary_input_or_truth_exits_3(tmp_path, capsys):
+    """An image file given where a frame directory or manifest belongs used
+    to be read as a manifest and end in a ``UnicodeDecodeError`` traceback
+    (exit 1); now it is a data error."""
+    image = tmp_path / "frame_000001.pgm"
+    image.write_bytes(BINARY)
+    truth = tmp_path / "truth"
+    write_masks(truth, np.zeros((2, 1, 2), dtype=bool))
+    for argv in (["run", "--input", str(image), "--output", str(tmp_path / "m")],
+                 ["eval", "--truth", str(image), "--pred", str(truth)],
+                 ["eval", "--truth", str(truth), "--pred", str(image)]):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "cannot read" in err and "Traceback" not in err
+    assert not (tmp_path / "m").exists()
+
+
+def test_cli_binary_config_or_scene_exits_2(tmp_path, frames_dir, capsys):
+    """``load_config`` and ``load_scene`` read through one reader, which
+    refuses a file that is not UTF-8 text as it refuses a missing one."""
+    binary = tmp_path / "binary"
+    binary.write_bytes(BINARY)
+    capsys.readouterr()
+    for argv, what in (
+        (["run", "--input", str(frames_dir), "--output", str(tmp_path / "m"),
+          "--config", str(binary)], "cannot read config"),
+        (["synth", "--scene", str(binary), "--output", str(tmp_path / "f")], "cannot read scene script"),
+        (["synth", "--scene", str(tmp_path), "--output", str(tmp_path / "f")], "cannot read scene script"),
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert what in err and "Traceback" not in err
+    assert not (tmp_path / "m").exists() and not (tmp_path / "f").exists()
+
+
+def test_cli_file_destinations_are_refused_before_the_work(tmp_path, frames_dir, scene_file,
+                                                          monkeypatch, capsys):
+    """A destination that is a file, or lies under one, used to be found
+    only when the first mask or frame was written: ``run`` segmented the
+    clip first, ``synth`` rendered it, and ``synth --truth`` wrote every
+    frame.  Each now exits 3 before the work, with no file written."""
+    import brickbg.cli
+
+    calls = []
+    monkeypatch.setattr(brickbg.cli, "process_video", lambda *args: calls.append(args))
+    monkeypatch.setattr(brickbg.cli, "render", lambda *args: calls.append(args))
+    blocker = tmp_path / "blocker"
+    blocker.write_bytes(BINARY)
+    capsys.readouterr()
+    for argv in (["run", "--input", str(frames_dir), "--output", str(blocker)],
+                 ["run", "--input", str(frames_dir), "--output", str(blocker / "sub")],
+                 ["synth", "--scene", str(scene_file), "--output", str(blocker)],
+                 ["synth", "--scene", str(scene_file), "--output", str(blocker / "sub")],
+                 ["synth", "--scene", str(scene_file), "--output", str(tmp_path / "new"),
+                  "--truth", str(blocker)]):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "is not a directory" in err and "Traceback" not in err
+    assert calls == []
+    assert blocker.read_bytes() == BINARY
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "frames", "scene.txt"]
+
+
 def test_cli_exit_code_for_oversized_brick(tmp_path, rng):
     frames = rng.integers(0, 255, size=(60, 16, 16), dtype=np.uint8)
     from brickbg.imageio import write_frames

@@ -23,6 +23,7 @@ from brickbg.features import (
     PATTERN_LENGTH,
     bin_volume,
     brick_descriptor,
+    cell_histograms,
 )
 from brickbg.imageio import FrameFormatError
 
@@ -196,7 +197,7 @@ def test_bin_volume_matches_scalar_reference(seed):
             for vol in (gen.uniform(20.0, 200.0, size=shape),
                         gen.integers(0, 6, size=shape).astype(np.float64)):
                 bins = bin_volume(vol, tau)
-                assert bins.shape == shape and bins.dtype == np.int16
+                assert bins.shape == shape and bins.dtype == np.int8
                 assert np.array_equal(bins, oracle_bins(vol, tau))
 
 
@@ -255,11 +256,32 @@ def test_uint8_bins_equal_the_float64_bins_for_every_pair(tau):
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.float32, np.float64])
-def test_bin_volume_returns_int16(dtype):
+def test_bin_volume_returns_int8(dtype):
+    """The bins are the int8 ones ``bin_volume`` forms, one C-contiguous
+    volume of the input's shape, so ``cell_histograms`` reads its frames
+    without a copy."""
     vol = np.random.default_rng(4).integers(0, 200, size=(5, 7, 9)).astype(dtype)
     for part in (vol, vol[:1, :1, :1]):
         bins = bin_volume(part)
-        assert bins.dtype == np.int16 and bins.shape == part.shape
+        assert bins.dtype == np.int8 and bins.shape == part.shape and bins.flags.c_contiguous
+        assert 0 <= bins.min() and bins.max() < HISTOGRAM_BINS
+
+
+def test_cell_histograms_writes_into_a_strided_block():
+    """With ``out``, the scaled counts go straight into the caller's block,
+    here the middle 48 columns of wider float64 rows, and equal the
+    histograms returned without it; nothing else in the rows is written."""
+    bins = bin_volume(np.random.default_rng(5).integers(0, 200, size=(5, 8, 12)).astype(np.uint8))
+    pixel_index = np.arange(8 * 12).reshape(2, 4, 3, 4).transpose(0, 2, 1, 3).reshape(6, 16)
+    rows = np.full((6, 3 * HISTOGRAM_BINS), -1.0)
+    block = rows[:, HISTOGRAM_BINS : 2 * HISTOGRAM_BINS]
+    returned = cell_histograms(bins, pixel_index, block)
+    assert returned is block
+    want = cell_histograms(bins, pixel_index)
+    assert want.dtype == np.float64 and want.shape == (6, HISTOGRAM_BINS)
+    assert np.array_equal(block, want)
+    assert (want.sum(axis=1) == 5 * 16 * COUNTS_PER_VOXEL).all()
+    assert (rows[:, :HISTOGRAM_BINS] == -1).all() and (rows[:, 2 * HISTOGRAM_BINS :] == -1).all()
 
 
 def ramp(shape, sign):

@@ -262,6 +262,29 @@ def test_initialize_holds_no_whole_grid_descriptor_matrix(monkeypatch):
     assert peak < matrix / 2, (peak, matrix)
 
 
+def test_cs_initialize_holds_the_int8_head_bins_and_one_chunk(monkeypatch):
+    """A full-size gray cs_stltp ``initialize`` holds the head's bins, one
+    byte a voxel, and on one CPU one 792-cell chunk's (cells, 10, 48)
+    float64 matrix at a time; the buckets it builds and the transient work
+    of binning and identifying stay within as much again.  Head bins
+    widened to int16 put the traced peak 26 % above that bound (20.4 MB
+    against 16.2 MB)."""
+    monkeypatch.setattr(linalg, "CPUS", 1)
+    frames, _ = render(replace(load_scene(SCENES / "moving_box.scene"), frame_count=50))
+    config = EngineConfig()
+    initialize(frames, config)            # first-call allocations are not the engine's
+    tracemalloc.start()
+    try:
+        state = initialize(frames, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert state.geometry.locations == 6336 and len(grid_parts(6336, 48)) == 2
+    head_bins = frames.size
+    chunk = (3168 // 4) * (config.init_frames // config.brick_depth) * 48 * 8
+    assert peak < 2 * (head_bins + chunk), (peak, head_bins, chunk)
+
+
 @pytest.mark.parametrize("channels", [1, 3])
 @pytest.mark.parametrize("mode", ["cs_stltp", "rgb"])
 def test_initialize_converts_the_head_exactly(monkeypatch, mode, channels):
