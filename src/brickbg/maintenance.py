@@ -99,17 +99,16 @@ def reweight_stack(c, lam, v_bar, residual, beta: float = DEFAULT_BETA):
     ``v_bar`` is its observation, whose residual labelling formed.
     Returns ``(v_tilde, weights)``, both (g, m); entries whose
     reconstruction residual is large relative to the model spectrum are
-    shrunk toward zero.  The weights overwrite ``residual`` in place and
-    ``v_tilde`` is formed in the scale's buffer; ``v_bar`` is left as it is.
+    shrunk toward zero.  Both are formed in place: the weights overwrite
+    ``residual`` and ``v_tilde`` overwrites ``v_bar``.
     """
     rho = robust_scale(c, lam, beta)
     residual /= rho
     residual *= residual
     residual += 1.0
     w = np.reciprocal(residual, out=residual)
-    v_tilde = np.sqrt(w, out=rho)
-    v_tilde *= v_bar
-    return v_tilde, w
+    v_bar *= np.sqrt(w, out=rho)
+    return v_bar, w
 
 
 def update_basis_stack(c: np.ndarray, lam: np.ndarray, v_tilde: np.ndarray, alpha: float):

@@ -17,14 +17,16 @@ the seeded buckets.  No whole-grid matrix and no float64 copy of the head
 is made.  ``batch_descriptors`` and ``initialize`` share one descriptor
 path: a window's source (its pixels, or its bins) and the gather of cells'
 rows from it.  The engine then consumes the video in brick-depth windows.
-Per window it gathers descriptors for all cells at once and classifies
-them with the appearance/innovation residual tests, bucket by bucket.  It
-then updates every model from its occlusion-composed, robustly reweighted
-observation, and beside that upkeep reads each frame's pixel mask out of
-the voxel masks, gates it (cs_stltp) and drops small components.  A
-background brick's composed observation is the observation itself, whose
-appearance residual labelling already formed, so only flagged bricks are
-composed and have their residual formed again.
+Per window it gathers descriptors for all cells at once, in the buckets'
+cell order, so that each bucket's rows are one block of the matrix.  Each
+bucket is classified from its block with the appearance/innovation
+residual tests, and its occlusion-composed, robustly reweighted
+observation is written over the block.  Every model is then updated from
+its block alone, and beside that upkeep each frame's pixel mask is read
+out of the voxel masks, gated (cs_stltp) and cleaned of small components.
+A background brick's composed observation is the observation itself,
+whose appearance residual labelling already formed, so only flagged
+bricks are composed and have their residual formed again.
 
 All per-cell maths runs through the stacked functions of ``segmentation``
 (residuals, labels), ``maintenance`` (composition, robust reweighting,
@@ -47,13 +49,15 @@ one part, so no LAPACK call sees more than one part's cells.
 ``initialize`` identifies each part as one item, in chunks of at most
 ``PART_CELLS`` cells, which bound its (cells, windows, m) descriptor
 matrices, and ``subspace.regroup`` joins the chunks' buckets by d.
-``step`` labels each bucket as one item, then runs each bucket's upkeep
-and each frame's mask tail as one item, all on ``linalg.parallel_map``,
-which uses every CPU the process may run on.  ``features.bin_volume`` pads
-a window on the calling thread and then bins it as one run cut into one
-piece per CPU on it too, ``batch_descriptors`` gathers one part's rows per
-item, and an ``initialize`` chunk gathers its own descriptors, so that
-work runs on every CPU.  Masks and models do not depend on how many CPUs
+``step`` labels, composes and reweights each bucket as one item, then
+runs each bucket's basis update and refit and each frame's mask tail as
+one item, all on ``linalg.parallel_map``, which uses every CPU the process
+may run on.  Between the two passes a step holds its descriptor matrix,
+by then v~, and the labels, but no bucket's residual or copied rows.
+``features.bin_volume`` pads a window on the calling thread and then bins
+it as one run cut into one piece per CPU on it too, ``batch_descriptors``
+gathers one part's rows per item, and an ``initialize`` chunk gathers its
+own descriptors, so that work runs on every CPU.  Masks and models do not depend on how many CPUs
 ran them, nor on how the cells were cut.
 
 Labels and composition read the descriptor's voxel layout (t, h, w,
@@ -99,9 +103,10 @@ PART_ENTRIES = 1024 * 240
 
 # Largest number of cells identified as one stack.  It bounds an
 # identification's (cells, windows, m) descriptor matrix and LAPACK stacks,
-# and changes no cell's result.  A 3168-cell gray cs_stltp part identified
-# whole holds 4x the descriptors of a chunk, which raised peak RSS.
-PART_CELLS = 1024
+# and changes no cell's result.  A 905-cell rgb part is identified as two
+# chunks, each (453, 10, 240) float64 or 8.7 MB; identified whole, its
+# 17.4 MB matrix set the peak of an rgb ``initialize``.
+PART_CELLS = 512
 
 # Open band of median gains the cs_stltp pixel gate follows; a ratio
 # outside it (a blackout gives 0) is not an illumination change, and the
@@ -187,7 +192,9 @@ class StepResult:
     ``timings`` holds ``descriptors``, ``segmentation``, ``maintenance``,
     ``assembly`` and ``postprocess``.  Only ``descriptors`` is a wall time.
     ``segmentation`` and ``maintenance`` are sums over the buckets only,
-    and ``postprocess`` and most of ``assembly`` sums over the frames;
+    and ``postprocess`` and most of ``assembly`` sums over the frames.
+    ``maintenance`` holds each bucket's composition and reweighting, which
+    run in its labelling item, beside its basis update and refit;
     ``assembly`` also holds the cs_stltp gain, estimated and applied beside
     the labels.  The frames run concurrently with the buckets' upkeep, the
     gain with the labels, and the items of one pass with each other, so any
@@ -318,19 +325,21 @@ def grid_parts(locations: int, m: int) -> list[slice]:
     return _runs(0, locations, min(-(-locations * m // PART_ENTRIES), locations))
 
 
-def batch_descriptors(geometry: GridGeometry, volume: np.ndarray, mode: str, tau: float) -> np.ndarray:
-    """Descriptor matrix (locations, m) for one brick-depth frame window.
+def batch_descriptors(geometry: GridGeometry, volume: np.ndarray, mode: str, tau: float,
+                      cells: np.ndarray | None = None) -> np.ndarray:
+    """Descriptor matrix (rows, m) for one brick-depth frame window.
 
     Equal to ``features.brick_descriptor`` applied cell by cell with the
     window frames as the brick volume, but computed for the whole grid at
     once: rgb descriptors are one ``np.take`` of every frame's pixels at
     ``geometry.pixel_index``, and ternary patterns are evaluated once per
     frame, not per brick, then pooled through the same index over the
-    frames.  ``volume`` is (depth, H, W, channels).  The rows are gathered
-    one ``grid_parts`` part per item on ``linalg.parallel_map``, each part
-    into its block of one preallocated matrix.  ``initialize`` runs the
-    same two halves, ``_window_source`` then ``_gather_rows``, over the same
-    parts.
+    frames.  ``volume`` is (depth, H, W, channels).  Row i is the
+    descriptor of grid cell ``cells[i]``; by default every cell, in grid
+    order.  The rows are gathered one ``grid_parts`` part of them per item
+    on ``linalg.parallel_map``, each part into its block of one
+    preallocated matrix.  ``initialize`` runs the same two halves,
+    ``_window_source`` then ``_gather_rows``, over the same parts.
     """
     _, height, width, _ = volume.shape
     if (height, width) != (geometry.frame_height, geometry.frame_width):
@@ -341,11 +350,12 @@ def batch_descriptors(geometry: GridGeometry, volume: np.ndarray, mode: str, tau
     if mode not in (MODE_CS, MODE_RGB):
         raise ValueError(f"unknown mode {mode!r}")
     source = _window_source(volume, mode, tau)
-    cells = geometry.pixel_index
-    rows = np.empty((len(cells), _row_length(source, mode, cells.shape[1])))
+    cells = np.arange(geometry.locations) if cells is None else cells
+    pixels = geometry.pixel_index
+    rows = np.empty((len(cells), _row_length(source, mode, pixels.shape[1])))
 
     def gather(part):
-        _gather_rows(source, cells[part], mode, rows[part])
+        _gather_rows(source, pixels[cells[part]], mode, rows[part])
 
     linalg.parallel_map(gather, grid_parts(*rows.shape))
     return rows
@@ -414,24 +424,32 @@ def remove_small_components(mask: np.ndarray, min_area: int) -> np.ndarray:
     mask = np.asarray(mask, dtype=bool)
     if min_area <= 1 or not mask.any():
         return mask.copy()
-    labels, _ = ndimage.label(mask, structure=_EIGHT_CONNECTED)
+    # intp labels let ``bincount`` and ``take`` read them without a cast copy
+    labels, _ = ndimage.label(mask, structure=_EIGHT_CONNECTED, output=np.intp)
     areas = np.bincount(labels.ravel())
     keep = areas >= min_area
     keep[0] = False
-    return keep[labels]
+    return np.take(keep, labels)
 
 
 def step(state: EngineState, window) -> StepResult:
     """Consume one brick-depth window of frames; label it and update models.
 
-    Two ``linalg.parallel_map`` passes.  The first labels each bucket and,
-    in cs_stltp, beside the labels one item estimates the window's mean and
-    its gain over ``aux_mean`` and applies the gain to ``aux_mean``, which
-    the pixel gate needs and which no label reads.  The second runs each
-    bucket's upkeep and, beside them, one item per frame that reads the
-    frame's mask out of the owners' voxel masks, applies the cs_stltp pixel
-    gate and drops small components.  Quiet pixels are blended into
-    ``aux_mean`` after the second.
+    The window's descriptor rows are gathered in the buckets' cell order,
+    the concatenation of every ``bucket.indices``, so each bucket's rows
+    are one contiguous block of the matrix, which its items use as a view.
+    Two ``linalg.parallel_map`` passes follow.  The first labels each
+    bucket from its block, composes its flagged rows and reweights them
+    all, writing the bucket's v~ over the block, so no residual or
+    prediction outlives the item.  Beside the labels, in cs_stltp, one item
+    estimates the window's mean and its gain over ``aux_mean`` and applies
+    the gain to ``aux_mean``, which the pixel gate needs and which no label
+    reads.  The second pass updates each bucket's basis from its v~,
+    appends the new state and refits the dynamics and, beside that upkeep,
+    runs one item per frame that reads the frame's mask out of the owners'
+    voxel masks, applies the cs_stltp pixel gate and drops small
+    components.  Quiet pixels are blended into ``aux_mean`` after the
+    second.
     """
     config = state.config
     geometry = state.geometry
@@ -444,9 +462,12 @@ def step(state: EngineState, window) -> StepResult:
     _refuse(window, config)
     timings = {}
 
+    buckets = state.buckets
+    order = np.concatenate([bucket.indices for bucket in buckets])
     tick = time.perf_counter()
-    descriptors = batch_descriptors(geometry, window, config.mode, config.tau)
+    descriptors = batch_descriptors(geometry, window, config.mode, config.tau, cells=order)
     timings["descriptors"] = time.perf_counter() - tick
+    blocks = np.split(descriptors, np.cumsum([len(bucket.indices) for bucket in buckets[:-1]]))
 
     n = geometry.locations
     bh, bw = config.brick_height, config.brick_width
@@ -456,18 +477,33 @@ def step(state: EngineState, window) -> StepResult:
     t_eps = config.effective_t_eps
     layout = (t, bh, bw, channels) if config.mode == MODE_RGB else (1, 1, 1, descriptors.shape[1])
 
-    def label(bucket):
-        """Label one bucket; returns what its upkeep reads and the seconds
-        spent.  Buckets write disjoint rows of ``background`` and ``vox_masks``."""
+    def label(bucket, v):
+        """Label one bucket from its (g, m) block ``v`` of descriptor rows,
+        then write its reweighted observation v~ over ``v``; returns the
+        background labels and the seconds spent labelling and composing.
+        Buckets write disjoint rows of ``background`` and ``vox_masks``.
+
+        A background brick's voxel mask is all False, so its composed vector
+        is its observation and its appearance residual ``omega``: only the
+        flagged rows are composed, in ``v``, and have their residual
+        recomputed, into ``omega``."""
         tick = time.perf_counter()
-        v = descriptors[bucket.indices]
         _, omega, epsilon, predicted = residuals_stack(
             bucket.c, bucket.a, bucket.b_pinv, bucket.states[:, -1], v
         )
         bg, vm = classify_stack(omega, epsilon, bucket.d_eps, layout, t_omega, t_eps)
         background[bucket.indices] = bg
         vox_masks[bucket.indices] = vm      # in cs_stltp a (g, 1, 1, 1) mask covers the brick
-        return (v, omega, predicted, bg, vm), time.perf_counter() - tick
+        composing = time.perf_counter()
+        flagged = np.flatnonzero(~bg)
+        c = bucket.c[flagged]
+        v_hat = np.einsum("gmd,gd->gm", c, predicted[flagged])
+        v_bar = compose_stack(v[flagged], v_hat, vm[flagged])
+        v[flagged] = v_bar
+        _, residual = appearance_residual(c, v_bar)
+        omega[flagged] = residual
+        reweight_stack(bucket.c, bucket.lam, v, omega, config.beta)
+        return bg, composing - tick, time.perf_counter() - composing
 
     def estimate_gain():
         """Scale ``aux_mean`` by the median ratio of the window's mean to it
@@ -488,30 +524,18 @@ def step(state: EngineState, window) -> StepResult:
             state.aux_mean *= gain
         return window_mean, time.perf_counter() - tick
 
-    items = [partial(label, bucket) for bucket in state.buckets]
+    items = [partial(label, bucket, v) for bucket, v in zip(buckets, blocks)]
     if config.mode == MODE_CS:
         items.insert(0, estimate_gain)      # the longest item, so taken first
     labelled = linalg.parallel_map(lambda item: item(), items)
     # the cs_stltp gain's seconds are counted under assembly
     window_mean, gained = labelled.pop(0) if config.mode == MODE_CS else (None, 0.0)
-    timings["segmentation"] = sum(seconds for _, seconds in labelled)
+    timings["segmentation"] = sum(seconds for _, seconds, _ in labelled)
 
-    def upkeep(bucket, v, omega, predicted, bg, vm):
-        """Update one bucket from its labelled window; returns the seconds spent.
-
-        A background brick's voxel mask is all False, so its composed vector
-        is ``v`` and its appearance residual ``omega``: only the flagged rows
-        are composed, into ``v``, and have their residual recomputed, into
-        ``omega``."""
+    def upkeep(bucket, v_tilde, bg):
+        """Update one bucket from its reweighted observations ``v_tilde``
+        and background labels ``bg``; returns the seconds spent."""
         tick = time.perf_counter()
-        flagged = np.flatnonzero(~bg)
-        c = bucket.c[flagged]
-        v_hat = np.einsum("gmd,gd->gm", c, predicted[flagged])
-        v_bar = compose_stack(v[flagged], v_hat, vm[flagged])
-        v[flagged] = v_bar
-        _, residual = appearance_residual(c, v_bar)
-        omega[flagged] = residual
-        v_tilde, _ = reweight_stack(bucket.c, bucket.lam, v, omega, config.beta)
         bucket.c, bucket.lam = update_basis_stack(bucket.c, bucket.lam, v_tilde, config.alpha)
         z_new = np.einsum("gmd,gm->gd", bucket.c, v_tilde)
         keep = 1 - config.history        # the newest history - 1 states stay
@@ -543,11 +567,12 @@ def step(state: EngineState, window) -> StepResult:
         cleaned[f] = remove_small_components(mask, config.min_area)
         return assembled - tick, time.perf_counter() - assembled
 
-    items = [partial(upkeep, bucket, *kept) for bucket, (kept, _) in zip(state.buckets, labelled)]
+    items = [partial(upkeep, bucket, v, bg) for bucket, v, (bg, _, _) in zip(buckets, blocks, labelled)]
     items += [partial(finish, f) for f in range(t)]
     spent = linalg.parallel_map(lambda item: item(), items)
-    timings["maintenance"] = sum(spent[: len(state.buckets)])
-    finished = spent[len(state.buckets):]
+    # composition and reweighting, done as each bucket is labelled, count as upkeep
+    timings["maintenance"] = sum(spent[: len(buckets)]) + sum(seconds for _, _, seconds in labelled)
+    finished = spent[len(buckets):]
 
     tick = time.perf_counter()
     if config.mode == MODE_CS:

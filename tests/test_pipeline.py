@@ -143,6 +143,23 @@ def test_batch_descriptors_match_per_brick(mode, channels, depth):
             assert np.array_equal(batch[cell], single), (height, width, cell)
 
 
+@pytest.mark.parametrize("mode, channels", [("rgb", 3), ("cs_stltp", 1), ("cs_stltp", 3)])
+def test_batch_descriptors_gather_the_cells_given(monkeypatch, mode, channels):
+    """Row i of ``batch_descriptors(..., cells=order)`` is the row of grid
+    cell ``order[i]``, bit for bit, in one C-contiguous matrix; ``step``
+    gathers its window so, in the buckets' cell order.  The rows are
+    gathered in parts of 37, which cut the permuted order across the
+    grid's."""
+    cut_parts(monkeypatch, 37, mode, channels)
+    video, _ = noisy_video(5, 40, 48, channels=channels, seed=13)
+    geometry = make_grid(40, 48, 4, 4)
+    order = np.random.default_rng(14).permutation(geometry.locations)
+    rows = batch_descriptors(geometry, video, mode, 0.2)
+    ordered = batch_descriptors(geometry, video, mode, 0.2, cells=order)
+    assert ordered.flags.c_contiguous
+    assert np.array_equal(ordered, rows[order])
+
+
 @pytest.mark.parametrize("channels", [1, 3])
 def test_brick_descriptor_takes_the_engine_path_on_uint8(monkeypatch, channels):
     """``brick_descriptor`` bins a ``uint8`` window in its own dtype, as
@@ -264,11 +281,13 @@ def test_initialize_holds_no_whole_grid_descriptor_matrix(monkeypatch):
 
 def test_cs_initialize_holds_the_int8_head_bins_and_one_chunk(monkeypatch):
     """A full-size gray cs_stltp ``initialize`` holds the head's bins, one
-    byte a voxel, and on one CPU one 792-cell chunk's (cells, 10, 48)
-    float64 matrix at a time; the buckets it builds and the transient work
-    of binning and identifying stay within as much again.  Head bins
-    widened to int16 put the traced peak 26 % above that bound (20.4 MB
-    against 16.2 MB)."""
+    byte a voxel, and on one CPU one chunk's (cells, 10, 48) float64 matrix
+    at a time; the buckets it builds and the transient work of binning and
+    identifying stay within as much again, with the chunk counted at 792
+    cells, a quarter part.  Chunks now hold about 453 cells, but the last
+    window's binning (14.6 MB traced) keeps the peak above the bound at that
+    size.  Head bins widened to int16 put the traced peak 26 % above this
+    bound (20.4 MB against 16.2 MB)."""
     monkeypatch.setattr(linalg, "CPUS", 1)
     frames, _ = render(replace(load_scene(SCENES / "moving_box.scene"), frame_count=50))
     config = EngineConfig()
@@ -283,6 +302,71 @@ def test_cs_initialize_holds_the_int8_head_bins_and_one_chunk(monkeypatch):
     head_bins = frames.size
     chunk = (3168 // 4) * (config.init_frames // config.brick_depth) * 48 * 8
     assert peak < 2 * (head_bins + chunk), (peak, head_bins, chunk)
+
+
+@pytest.fixture(scope="module")
+def colour_clip():
+    """The first 60 frames of the full-size colour scene: a 50-frame head
+    and two windows."""
+    frames, _ = render(replace(load_scene(SCENES / "moving_box_rgb.scene"), frame_count=60))
+    return frames
+
+
+def test_rgb_initialize_holds_its_buckets_and_one_chunk(monkeypatch, colour_clip):
+    """On one CPU a full-size colour rgb ``initialize`` holds the buckets it
+    builds and one chunk's (cells, 10, 240) float64 matrix at a time: each
+    905- or 906-cell part is identified as two chunks of at most 453 cells,
+    8.7 MB each.  Identification's transients and the join of a part's
+    chunks stay within one more chunk.  Parts identified whole
+    (``PART_CELLS`` = 1024) traced 38.1 MB against this 30.4 MB bound."""
+    monkeypatch.setattr(linalg, "CPUS", 1)
+    config = EngineConfig(mode="rgb")
+    initialize(colour_clip, config)       # first-call allocations are not the engine's
+    tracemalloc.start()
+    try:
+        state = initialize(colour_clip, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [part.stop - part.start for part in grid_parts(6336, 240)] == [905] * 6 + [906]
+    assert -(-906 // pipeline.PART_CELLS) == 2
+    held = sum(getattr(bucket, f.name).nbytes for bucket in state.buckets for f in fields(ModelBucket))
+    chunk = 453 * (config.init_frames // config.brick_depth) * 240 * 8
+    assert peak < held + 2 * chunk, (peak, held, chunk)
+
+
+@pytest.mark.parametrize("runners", [1, 2])
+def test_rgb_step_holds_the_descriptor_matrix_and_the_items_in_flight(
+    monkeypatch, request, colour_clip, runners
+):
+    """A full-size colour rgb ``step`` must hold the window's (6336, 240)
+    float64 descriptor matrix and, per item in flight, a few (cells, m)
+    arrays of one part's cells: the residual and robust scale of a bucket
+    being labelled, or the temporaries and new basis of its basis update.
+    Each bucket's items work on its own block of the matrix, so the step's
+    traced peak above the state it starts from stays below the matrix plus
+    six part-sized arrays per runner.  Copied rows and residuals of every
+    bucket, held from the first pass to the second, traced 45.9 MB on one
+    CPU and 53.1 MB on two, against bounds of 22.6 and 33.1 MB."""
+    if runners == 1:
+        monkeypatch.setattr(linalg, "CPUS", 1)
+    else:
+        request.getfixturevalue("two_runners")
+    config = EngineConfig(mode="rgb")
+    tracemalloc.start()
+    try:
+        state = initialize(colour_clip, config)
+        step(state, colour_clip[50:55])       # first-call allocations are not the engine's
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        step(state, colour_clip[55:60])
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert state.geometry.locations == 6336 and len(state.buckets) == 7
+    matrix = 6336 * 240 * 8
+    part = 906 * 240 * 8
+    assert peak < matrix + 6 * runners * part, (peak, matrix, part)
 
 
 @pytest.mark.parametrize("channels", [1, 3])
@@ -579,18 +663,28 @@ def test_step_labels_buckets_of_every_kind(mode):
         assert not expected[cell % geometry.grid_w, cell // geometry.grid_w][0]
 
 
-@pytest.mark.parametrize("mode", ["rgb", "cs_stltp"])
-def test_step_upkeep_equals_the_all_rows_oracle(monkeypatch, mode):
+@pytest.mark.parametrize("mode, t_d", [
+    pytest.param("rgb", 0.05, id="rgb"),
+    pytest.param("cs_stltp", 0.05, id="cs_stltp"),
+    pytest.param("rgb", 0.02, id="rgb-mixed-d"),
+])
+def test_step_upkeep_equals_the_all_rows_oracle(monkeypatch, mode, t_d):
     """``step`` composes and re-residuals a bucket's flagged rows only,
     since a background brick's composed vector is its observation.  Over a
     painted window and a clean one, every bucket field equals, bit for bit,
-    the upkeep that composes every row (``all_rows_update``), with parts of
-    37 cells, so that several buckets hold flagged and background bricks
-    together, and a low ``t_d``, which gives cs_stltp cells several d."""
+    the upkeep that composes every row (``all_rows_update``) of the rows
+    gathered in grid order, with parts of 37 cells, so that several buckets
+    hold flagged and background bricks together.  A low ``t_d`` gives cells
+    several d (in rgb only at 0.02); then a part holds several buckets whose
+    cells interleave, and ``step`` gathers the rows in a true permutation of
+    grid order, each bucket's rows one block."""
     cut_parts(monkeypatch, 37, mode)
     frames, _ = render(load_scene(SCENES / "occlusion.scene"))
-    config = EngineConfig(mode=mode, t_d=0.05, t_deps=0.05)
+    config = EngineConfig(mode=mode, t_d=t_d, t_deps=t_d)
     state = initialize(frames, config)
+    several_d = len({bucket.d for bucket in state.buckets}) > 1
+    order = np.concatenate([bucket.indices for bucket in state.buckets])
+    assert bool((np.diff(order) < 0).any()) == several_d
     painted = frames[50:55].copy()
     painted[:, 6:30, 10:40] = 250
     channels = frames.shape[3]
@@ -609,8 +703,8 @@ def test_step_upkeep_equals_the_all_rows_oracle(monkeypatch, mode):
             for f in fields(ModelBucket):
                 a, b = getattr(got, f.name), getattr(want, f.name)
                 assert a.dtype == b.dtype and np.array_equal(a, b), f.name
-    if mode == "cs_stltp":
-        assert len({bucket.d for bucket in state.buckets}) > 1
+    if mode == "cs_stltp" or t_d == 0.02:
+        assert several_d
     assert mixed >= 2
 
 
