@@ -40,16 +40,20 @@ class EvalReport:
 
 
 def evaluate(predicted: np.ndarray, truth: np.ndarray) -> EvalReport:
-    """Pixel tallies over a matching pair of boolean masks: a frame or an (F, H, W) stack."""
+    """Pixel tallies over a matching pair of boolean masks: a frame or an (F, H, W) stack.
+
+    True positives are counted frame by frame, and fp and fn follow from the
+    masks' own counts, so no temporary larger than a frame is made."""
     predicted = np.asarray(predicted)
     truth = np.asarray(truth)
     if predicted.shape != truth.shape:
         raise ValueError(f"shape mismatch: {predicted.shape} vs {truth.shape}")
     if predicted.dtype != bool or truth.dtype != bool:
         raise ValueError("masks must be boolean")
-    tp = int(np.count_nonzero(predicted & truth))
-    fp = int(np.count_nonzero(predicted & ~truth))
-    fn = int(np.count_nonzero(~predicted & truth))
+    pairs = zip(predicted, truth) if predicted.ndim == 3 else [(predicted, truth)]
+    tp = sum(int(np.count_nonzero(p & t)) for p, t in pairs)
+    fp = int(np.count_nonzero(predicted)) - tp
+    fn = int(np.count_nonzero(truth)) - tp
     return EvalReport(tp, fp, fn)
 
 

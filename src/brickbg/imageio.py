@@ -21,11 +21,11 @@ _FRAME_RE = re.compile(r"(\d+)\.(pgm|ppm)$", re.IGNORECASE)
 
 
 def _read_header_tokens(data: bytes, count: int):
-    """First ``count`` whitespace-separated tokens after the magic, skipping
-    '#' comments; returns (tokens, offset of the byte after the single
-    whitespace that terminates the last token)."""
+    """First ``count`` whitespace-separated tokens after the two-byte magic,
+    skipping '#' comments; returns (tokens, offset of the byte after the
+    single whitespace that terminates the last token)."""
     tokens = []
-    i = 0
+    i = 2
     n = len(data)
     while len(tokens) < count:
         while i < n and data[i : i + 1].isspace():
@@ -48,7 +48,8 @@ def _read_header_tokens(data: bytes, count: int):
 
 
 def read_image(path) -> np.ndarray:
-    """Read one P5/P6 file.  Returns (H, W) uint8 for P5, (H, W, 3) for P6."""
+    """Read one P5/P6 file.  Returns (H, W) uint8 for P5, (H, W, 3) for P6,
+    a read-only view of the raster inside the file's bytes."""
     path = Path(path)
     try:
         data = path.read_bytes()
@@ -57,7 +58,7 @@ def read_image(path) -> np.ndarray:
     if data[:2] not in (b"P5", b"P6"):
         raise FrameFormatError(f"{path}: not a binary PGM/PPM file")
     channels = 1 if data[:2] == b"P5" else 3
-    tokens, offset = _read_header_tokens(data[2:], 3)
+    tokens, offset = _read_header_tokens(data, 3)
     try:
         width, height, maxval = (int(t) for t in tokens)
     except ValueError:
@@ -67,7 +68,7 @@ def read_image(path) -> np.ndarray:
     if not 0 < maxval <= 255:
         raise FrameFormatError(f"{path}: unsupported maxval {maxval}")
     expect = width * height * channels
-    raster = data[2 + offset : 2 + offset + expect]
+    raster = memoryview(data)[offset : offset + expect]
     if len(raster) != expect:
         raise FrameFormatError(f"{path}: expected {expect} pixel bytes, got {len(raster)}")
     arr = np.frombuffer(raster, dtype=np.uint8)
@@ -91,7 +92,9 @@ def write_image(path, image: np.ndarray):
         raise FrameFormatError(f"cannot write image of shape {image.shape}")
     h, w = image.shape[:2]
     header = b"%s\n%d %d\n255\n" % (magic, w, h)
-    Path(path).write_bytes(header + image.tobytes())
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(np.ascontiguousarray(image))
 
 
 def frame_index(path) -> int:
@@ -119,13 +122,11 @@ def list_frames(directory):
     return paths
 
 
-def load_frames(source) -> np.ndarray:
-    """Load a frame sequence as (F, H, W, channels) uint8.
-
-    ``source`` is a directory of numbered frames or a manifest text file
-    listing one image path per line (relative paths resolve against the
-    manifest's directory).
-    """
+def _sequence(source):
+    """Image paths of a frame directory, or of a manifest text file listing
+    one image path per line (relative paths resolve against the manifest's
+    directory), and the shape of the first image, which the loaders read
+    again into its row so that they hold no image across their loop."""
     source = Path(source)
     if source.is_dir():
         paths = list_frames(source)
@@ -141,14 +142,31 @@ def load_frames(source) -> np.ndarray:
         ]
         if not paths:
             raise FrameFormatError(f"{source}: empty manifest")
-    images = [read_image(p) for p in paths]
-    shapes = {img.shape for img in images}
-    if len(shapes) != 1:
-        raise FrameFormatError(f"inconsistent frame shapes: {sorted(shapes)}")
-    stack = np.stack(images)
-    if stack.ndim == 3:
-        stack = stack[..., None]
-    return stack
+    return paths, read_image(paths[0]).shape
+
+
+def _read_like(path, shape) -> np.ndarray:
+    """One image of a sequence, refused unless it has the first image's shape."""
+    image = read_image(path)
+    if image.shape != shape:
+        raise FrameFormatError(f"inconsistent frame shapes: {sorted({shape, image.shape})}")
+    return image
+
+
+def load_frames(source) -> np.ndarray:
+    """Load a frame sequence as (F, H, W, channels) uint8.
+
+    ``source`` is a directory of numbered frames or a manifest text file
+    listing one image path per line (relative paths resolve against the
+    manifest's directory).  Each file is read into its row of the result,
+    and no other image is held meanwhile.
+    """
+    paths, shape = _sequence(source)
+    channels = shape[2] if len(shape) == 3 else 1
+    frames = np.empty((len(paths), *shape[:2], channels), dtype=np.uint8)
+    for row, path in zip(frames, paths):
+        row[...] = _read_like(path, shape).reshape(row.shape)
+    return frames
 
 
 def check_destination(directory, count: int, channels: int = 1, prefix: str = "frame"):
@@ -174,35 +192,51 @@ def check_destination(directory, count: int, channels: int = 1, prefix: str = "f
     return names
 
 
-def write_frames(directory, frames: np.ndarray, prefix: str = "frame"):
-    """Write (F, H, W[, channels]) uint8 frames as numbered files from 1, once
+def _write_sequence(directory, images, count: int, channels: int, prefix: str):
+    """Write ``count`` images as numbered files from 1, once
     ``check_destination`` passes; no file is deleted."""
     directory = Path(directory)
-    frames = np.asarray(frames)
-    if frames.ndim == 3:
-        frames = frames[..., None]
-    names = check_destination(directory, len(frames), frames.shape[-1], prefix)
+    names = check_destination(directory, count, channels, prefix)
     directory.mkdir(parents=True, exist_ok=True)
     paths = []
-    for name, frame in zip(names, frames):
+    for name, image in zip(names, images):
         path = directory / name
-        write_image(path, frame)
+        write_image(path, image)
         paths.append(path)
     return paths
 
 
+def write_frames(directory, frames: np.ndarray, prefix: str = "frame"):
+    """Write (F, H, W[, 1|3]) uint8 frames as numbered files from 1, once
+    ``check_destination`` passes; no file is deleted.  A stack of another
+    dtype or shape is refused before the directory is checked or made."""
+    frames = np.asarray(frames)
+    if frames.dtype != np.uint8:
+        raise FrameFormatError(f"frames must be uint8, not {frames.dtype}")
+    channels = frames.shape[3] if frames.ndim == 4 else 1
+    if frames.ndim not in (3, 4) or channels not in (1, 3) or 0 in frames.shape:
+        raise FrameFormatError(f"cannot write frames of shape {frames.shape}")
+    return _write_sequence(directory, frames, len(frames), channels, prefix)
+
+
 def write_masks(directory, masks: np.ndarray):
-    """Write (F, H, W) boolean masks as PGM files (foreground = 255)."""
+    """Write (F, H, W) boolean masks as PGM files (foreground = 255), one
+    mask converted at a time.  A stack of another dtype or shape is refused
+    before the directory is checked or made."""
     masks = np.asarray(masks)
     if masks.dtype != bool:
         raise FrameFormatError("masks must be boolean")
-    gray = np.where(masks, np.uint8(255), np.uint8(0))
-    return write_frames(directory, gray, prefix="mask")
+    if masks.ndim != 3 or 0 in masks.shape:
+        raise FrameFormatError(f"cannot write masks of shape {masks.shape}")
+    gray = (np.where(mask, np.uint8(255), np.uint8(0)) for mask in masks)
+    return _write_sequence(directory, gray, len(masks), 1, "mask")
 
 
 def load_masks(source) -> np.ndarray:
-    """Load a mask sequence as (F, H, W) bool (any non-zero = foreground)."""
-    frames = load_frames(source)
-    if frames.shape[-1] != 1:
-        frames = frames.max(axis=-1, keepdims=True)
-    return frames[..., 0] > 0
+    """Load a mask sequence as (F, H, W) bool (any non-zero channel =
+    foreground), each file converted into its row of the result."""
+    paths, shape = _sequence(source)
+    masks = np.empty((len(paths), *shape[:2]), dtype=bool)
+    for mask, path in zip(masks, paths):
+        np.any(_read_like(path, shape).reshape(*shape[:2], -1), axis=-1, out=mask)
+    return masks

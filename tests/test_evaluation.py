@@ -1,5 +1,6 @@
 """Mask scoring against exact rational arithmetic."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -104,6 +105,25 @@ def test_evaluate_aggregates_over_frames():
     report = evaluate(predicted, truth)
     assert (report.true_positives, report.false_positives,
             report.false_negatives) == (1, 1, 1)
+
+
+def test_evaluate_makes_no_stack_sized_temporary(rng):
+    """tp is counted frame by frame, so the traced peak stays below two mask
+    frames; ``predicted & ~truth`` and its like made stack-sized temporaries."""
+    predicted = rng.random((40, 120, 160)) > 0.5
+    truth = rng.random((40, 120, 160)) > 0.5
+    tracemalloc.start()
+    try:
+        report = evaluate(predicted, truth)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * predicted[0].size, peak
+    assert (report.true_positives, report.false_positives, report.false_negatives) == (
+        np.count_nonzero(predicted & truth),
+        np.count_nonzero(predicted & ~truth),
+        np.count_nonzero(~predicted & truth),
+    )
 
 
 def test_per_frame_fscores():

@@ -1,5 +1,8 @@
 """Binary PGM/PPM frame I/O."""
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -175,15 +178,43 @@ def test_load_frames_empty_manifest(tmp_path):
         load_frames(manifest)
 
 
-def test_load_frames_inconsistent_shapes(tmp_path, gray):
+@pytest.mark.parametrize("load", [load_frames, load_masks], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("mix", ["size", "channels"])
+@pytest.mark.parametrize("listing", ["directory", "manifest"])
+def test_load_frames_inconsistent_shapes(tmp_path, gray, load, mix, listing):
+    """Both loaders refuse a sequence whose images differ in size or in
+    P5/P6 kind, naming the two shapes, from a directory or a manifest."""
+    other = gray[:4] if mix == "size" else np.repeat(gray[..., None], 3, axis=2)
     sub = tmp_path / "imgs"
     sub.mkdir()
-    write_image(sub / "a.pgm", gray)
-    write_image(sub / "b.pgm", gray[:4])
-    manifest = tmp_path / "list.txt"
-    manifest.write_text("imgs/a.pgm\nimgs/b.pgm\n")
-    with pytest.raises(FrameFormatError, match="inconsistent"):
-        load_frames(manifest)
+    write_image(sub / "frame_000001.pgm", gray)
+    write_image(sub / f"frame_000002.{'pgm' if other.ndim == 2 else 'ppm'}", other)
+    source = sub
+    if listing == "manifest":
+        source = tmp_path / "list.txt"
+        source.write_text("\n".join(f"imgs/{p.name}" for p in sorted(sub.iterdir())) + "\n")
+    shapes = sorted({gray.shape, other.shape})
+    with pytest.raises(FrameFormatError, match=re.escape(f"inconsistent frame shapes: {shapes}")):
+        load(source)
+
+
+def test_loaders_hold_the_sequence_once(tmp_path, rng):
+    """Each file is read into its row of the result, so the traced peak stays
+    below the result plus two files' rasters.  Loading into a per-file list
+    and stacking it (and, for masks, building a uint8 stack first) peaked
+    at about twice the result."""
+    for channels in (1, 3):
+        frames = rng.integers(0, 256, size=(40, 120, 160, channels), dtype=np.uint8)
+        write_frames(tmp_path / f"c{channels}", frames)
+        raster = frames[0].nbytes
+        for load in (load_frames, load_masks):
+            tracemalloc.start()
+            try:
+                out = load(tmp_path / f"c{channels}")
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < out.nbytes + 2 * raster, (load.__name__, channels, peak, out.nbytes)
 
 
 # --- masks ---------------------------------------------------------------------
@@ -234,6 +265,41 @@ def test_rewrite_refuses_mixed_and_foreign_frame_files(tmp_path):
 def test_write_masks_requires_boolean(tmp_path):
     with pytest.raises(FrameFormatError, match="boolean"):
         write_masks(tmp_path / "m", np.zeros((1, 2, 2), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("write, stack, message", [
+    (write_masks, np.zeros((4, 6), dtype=bool), "shape"),
+    (write_masks, np.zeros((2, 4, 6, 1), dtype=bool), "shape"),
+    (write_masks, np.zeros((0, 4, 6), dtype=bool), "shape"),
+    (write_masks, np.zeros((2, 4, 6)), "boolean"),
+    (write_frames, np.zeros((2, 4, 6, 2), dtype=np.uint8), "shape"),
+    (write_frames, np.zeros((4, 6), dtype=np.uint8), "shape"),
+    (write_frames, np.zeros((2, 0, 6), dtype=np.uint8), "shape"),
+    (write_frames, np.zeros((2, 4, 6)), "uint8"),
+    (write_frames, np.zeros((2, 4, 6), dtype=bool), "uint8"),
+], ids=lambda v: v.__name__ if callable(v) else None)
+def test_malformed_stack_is_refused_before_the_directory(tmp_path, write, stack, message):
+    """A stack that is not (F, H, W[, 1|3]) uint8 frames or (F, H, W) bool
+    masks is refused before any directory is made: it used to leave an empty
+    directory behind, and an (H, W) mask failed only at its first row."""
+    target = tmp_path / "new" / "seq"
+    with pytest.raises(FrameFormatError, match=message):
+        write(target, stack)
+    assert not (tmp_path / "new").exists()
+
+
+def test_write_masks_converts_one_mask_at_a_time(tmp_path, rng):
+    """The traced peak stays below three mask frames; converting the whole
+    stack to uint8 first held one uint8 frame per mask."""
+    masks = rng.random(size=(40, 120, 160)) > 0.5
+    tracemalloc.start()
+    try:
+        write_masks(tmp_path / "m", masks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * masks[0].size, peak
+    assert np.array_equal(load_masks(tmp_path / "m"), masks)
 
 
 def test_load_masks_any_nonzero_is_foreground(tmp_path):
