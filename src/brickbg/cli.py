@@ -13,8 +13,9 @@ per-stage time totals of ``EngineState.timings``.
 truth and the predictions once each: a sequence is loaded by reading each
 file into its row of one array, and masks are written and scored one frame
 at a time.  On the bundled 200-frame 352x288 scenes, ``eval`` peaks at about
-95 MB resident (56 MB of it the import) and a ``cs_stltp`` ``run --truth``
-at about 143 MB; the engine's own working set is the rest.
+69 MB resident (30 MB of it the import, which loads numpy only) and a
+``cs_stltp`` ``run --truth`` at about 120 MB; the engine's own working set
+is the rest.
 
 Exit codes: 0 on success, 2 for unusable arguments or configuration, 3 for
 runtime failures (missing/short/malformed data, numerical breakdown).

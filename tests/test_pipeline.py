@@ -10,12 +10,14 @@ composed, are the bit-for-bit oracle of the engine's flagged-rows-only
 upkeep.
 """
 
+import re
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from brickbg import features, linalg, pipeline
 from brickbg.config import EngineConfig
@@ -990,6 +992,81 @@ def test_remove_small_components_trivial_cases():
     assert mask[0, 0]
     empty = remove_small_components(np.zeros((4, 4), dtype=bool), 5)
     assert not empty.any()
+
+
+@pytest.mark.parametrize("min_area", [0, 5])
+@pytest.mark.parametrize("shape", [(5,), (2, 3, 4), ()], ids=["1d", "3d", "0d"])
+def test_remove_small_components_refuses_a_mask_that_is_not_2d(shape, min_area):
+    with pytest.raises(ValueError, match=re.escape(str(shape))):
+        remove_small_components(np.ones(shape, dtype=bool), min_area)
+
+
+def _spiral(size):
+    """A one-pixel path that winds inward, one pixel clear of its last turn."""
+    mask = np.zeros((size, size), dtype=bool)
+    r, c, dr, dc = 0, 0, 0, 1
+    mask[r, c] = True
+
+    def clear(r, c, outside):
+        return not mask[r, c] if 0 <= r < size and 0 <= c < size else outside
+
+    def can_step():
+        return clear(r + dr, c + dc, False) and clear(r + 2 * dr, c + 2 * dc, True)
+
+    while True:
+        if not can_step():
+            dr, dc = dc, -dr                        # turn clockwise
+            if not can_step():
+                return mask
+        r, c = r + dr, c + dc
+        mask[r, c] = True
+
+
+def _oracle_masks(case):
+    if case.startswith("random"):
+        rng = np.random.default_rng(int(case.split("-")[1]))
+        return [rng.random(rng.integers(1, 40, size=2)) < density
+                for density in np.linspace(0.05, 0.95, 7)]
+    if case == "row-wrap":
+        # a run at the end of row r and one at the start of row r + 1 lie
+        # next to each other in a flat array, but not in the frame
+        mask = np.zeros((4, 6), dtype=bool)
+        mask[0, 4:] = mask[1, :2] = mask[2, 5] = mask[3, 0] = True
+        return [mask, mask[:, ::-1]]
+    if case == "diagonals":
+        eye = np.eye(9, 11, dtype=bool)
+        # runs of two whose rows meet corner to corner (step 2), or just miss (step 3)
+        stairs = [np.zeros((6, 3 * 6 + 1), dtype=bool) for _ in range(2)]
+        for r in range(6):
+            stairs[0][r, 2 * r: 2 * r + 2] = stairs[1][r, 3 * r: 3 * r + 2] = True
+        return [eye, eye[::-1], eye | eye[:, ::-1], *stairs, stairs[0][:, ::-1]]
+    if case == "spiral":
+        return [_spiral(31), _spiral(32)[::-1, :29]]
+    if case == "comb":
+        comb = np.zeros((20, 25), dtype=bool)
+        comb[0] = True
+        comb[:, ::2] = True
+        return [comb, comb[::-1], comb.T, ~comb]
+    if case == "checkerboard":
+        return [np.indices((17, 22)).sum(axis=0) % 2 == 0, np.indices((1, 9)).sum(axis=0) % 2 == 1]
+    return [np.ones((13, 7), dtype=bool), np.ones((1, 1), dtype=bool)]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [f"random-{seed}" for seed in range(12)]
+    + ["row-wrap", "diagonals", "spiral", "comb", "checkerboard", "full"],
+)
+def test_remove_small_components_matches_scipy_label(case):
+    for mask in _oracle_masks(case):
+        labels, _ = ndimage.label(mask, structure=np.ones((3, 3), dtype=int))
+        areas = np.bincount(labels.ravel())[1:]
+        # every component's own area: the threshold that keeps it and the one above
+        for min_area in {0, 1, 2, *areas.tolist(), *(areas + 1).tolist()}:
+            keep = np.concatenate([[False], areas >= min_area])
+            out = remove_small_components(mask, min_area)
+            assert out.dtype == bool and out.shape == mask.shape
+            assert np.array_equal(out, keep[labels]), (case, mask.shape, min_area)
 
 
 # --- model access ----------------------------------------------------------------------
