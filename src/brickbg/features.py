@@ -55,7 +55,6 @@ MODE_CS = "cs_stltp"
 MODE_RGB = "rgb"
 MODES = (MODE_CS, MODE_RGB)
 
-PATTERN_LENGTH = 16
 HISTOGRAM_BINS = 48
 COUNTS_PER_VOXEL = 4  # one per sampling plane
 

@@ -54,11 +54,11 @@ runs each bucket's basis update and refit and each frame's mask tail as
 one item, all on ``linalg.parallel_map``, which uses every CPU the process
 may run on.  Between the two passes a step holds its descriptor matrix,
 by then v~, and the labels, but no bucket's residual or copied rows.
-``features.bin_volume`` pads a window on the calling thread and then bins
-it as one run cut into one piece per CPU on it too, ``batch_descriptors``
-gathers one part's rows per item, and an ``initialize`` chunk gathers its
-own descriptors, so that work runs on every CPU.  Masks and models do not depend on how many CPUs
-ran them, nor on how the cells were cut.
+The descriptors run on every CPU too: ``features.bin_volume`` pads a window
+on the calling thread and bins it as one run cut into one piece per CPU,
+``batch_descriptors`` gathers one part's rows per item, and an
+``initialize`` chunk gathers its own descriptors.  Masks and models do not
+depend on how many CPUs ran them, nor on how the cells were cut.
 
 Labels and composition read the descriptor's voxel layout (t, h, w,
 channels), which ``step`` states once.  A ``cs_stltp`` histogram is one voxel
@@ -173,11 +173,23 @@ def make_grid(frame_height: int, frame_width: int, brick_height: int, brick_widt
 
 @dataclass
 class EngineState:
+    """The engine between windows: ``initialize`` makes it, ``step`` updates it.
+
+    ``buckets`` holds every cell's model: one ``subspace.ModelBucket`` per
+    state dimension in each ``grid_parts`` part, listed part by part.
+    ``aux_mean`` is the (H, W, C) running per-pixel background mean that
+    refines flagged ``cs_stltp`` bricks; it is ``None`` in ``rgb``.
+    ``steps`` counts the windows ``step`` has consumed.  ``timings`` is the
+    running sum of every step's ``StepResult.timings``, key by key, so the
+    stages summed over concurrent items can exceed the wall time; its one
+    reader is the ``stage totals:`` line of ``brickbg run``.
+    """
+
     config: EngineConfig
     geometry: GridGeometry
     channels: int
     buckets: list
-    aux_mean: np.ndarray | None    # (H, W, C) running background mean; None in rgb
+    aux_mean: np.ndarray | None
     steps: int = 0
     timings: dict = field(default_factory=dict)
 

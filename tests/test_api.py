@@ -1,6 +1,6 @@
-"""Public surface: every exported name exists, every script imports and
-runs end to end on the occlusion scene, and the README's scene kinds,
-imports and commands match the package."""
+"""Public surface: every exported name exists, every script imports, the
+occlusion trace runs end to end, and the README's scene kinds, imports and
+commands match the package."""
 
 import ast
 import importlib
@@ -64,40 +64,6 @@ def test_trace_occlusion_coasts_and_recovers(capsys):
     assert all(rows[start][0] == "FOREGROUND" for start in occluded)
     assert all(rows[start][1] < 0.05 for start in occluded)
     assert rows[180][0] == "background"
-
-
-def run_script(name, args, monkeypatch, capsys):
-    """Output lines of a script's ``main()`` run with the given arguments."""
-    monkeypatch.setattr(sys, "argv", [name, *args])
-    load_script(ROOT / "scripts" / name).main()
-    return capsys.readouterr().out.splitlines()
-
-
-def test_run_demo_reports_both_modes(monkeypatch, capsys):
-    lines = run_script("run_demo.py", ["--scene", str(ROOT / "scenes" / "occlusion.scene")],
-                       monkeypatch, capsys)
-    scores = {}
-    for line in lines:
-        found = re.match(r"mode=(\S+)\s+F=(\S+)", line)
-        if found:
-            scores[found[1]] = float(found[2])
-    assert sorted(scores) == ["cs_stltp", "rgb"]
-    assert all(0.0 <= f <= 1.0 for f in scores.values())
-
-
-def test_threshold_sweep_reports_each_value(monkeypatch, capsys):
-    lines = run_script(
-        "threshold_sweep.py",
-        ["--scene", str(ROOT / "scenes" / "occlusion.scene"), "--values", "2,3"],
-        monkeypatch, capsys,
-    )
-    rows = [line.split() for line in lines[1:-1]]
-    assert [float(row[0]) for row in rows] == [2.0, 3.0]
-    for _, precision, recall, f in rows:
-        assert all(0.0 <= float(x) <= 1.0 for x in (precision, recall, f))
-    best = re.fullmatch(r"best: t_eps=(\S+) \(F=(\S+)\)", lines[-1])
-    assert float(best[1]) in (2.0, 3.0)
-    assert float(best[2]) == max(float(row[3]) for row in rows)
 
 
 def test_readme_scene_kinds_match_parser():

@@ -6,6 +6,8 @@ uses, including the documented exit codes (2 = unusable configuration,
 3 = runtime/data failure).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,8 @@ from brickbg.config import (
     parse_kv_text,
 )
 from brickbg.evaluation import evaluate, read_report
-from brickbg.imageio import list_frames, load_masks, write_masks
+from brickbg.imageio import list_frames, load_frames, load_masks, write_masks
+from brickbg.pipeline import process_video
 
 # --- key=value parsing -------------------------------------------------------
 
@@ -246,6 +249,21 @@ def test_cli_run_overrides(tmp_path, frames_dir, config_file, capsys):
     assert main(["run", "--input", str(frames_dir), "--output", str(tmp_path / "m"),
                  "--config", str(config_file), "--mode", "rgb", "--stride", "1"]) == 0
     assert "bricks, rgb, stride 1)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags, overrides", [
+    ([], {}),
+    (["--mode", "rgb", "--stride", "1"], {"mode": "rgb", "stride": 1}),
+], ids=["config", "overrides"])
+def test_cli_run_writes_the_engines_masks(tmp_path, frames_dir, config_file, flags, overrides):
+    """The masks ``run --config`` writes are ``process_video``'s, bit for bit,
+    with the command-line overrides applied over the config file."""
+    out = tmp_path / "m"
+    assert main(["run", "--input", str(frames_dir), "--output", str(out),
+                 "--config", str(config_file), *flags]) == 0
+    config = replace(load_config(config_file), **overrides)
+    masks, _ = process_video(load_frames(frames_dir), config)
+    assert np.array_equal(load_masks(out), masks)
 
 
 def test_cli_bench_is_gone(scene_file, capsys):

@@ -20,12 +20,13 @@ from brickbg.features import (
     DEFAULT_TAU,
     HISTOGRAM_BINS,
     PAIR_OFFSETS,
-    PATTERN_LENGTH,
     bin_volume,
     brick_descriptor,
     cell_histograms,
 )
 from brickbg.imageio import FrameFormatError
+
+PATTERN_LENGTH = 16  # trits per voxel: one per PAIR_OFFSETS pair
 
 
 # --- scalar oracles -------------------------------------------------------
