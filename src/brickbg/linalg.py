@@ -7,13 +7,17 @@ decisions, and one relative cutoff (``PINV_RTOL``) for pseudo-inverse
 reciprocals.
 Every routine works on stacks (leading batch dimension) so the pipeline
 can run one call across many spatial locations; a single matrix is a
-stack of one.  Every factorization the engine runs is a symmetric
-eigendecomposition of a small Gram matrix (identification's n x n Grams
-of the descriptor windows, the dynamics refit's d x d Grams and the basis
-update's (d+1) x (d+1) one); the SVD and the pseudo-inverse have no
-engine caller, and stay as the tests' oracles of the Gram forms and for
-the benchmark's trace, which wraps them by name.  Each routine makes one
-numpy call on the whole stack it is given; the caller bounds the stack.
+stack of one.  The engine factors only small matrices: ``eigh_stack`` of
+identification's n x n Grams of the descriptor windows, of the dynamics
+refit's d x d Grams and of the basis update's (d+1) x (d+1) one, and,
+straight through numpy, the QR that re-orthonormalizes identified and
+updated bases and the refit's ``eigvals`` of each transition map.  At
+d = 1 the refit's Grams and map and the update's 2 x 2 Gram are solved
+without LAPACK, so a d = 1 step runs only the update's one-column QR.
+The SVD and the pseudo-inverse have no engine caller, and stay as the
+tests' oracles of the Gram forms and for the benchmark's trace, which
+wraps them by name.  Each routine makes one numpy call on the whole stack
+it is given; the caller bounds the stack.
 
 ``parallel_map`` is the engine's one concurrency primitive.  It runs a
 function over a list of independent items on the calling thread and on

@@ -111,27 +111,66 @@ def reweight_stack(c, lam, v_bar, residual, beta: float = DEFAULT_BETA):
     return v_bar, w
 
 
+def _top_eigenpair(p, x, s):
+    """Top eigenpair of the symmetric 2 x 2 stack [[p, x], [x, s]], p, s >= 0.
+
+    With h = (p - s) / 2 and r = hypot(h, x) the top eigenvalue is
+    (p + s) / 2 + r, and its eigenvector is (h + r, x) for h >= 0, else
+    (x, r - h): every sum adds terms of one sign, so nothing cancels.  The
+    vector is normalized and follows ``linalg``'s sign rule (its
+    largest-magnitude entry positive, the first on a tie); an exact tie
+    (x = 0 and p = s, the all-zero Gram included) gets (0, 1), as
+    ``linalg.eigh_stack`` gives it.  Returns the (g,) values and the two
+    (g,) entries of the vectors.
+    """
+    h = 0.5 * (p - s)
+    r = np.hypot(h, x)
+    upper = h >= 0.0
+    w0 = np.where(upper, h + r, x)
+    w1 = np.where(upper, x, r - h)
+    norm = np.hypot(w0, w1)
+    tie = norm == 0.0
+    norm[tie] = 1.0
+    w1[tie] = 1.0
+    pick = np.where(np.abs(w1) > np.abs(w0), w1, w0)
+    norm[pick < 0.0] *= -1.0
+    w0 /= norm
+    w1 /= norm
+    return 0.5 * (p + s) + r, w0, w1
+
+
 def update_basis_stack(c: np.ndarray, lam: np.ndarray, v_tilde: np.ndarray, alpha: float):
     """Stacked incremental basis update.
 
     ``c`` is (g, m, d), ``lam`` (g, d), ``v_tilde`` (g, m).  Returns the
     updated ``(c, lam)``.  The new basis is exactly orthonormal (QR pass)
     and each column keeps the orientation of its predecessor.
+
+    At d = 1 the 2 x 2 Gram's top eigenpair is taken in closed form
+    (``_top_eigenpair``), so the one-column QR is the update's only LAPACK
+    call; it agrees with ``linalg.eigh_stack``'s to rounding.
     """
     g, m, d = c.shape
     kept = (1.0 - alpha) * np.maximum(lam, 0.0)         # (g, d)
     root_kept, root_alpha = np.sqrt(kept), np.sqrt(alpha)
     cross = root_alpha * root_kept * np.einsum("gmd,gm->gd", c, v_tilde)
-    gram = np.zeros((g, d + 1, d + 1))                  # Y^T Y
-    diag = np.arange(d)
-    gram[:, diag, diag] = kept
-    gram[:, :d, d] = cross
-    gram[:, d, :d] = cross
-    gram[:, d, d] = alpha * np.einsum("gm,gm->g", v_tilde, v_tilde)
-    vals, vecs = linalg.eigh_stack(gram)        # descending
-    top_vals = vals[:, :d]
-    mapped = c @ (root_kept[:, :, None] * vecs[:, :d, :d])                  # Y W_top
-    mapped += (root_alpha * v_tilde)[:, :, None] * vecs[:, None, d, :d]     # (g, m, d)
+    energy = alpha * np.einsum("gm,gm->g", v_tilde, v_tilde)
+    if d == 1:
+        top_vals, w0, w1 = _top_eigenpair(kept[:, 0], cross[:, 0], energy)
+        top_vals = top_vals[:, None]
+        mapped = c * (root_kept[:, 0] * w0)[:, None, None]                # Y w
+        mapped[:, :, 0] += (root_alpha * w1)[:, None] * v_tilde
+    else:
+        gram = np.zeros((g, d + 1, d + 1))              # Y^T Y
+        diag = np.arange(d)
+        gram[:, diag, diag] = kept
+        gram[:, :d, d] = cross
+        gram[:, d, :d] = cross
+        gram[:, d, d] = energy
+        vals, vecs = linalg.eigh_stack(gram)    # descending
+        top_vals = vals[:, :d]
+        mapped = c @ (root_kept[:, :, None] * vecs[:, :d, :d])                  # Y W_top
+        mapped += (root_alpha * v_tilde)[:, :, None] * vecs[:, None, d, :d]     # (g, m, d)
     q, r = np.linalg.qr(mapped)
     # Each column keeps the orientation of its predecessor; where the two
     # are exactly orthogonal, R's diagonal is made non-negative instead.

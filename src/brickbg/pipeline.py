@@ -31,8 +31,10 @@ bricks are composed and have their residual formed again.
 All per-cell maths runs through the stacked functions of ``segmentation``
 (residuals, labels), ``maintenance`` (composition, robust reweighting,
 basis update) and ``subspace`` (dynamics refit), each applied to a bucket
-of cells of equal state dimension, so one step costs a handful of LAPACK
-calls per bucket.  ``step`` is their composition: it appends each new
+of cells of equal state dimension, so one step makes a fixed number of
+batched LAPACK calls per bucket: five at d > 1 (the basis update's
+``eigh`` and QR, the refit's two ``eigh`` and one ``eigvals``) and one at
+d = 1, the QR.  ``step`` is their composition: it appends each new
 state to the bucket's states, dropping the oldest once ``history`` are
 held, and refits the dynamics from all of them.  Each bucket is a
 ``subspace.ModelBucket``, the one model record; ``model_at`` returns a

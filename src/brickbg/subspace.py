@@ -115,6 +115,13 @@ def fit_dynamics_stack(states: np.ndarray, t_deps: float, observed=None):
     s_j / sqrt(n)``), so its pseudo-inverse needs no second factorization:
     row j of ``b_pinv`` is ``u_j^T / scale_j``.
 
+    At d = 1 the refit makes no LAPACK call, and its outputs are bit for bit
+    those of the general path: both 1 x 1 Grams are their own eigenvalues
+    (``_gram_spectrum``), and the spectral radius is |A|.  Where
+    ``eigvals`` refuses a non-finite A with a bare ``LinAlgError``, |A|
+    takes it; no caller can pass one, as ``_refuse`` and ``learn_initial``
+    refuse non-finite input.
+
     ``t_deps`` is a fraction of the dominant residual singular value: a noise
     direction is kept while its singular value exceeds ``t_deps`` times the
     largest one.  Slices whose entire residual is negligible next to the state
@@ -154,7 +161,8 @@ def fit_dynamics_stack(states: np.ndarray, t_deps: float, observed=None):
     a = np.divide(g21v, mu[:, None, :], out=np.zeros_like(g21v), where=live) @ np.swapaxes(v, 1, 2)
     fitted = a @ z1                        # both residuals below subtract it
     rough = z2 - fitted
-    radius = np.abs(np.linalg.eigvals(a)).max(axis=1)
+    # A 1 x 1 map is its own eigenvalue, which ``eigvals`` returns exactly.
+    radius = np.abs(a[:, 0, 0]) if d == 1 else np.abs(np.linalg.eigvals(a)).max(axis=1)
     # |Z1|_F^2 is the trace of Z1 Z1^T.
     scale_norm = np.maximum(
         np.sqrt(np.trace(g11, axis1=1, axis2=2)), np.finfo(np.float64).tiny
@@ -201,9 +209,14 @@ def _gram_spectrum(gram: np.ndarray):
 
     Eigenvalues at or below ``GRAM_RTOL`` times the largest (negative
     rounding included) become 0; eigenvectors keep ``linalg``'s sign
-    convention.
+    convention.  A stack of 1 x 1 Grams is passed through without a LAPACK
+    call: each is its own eigenvalue with eigenvector 1, bit for bit as
+    ``eigh_stack`` gives it.
     """
-    mu, vecs = linalg.eigh_stack(gram)
+    if gram.shape[-1] == 1:
+        mu, vecs = gram[:, 0], np.ones_like(gram)
+    else:
+        mu, vecs = linalg.eigh_stack(gram)
     return np.where(mu > GRAM_RTOL * mu[:, :1], mu, 0.0), vecs
 
 

@@ -9,17 +9,22 @@ the full m x m eigendecomposition of the blended covariance
 (1-alpha) C diag(lam) C^T + alpha v v^T, whose top-d eigenpairs the
 small-Gram update must reproduce.  A second oracle (``y_form_update``)
 forms Y = [sqrt((1-alpha) lam_j) c_j, sqrt(alpha) v] and its Gram
-explicitly, as the update did before it used C^T C = I.  The influence
-function ``weight`` is kept here as the oracle of the weights
-``reweight_stack`` forms in place.
+explicitly, as the update did before it used C^T C = I.  A third
+(``gram_form_update``) is the small-Gram update as it is at every d > 1,
+its (d+1) x (d+1) Gram through ``eigh_stack``: the oracle of the d = 1
+closed form.  The influence function ``weight`` is kept here as the oracle
+of the weights ``reweight_stack`` forms in place.
 """
+
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from brickbg import linalg
+from brickbg import linalg, pipeline
 from brickbg.maintenance import (
     DEFAULT_BETA,
     RHO_FLOOR,
@@ -31,8 +36,12 @@ from brickbg.maintenance import (
 )
 from brickbg.config import EngineConfig
 from brickbg.segmentation import appearance_residual
-from brickbg.pipeline import initialize, step
+from brickbg.pipeline import initialize, process_video, step
 from brickbg.subspace import ModelBucket, fit_dynamics_stack
+from brickbg.synth import load_scene, render
+from test_subspace import eigh_form_fit
+
+SCENES = Path(__file__).resolve().parents[1] / "scenes"
 
 
 def toy_model(m=8, d=2, seed=0, lam=(4.0, 1.0)):
@@ -382,6 +391,145 @@ def test_gram_update_matches_y_oracle():
                 projector = got_c @ np.swapaxes(got_c, 1, 2)
                 want_p = want_c @ np.swapaxes(want_c, 1, 2)
                 assert np.abs(projector - want_p).max() < 1e-8, case
+
+
+def gram_form_update(c, lam, v_tilde, alpha):
+    """The small-Gram update with no d = 1 shortcut: the (d+1) x (d+1)
+    Gram through ``eigh_stack`` at every d, then the shared QR pass."""
+    g, m, d = c.shape
+    kept = (1.0 - alpha) * np.maximum(lam, 0.0)
+    root_kept, root_alpha = np.sqrt(kept), np.sqrt(alpha)
+    cross = root_alpha * root_kept * np.einsum("gmd,gm->gd", c, v_tilde)
+    gram = np.zeros((g, d + 1, d + 1))
+    diag = np.arange(d)
+    gram[:, diag, diag] = kept
+    gram[:, :d, d] = cross
+    gram[:, d, :d] = cross
+    gram[:, d, d] = alpha * np.einsum("gm,gm->g", v_tilde, v_tilde)
+    vals, vecs = linalg.eigh_stack(gram)
+    top_vals = vals[:, :d]
+    mapped = c @ (root_kept[:, :, None] * vecs[:, :d, :d])
+    mapped += (root_alpha * v_tilde)[:, :, None] * vecs[:, None, d, :d]
+    q, r = np.linalg.qr(mapped)
+    overlap = np.einsum("gmd,gmd->gd", q, c)
+    diag_sign = np.where(np.diagonal(r, axis1=1, axis2=2) < 0.0, -1.0, 1.0)
+    signs = np.where(overlap < 0.0, -1.0, np.where(overlap > 0.0, 1.0, diag_sign))
+    q *= signs[:, None, :]
+    return q, np.maximum(top_vals, 0.0)
+
+
+def tied_lam(alpha):
+    """lam whose kept eigenvalue (1 - alpha) lam equals alpha exactly, the
+    energy alpha |v~|^2 of a unit v~."""
+    lam = alpha / (1.0 - alpha)
+    for _ in range(4):          # a step of an ulp or two; the caller checks the tie
+        if (1.0 - alpha) * lam == alpha:
+            break
+        lam = np.nextafter(lam, np.inf if (1.0 - alpha) * lam < alpha else -np.inf)
+    return lam
+
+
+def one_column_cells(gen, m, alpha):
+    """(g, m, 1) bases, (g, 1) spectra and (g, m) observations: random
+    cells at many scales, then cells with lam = 0, with v~ = 0, with v~ in
+    the span, with v~ orthogonal to it (a zero off-diagonal), at an exact
+    tie (that, and equal diagonal entries) and all zero.  The last two kinds
+    need an exactly orthogonal pair, so their bases are e_1 (m >= 2)."""
+    g = 64
+    c = np.linalg.qr(gen.normal(size=(g, m, 1)))[0]
+    lam = gen.uniform(0.5, 4.0, size=(g, 1)) * 10.0 ** gen.integers(-6, 7, size=(g, 1))
+    v = gen.normal(size=(g, m)) * 10.0 ** gen.integers(-6, 7, size=(g, 1))
+    lam[1] = 0.0
+    v[2] = 0.0
+    v[3] = 5.0 * c[3, :, 0]
+    if m >= 2:
+        e1, e2 = np.eye(m)[0], np.eye(m)[1]
+        c[4:7, :, 0] = e1
+        v[4] = 3.0 * e2
+        lam[5], v[5] = tied_lam(alpha), e2
+        lam[6], v[6] = 0.0, 0.0
+    return c, lam, v
+
+
+def near_tie_cells(gen, m, alpha):
+    """Cells an eps-sized step from the exact tie: the top eigenvector is
+    ill-conditioned there, while the eigenvalue is not."""
+    g = 16
+    c = np.zeros((g, m, 1))
+    c[:, 0, 0] = 1.0
+    v = np.zeros((g, m))
+    v[:, 1] = 1.0
+    v[:, 0] = gen.choice([-1.0, 1.0], size=g) * 10.0 ** gen.uniform(-16, -12, size=g)
+    lam = np.full((g, 1), tied_lam(alpha))
+    lam[::2] *= 1.0 + gen.normal(size=(g // 2, 1)) * 1e-15
+    return c, lam, v
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 48, 240])
+@pytest.mark.parametrize("alpha", [0.05, 0.5])
+def test_one_column_update_matches_gram_form_oracle(m, alpha):
+    """The d = 1 closed form gives the eigh form's basis and eigenvalue to
+    1e-12 relative, degenerate cells included, calling no ``eigh``; at
+    near ties only the eigenvalue is compared, as the top eigenvector is
+    not determined there."""
+    gen = np.random.default_rng(m + int(100 * alpha))
+    c, lam, v = one_column_cells(gen, m, alpha)
+    if m >= 2:
+        assert (1.0 - alpha) * lam[5, 0] == alpha * np.dot(v[5], v[5])   # the exact tie
+    want_c, want_lam = gram_form_update(c, lam, v, alpha)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "eigh", None)
+        got_c, got_lam = update_basis_stack(c, lam, v, alpha)
+    assert got_c.shape == want_c.shape and got_lam.shape == want_lam.shape
+    assert np.all(np.abs(got_lam - want_lam) <= 1e-12 * np.abs(want_lam))
+    assert np.abs(got_c - want_c).max() <= 1e-12
+    assert np.abs(np.einsum("gm,gm->g", got_c[..., 0], got_c[..., 0]) - 1.0).max() < 1e-15
+    if m >= 2:
+        assert np.array_equal(got_c[5:7], want_c[5:7])      # the exact tie and the zero cell
+        assert got_lam[6, 0] == 0.0
+        c, lam, v = near_tie_cells(gen, m, alpha)
+        want_c, want_lam = gram_form_update(c, lam, v, alpha)
+        got_c, got_lam = update_basis_stack(c, lam, v, alpha)
+        assert np.all(np.abs(got_lam - want_lam) <= 1e-12 * np.abs(want_lam))
+        assert np.abs(np.einsum("gm,gm->g", got_c[..., 0], got_c[..., 0]) - 1.0).max() < 1e-15
+
+
+def cell_max(array):
+    return np.abs(array).reshape(len(array), -1).max(axis=1, initial=0.0)
+
+
+@pytest.mark.parametrize("stride", [5, 1])
+@pytest.mark.parametrize("mode", ["cs_stltp", "rgb"])
+def test_engine_matches_the_general_upkeep(monkeypatch, mode, stride):
+    """On the occlusion scene, where every cell keeps d = 1, the engine's
+    masks are those of a run whose basis update and refit are the general
+    Gram forms, bit for bit.  Every bucket field agrees per cell to 1e-12 of
+    the cell's largest entry of it, and B and B+ to that times the states'
+    magnitude over B's: the noise fit is the difference of nearly equal
+    states, which scales their rounding by that ratio (up to about 2e5 at
+    stride 1 in cs_stltp, where B's relative gap reads about 6e-11)."""
+    frames, _ = render(load_scene(SCENES / "occlusion.scene"))
+    config = EngineConfig(mode=mode, stride=stride)
+    masks, state = process_video(frames, config)
+    assert {bucket.d for bucket in state.buckets} == {1}
+    monkeypatch.setattr(pipeline, "update_basis_stack", gram_form_update)
+    monkeypatch.setattr(pipeline, "fit_dynamics_stack", eigh_form_fit)
+    want_masks, want_state = process_video(frames, config)
+    assert np.array_equal(masks, want_masks)
+    for got, want in zip(state.buckets, want_state.buckets, strict=True):
+        noise = cell_max(want.b)
+        conditioning = np.maximum(1.0, np.divide(cell_max(want.states), noise,
+                                                 out=np.ones_like(noise), where=noise > 0.0))
+        for f in fields(ModelBucket):
+            x, y = getattr(got, f.name), getattr(want, f.name)
+            assert x.dtype == y.dtype and x.shape == y.shape, f.name
+            if y.dtype.kind in "biu":
+                assert np.array_equal(x, y), f.name
+                continue
+            tolerance = 1e-12 * cell_max(y)
+            if f.name in ("b", "b_pinv"):
+                tolerance *= conditioning
+            assert np.all(cell_max(x - y) <= tolerance), f.name
 
 
 # --- dynamics update: state append + fit_dynamics_stack ----------------------

@@ -1158,6 +1158,28 @@ def test_parts_of_any_size_give_the_one_part_run(monkeypatch, mode, t_d, stride)
             assert got.dtype == want.dtype and np.array_equal(got, want), (cell, f.name)
 
 
+@pytest.mark.parametrize("mode", ["cs_stltp", "rgb"])
+def test_a_one_dimensional_step_hands_lapack_one_qr_per_cell(monkeypatch, mode):
+    """At d = 1 (every cell of the occlusion scene) a step's basis update
+    takes its 2 x 2 eigenpair in closed form and its refit passes the 1 x 1
+    Grams and transition map through, so LAPACK sees only the update's
+    one-column QR: one matrix per cell, and no eigh, eigvals or svd."""
+    frames, _ = render(load_scene(SCENES / "occlusion.scene"))
+    config = EngineConfig(mode=mode)
+    state = initialize(frames, config)
+    assert {bucket.d for bucket in state.buckets} == {1}
+    batches = {name: [] for name in ("eigh", "eigvals", "qr", "svd")}
+    for name, seen in batches.items():
+        def counted(a, *args, _call=getattr(np.linalg, name), _seen=seen, **kwargs):
+            _seen.append(int(np.prod(np.shape(a)[:-2])))
+            return _call(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    start = config.init_frames
+    step(state, frames[start : start + config.brick_depth])
+    matrices = {name: sum(seen) for name, seen in batches.items()}
+    assert matrices == {"eigh": 0, "eigvals": 0, "qr": state.geometry.locations, "svd": 0}
+
+
 @pytest.mark.parametrize("m, count", [(240, 7), (48, 2), (144, 4), (10**6, 6336)])
 def test_grid_parts_cut_by_descriptor_entries(m, count):
     """A 352x288 frame's 6336 cells are cut by descriptor entries, not by

@@ -9,7 +9,10 @@ must coast instead of drifting.  The Gram-form refit is checked against
 the SVD form of the same fit (``svd_form_fit``) on well-conditioned,
 rank-deficient and exactly predictable rings, and the Gram-form
 identification against the thin SVD of the descriptor matrices
-(``svd_form_identify``).
+(``svd_form_identify``).  ``eigh_form_fit`` is the Gram-form refit as it
+is at every d > 1, with every Gram through ``eigh_stack`` and the radius
+through ``eigvals``: the oracle of the refit's d = 1 shortcuts, which must
+reproduce it bit for bit.
 """
 
 import itertools
@@ -32,6 +35,7 @@ from brickbg.subspace import (
     UNIT_RADIUS_BAND,
     InsufficientData,
     ModelBucket,
+    _gram_spectrum,
     fit_dynamics_stack,
     identify_stack,
     learn_initial,
@@ -432,6 +436,136 @@ def test_gram_refit_counts_exact_residual_rank():
     a, b, _, d_eps = fit_dynamics_stack(states, 0.0)
     assert np.abs(np.linalg.eigvals(a[0])).max() < 0.999     # not snapped
     assert d_eps[0] == 4 and (b[0, :, 4] == 0.0).all()
+
+
+# --- d = 1 shortcuts against the general Gram form ---------------------------
+
+
+def eigh_gram_spectrum(gram):
+    """``_gram_spectrum`` as it is at every size above 1 x 1."""
+    mu, vecs = linalg.eigh_stack(gram)
+    return np.where(mu > GRAM_RTOL * mu[:, :1], mu, 0.0), vecs
+
+
+def eigh_form_fit(states, t_deps, observed=None):
+    """The Gram-form refit with no d = 1 shortcut: both Grams through
+    ``eigh_stack`` and the spectral radius through ``eigvals`` at every d."""
+    g, k, d = states.shape
+    if k < 2:
+        raise InsufficientData("need at least 2 states to fit dynamics")
+    z = np.swapaxes(states, 1, 2)
+    z1 = z[:, :, :-1]
+    z2 = z[:, :, 1:]
+    z1t = np.swapaxes(z1, 1, 2)
+    g11 = z1 @ z1t
+    mu, v = eigh_gram_spectrum(g11)
+    g21v = z2 @ z1t @ v
+    live = mu[:, None, :] > 0.0
+    a = np.divide(g21v, mu[:, None, :], out=np.zeros_like(g21v), where=live) @ np.swapaxes(v, 1, 2)
+    fitted = a @ z1
+    rough = z2 - fitted
+    radius = np.abs(np.linalg.eigvals(a)).max(axis=1)
+    scale_norm = np.maximum(
+        np.sqrt(np.trace(g11, axis1=1, axis2=2)), np.finfo(np.float64).tiny
+    )
+    rough_norm = np.sqrt(np.einsum("gij,gij->g", rough, rough))
+    tolerance = np.minimum(
+        np.divide(rough_norm, scale_norm, out=np.ones_like(rough_norm),
+                  where=rough_norm <= scale_norm),
+        UNIT_RADIUS_BAND,
+    )
+    snap = radius >= 1.0 - tolerance
+    divisor = np.where(snap & (radius > 0), radius, 1.0)
+    a = a / divisor[:, None, None]
+    fitted /= divisor[:, None, None]
+    resid = np.subtract(z2, fitted, out=rough)
+    real = np.ones((g, k), dtype=bool) if observed is None else np.asarray(observed, dtype=bool)
+    if real.shape != (g, k):
+        raise ValueError(f"observed must be shaped {(g, k)}, got {real.shape}")
+    resid *= real[:, None, 1:]
+    n_eff = real[:, 1:].sum(axis=1)
+    mu, u = eigh_gram_spectrum(resid @ np.swapaxes(resid, 1, 2))
+    s = np.sqrt(mu)
+    magnitude = np.maximum(states.max(axis=(1, 2)), -states.min(axis=(1, 2)))
+    floor = EXACT_DYNAMICS_RTOL * np.maximum(magnitude, np.finfo(np.float64).tiny)
+    top = s[:, 0]
+    counted = select_dims(s, t_deps * top[:, None])
+    d_eps = np.where(top > floor, counted, 0).astype(np.int64)
+    keep = np.arange(d)[None, :] < d_eps[:, None]
+    scale = np.where(
+        keep, s / np.sqrt(np.maximum(n_eff, 1))[:, None], 0.0
+    )
+    b = u * scale[:, None, :]
+    inv = np.divide(1.0, scale, out=np.zeros_like(scale), where=scale > 0.0)
+    b_pinv = inv[:, :, None] * np.swapaxes(u, 1, 2)
+    return a, b, b_pinv, d_eps
+
+
+# Zero, subnormal, normal and near-overflow magnitudes.
+EXTREMES = np.array([0.0, 5e-324, 1e-310, np.finfo(np.float64).tiny, 1e-200, 1e-150,
+                     1.0 / 3.0, 1.0, 7e150, 1e200, 1e308, np.finfo(np.float64).max])
+
+
+def test_one_by_one_gram_spectrum_is_eigh_stack_bit_for_bit():
+    """A (g, 1, 1) Gram skips ``eigh_stack`` and gives what it gives: the
+    eigenvalue and the +1 eigenvector of ``dsyevd``'s N = 1 case."""
+    for gram in (EXTREMES, -EXTREMES):
+        gram = gram.reshape(-1, 1, 1)
+        seen = []
+
+        def counted(a, *args, _call=np.linalg.eigh, **kwargs):
+            seen.append(a.shape)
+            return _call(a, *args, **kwargs)
+
+        want_mu, want_vecs = eigh_gram_spectrum(gram)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np.linalg, "eigh", counted)
+            mu, vecs = _gram_spectrum(gram)
+        assert seen == []
+        assert mu.dtype == want_mu.dtype and np.array_equal(mu, want_mu)
+        assert vecs.dtype == want_vecs.dtype and np.array_equal(vecs, want_vecs)
+
+
+def test_one_by_one_radius_is_eigvals_bit_for_bit():
+    """The d = 1 refit takes |A| as the spectral radius; ``eigvals`` of a
+    1 x 1 matrix returns its entry exactly, at every magnitude."""
+    a = np.concatenate([EXTREMES, -EXTREMES]).reshape(-1, 1, 1)
+    radius = np.abs(np.linalg.eigvals(a)).max(axis=1)
+    assert radius.dtype == np.float64 and np.array_equal(radius, np.abs(a[:, 0, 0]))
+
+
+def test_refit_matches_the_general_gram_form_bit_for_bit():
+    """At d = 1 the refit calls no LAPACK routine and gives the general
+    Gram form's A, B, B+ and d_eps bit for bit, on every oracle ring kind
+    and on sign-alternating rings (a negative map, snapped or decaying),
+    with and without synthesized states, and on rings scaled toward both
+    ends of the range; at d > 1 it is the general form."""
+    for d, k in itertools.product(range(1, 4), (2, 3, 10, 60)):
+        gen = np.random.default_rng(3000 + 10 * d + k)
+        rings = oracle_rings(gen, k, d)
+        rings["alternating"] = np.stack([
+            50.0 * (-1.0) ** np.arange(k), 30.0 * (-0.5) ** np.arange(k)
+        ])[:, :, None] + 0.5 * gen.normal(size=(2, k, d))
+        for kind, states in rings.items():
+            g = states.shape[0]
+            flags = gen.random(size=(g, k)) < 0.7
+            for scale, observed, t_deps in itertools.product(
+                (1.0, 1e-150, 1e150), (None, flags), (0.0, 0.5)
+            ):
+                case = (d, k, kind, scale, observed is not None, t_deps)
+                ring = scale * states
+                want = eigh_form_fit(ring, t_deps, observed)
+                seen = []
+                with pytest.MonkeyPatch.context() as patch:
+                    for name in ("eigh", "eigvals"):
+                        def counted(a, *args, _call=getattr(np.linalg, name), **kwargs):
+                            seen.append(a.shape)
+                            return _call(a, *args, **kwargs)
+                        patch.setattr(np.linalg, name, counted)
+                    got = fit_dynamics_stack(ring, t_deps, observed)
+                assert (seen == []) == (d == 1), case
+                for x, y in zip(got, want):
+                    assert x.dtype == y.dtype and np.array_equal(x, y), case
 
 
 # --- Gram-form identification against the SVD-form oracle -------------------
