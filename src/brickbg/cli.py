@@ -202,10 +202,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (FrameFormatError, InsufficientData, NumericalFailure) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return RUNTIME_ERROR
-    except OSError as exc:
+    except (FrameFormatError, InsufficientData, NumericalFailure, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return RUNTIME_ERROR
 

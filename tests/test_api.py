@@ -1,6 +1,7 @@
-"""Public surface: every exported name exists, every script imports, the
-occlusion trace runs end to end, and the README's scene kinds, imports and
-commands match the package."""
+"""Public surface: a module loads only the brickbg modules it needs and
+imports nothing it never reads, every script imports, the occlusion trace
+runs end to end, and the README's scene kinds, imports and commands match
+the package."""
 
 import ast
 import importlib
@@ -15,7 +16,6 @@ from pathlib import Path
 
 import pytest
 
-import brickbg
 from brickbg import cli, synth
 from brickbg.config import EngineConfig, config_from_mapping, parse_kv_text
 
@@ -23,20 +23,45 @@ ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
-def test_every_exported_name_resolves():
-    missing = [name for name in brickbg.__all__ if not hasattr(brickbg, name)]
-    assert not missing
-    assert len(set(brickbg.__all__)) == len(brickbg.__all__)
+def fresh_python(code: str) -> str:
+    """Stdout of ``code`` run in a new interpreter that imports this checkout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=60, check=True)
+    return out.stdout.strip()
 
 
 def test_importing_the_package_loads_numpy_only():
     # scipy is a test dependency only
-    code = ("import sys, brickbg, brickbg.cli\n"
-            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         timeout=60, check=True)
-    assert out.stdout.strip() == "[]"
+    assert fresh_python("import sys, brickbg, brickbg.cli\n"
+                        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))") == "[]"
+
+
+@pytest.mark.parametrize("module", ["brickbg.imageio", "brickbg.evaluation"])
+def test_a_module_imports_alone(module):
+    """The package namespace imports nothing, so a module that needs no
+    other brickbg module, as frame I/O and scoring do not, loads alone."""
+    loaded = fresh_python(f"import sys, {module}\n"
+                          "print(' '.join(sorted(name for name in sys.modules if name.startswith('brickbg.'))))")
+    assert loaded == module
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    """The project runs no linter; this is its unused-import check."""
+    unused = []
+    for path in sorted((ROOT / "src" / "brickbg").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [f"{path.name}:{node.lineno} {name}" for name in bound if name not in read]
+    assert not unused
 
 
 def load_script(script: Path):

@@ -200,7 +200,7 @@ def test_batch_descriptors_rejects_frames_off_the_grid(shape):
             batch_descriptors(geometry, np.zeros(shape), mode, 0.2)
 
 
-def test_assemble_masks_matches_per_pixel_loop():
+def test_frame_masks_read_through_owner_index():
     """Every frame voxel takes the voxel mask of its owning cell, also where
     the inward-anchored edge bricks overlap their neighbours; ``step`` reads
     frame f's mask as ``owner_index`` taken from the cells' frame-f masks."""
