@@ -6,8 +6,8 @@ Subcommands::
     brickbg eval   --truth DIR (--pred DIR | --sweep DIR) [--report FILE]
     brickbg synth  --scene FILE --output DIR [--truth DIR]
 
-``run`` prints the frame count, grid, mode, stride and throughput, then the
-per-stage time totals of ``EngineState.timings``.
+``run`` prints one line: the frame count, grid, mode, stride and throughput
+(then the scores, given ``--truth``).
 
 ``run`` holds the clip, its truth and its masks once each, and ``eval`` the
 truth and the predictions once each: a sequence is loaded by reading each
@@ -23,12 +23,12 @@ Every destination is checked before anything is written (by ``run``, before
 segmenting; by ``synth``, before rendering): one directory for ``synth``'s
 frames and truth, or for ``run``'s masks and truth, exits 2, and one that is
 (or lies under) a file, or holds frame files the write would leave in place,
-exits 3.  An input, truth or prediction that is neither a frame directory nor
-a UTF-8 manifest exits 3, and a config or scene that is not UTF-8 text exits
-2.  ``run`` also loads its truth before segmenting and checks that it holds
-one mask per frame: a missing or mis-shaped truth exits 3 with no mask
-written.  ``run`` and ``eval`` refuse (exit 3) a ``--report`` path that is a
-directory or whose directory is missing before they load anything.
+exits 3.  An input, truth or prediction that is not a frame directory exits
+3, and a config or scene that is not UTF-8 text exits 2.  ``run`` also loads
+its truth before segmenting and checks that it holds one mask per frame: a
+missing or mis-shaped truth exits 3 with no mask written.  ``run`` and
+``eval`` refuse (exit 3) a ``--report`` path that is a directory or whose
+directory is missing before they load anything.
 """
 
 from __future__ import annotations
@@ -97,8 +97,6 @@ def _cmd_run(args) -> int:
         f"({state.geometry.grid_w}x{state.geometry.grid_h} bricks, {config.mode}, "
         f"stride {config.effective_stride}) in {elapsed:.2f}s ({fps:.1f} fps)"
     )
-    totals = sorted(state.timings.items())
-    print("stage totals: " + "  ".join(f"{stage} {seconds:.3f}s" for stage, seconds in totals))
     if truth is not None:
         _print_scores(masks, truth, args.report)
     return 0
@@ -143,8 +141,6 @@ def _cmd_synth(args) -> int:
     if args.truth and Path(args.output).resolve() == Path(args.truth).resolve():
         raise ConfigError("--output and --truth name the same directory")
     scene = load_scene(args.scene)
-    if not scene.quantize:
-        raise ConfigError("synth writes 8-bit frames; the scene must set quantize = true")
     check_destination(args.output, scene.frame_count, scene.channels)
     if args.truth:
         check_destination(args.truth, scene.frame_count, prefix="mask")
@@ -165,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="segment a frame sequence and write masks")
-    run.add_argument("--input", required=True, help="frame directory or manifest file")
+    run.add_argument("--input", required=True, help="directory of numbered PGM/PPM frames")
     run.add_argument("--output", required=True, help="directory for mask images")
     run.add_argument("--truth", help="optional truth masks to score against")
     run.add_argument("--report", help="optional CSV report path (needs --truth)")

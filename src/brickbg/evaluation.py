@@ -87,16 +87,3 @@ def write_report(path, report: EvalReport, points=None):
             for recall, precision in points:
                 writer.writerow([f"{recall:.6f}", f"{precision:.6f}"])
 
-
-def read_report(path):
-    """Read back a CSV report: (EvalReport, list of (recall, precision))."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if len(rows) < 2 or rows[0][:3] != ["tp", "fp", "fn"]:
-        raise ValueError(f"{path}: not a report file")
-    tally = rows[1]
-    report = EvalReport(int(tally[0]), int(tally[1]), int(tally[2]))
-    points = []
-    if len(rows) > 2 and rows[2][:1] == ["recall"]:
-        points = [(float(row[0]), float(row[1])) for row in rows[3:] if row]
-    return report, points

@@ -19,32 +19,13 @@ class FrameFormatError(ValueError):
 
 _FRAME_RE = re.compile(r"(\d+)\.(pgm|ppm)$", re.IGNORECASE)
 
-
-def _read_header_tokens(data: bytes, count: int):
-    """First ``count`` whitespace-separated tokens after the two-byte magic,
-    skipping '#' comments; returns (tokens, offset of the byte after the
-    single whitespace that terminates the last token)."""
-    tokens = []
-    i = 2
-    n = len(data)
-    while len(tokens) < count:
-        while i < n and data[i : i + 1].isspace():
-            i += 1
-        if i < n and data[i : i + 1] == b"#":
-            while i < n and data[i : i + 1] not in (b"\n", b"\r"):
-                i += 1
-            continue
-        start = i
-        while i < n and not data[i : i + 1].isspace():
-            i += 1
-        if start == i:
-            raise FrameFormatError("truncated header")
-        tokens.append(data[start:i])
-        if len(tokens) == count:
-            if i >= n:
-                raise FrameFormatError("missing pixel data")
-            i += 1  # exactly one whitespace byte separates header from raster
-    return tokens, i
+# The magic, then width, height and maxval.  A token ends at whitespace or at
+# a '#', which starts a comment running to the end of its line.  One
+# whitespace byte, or a comment and the newline that ends it, separates
+# maxval from the raster.
+_COMMENT = rb"#[^\r\n]*(?![^\r\n])"
+_TOKEN = rb"(?:\s|%s)+([^\s#]+)" % _COMMENT
+_HEADER_RE = re.compile(rb"P[56]" + _TOKEN * 3 + rb"(?:%s)?\s" % _COMMENT)
 
 
 def read_image(path) -> np.ndarray:
@@ -58,9 +39,11 @@ def read_image(path) -> np.ndarray:
     if data[:2] not in (b"P5", b"P6"):
         raise FrameFormatError(f"{path}: not a binary PGM/PPM file")
     channels = 1 if data[:2] == b"P5" else 3
-    tokens, offset = _read_header_tokens(data, 3)
+    header = _HEADER_RE.match(data)
+    if header is None:
+        raise FrameFormatError(f"{path}: truncated header or missing pixel data")
     try:
-        width, height, maxval = (int(t) for t in tokens)
+        width, height, maxval = (int(t) for t in header.groups())
     except ValueError:
         raise FrameFormatError(f"{path}: non-numeric header field") from None
     if width < 1 or height < 1:
@@ -68,10 +51,12 @@ def read_image(path) -> np.ndarray:
     if not 0 < maxval <= 255:
         raise FrameFormatError(f"{path}: unsupported maxval {maxval}")
     expect = width * height * channels
-    raster = memoryview(data)[offset : offset + expect]
+    raster = memoryview(data)[header.end() : header.end() + expect]
     if len(raster) != expect:
         raise FrameFormatError(f"{path}: expected {expect} pixel bytes, got {len(raster)}")
     arr = np.frombuffer(raster, dtype=np.uint8)
+    if maxval < 255 and arr.max() > maxval:
+        raise FrameFormatError(f"{path}: raster value {arr.max()} above maxval {maxval}")
     if channels == 1:
         return arr.reshape(height, width)
     return arr.reshape(height, width, 3)
@@ -109,7 +94,7 @@ def list_frames(directory):
     """Sorted frame paths in a directory, validated to count 1..N."""
     directory = Path(directory)
     if not directory.is_dir():
-        raise FrameFormatError(f"{directory}: not a directory")
+        raise FrameFormatError(f"cannot read {directory}: not a directory")
     paths = [p for p in directory.iterdir() if _FRAME_RE.search(p.name)]
     if not paths:
         raise FrameFormatError(f"{directory}: no PGM/PPM frames found")
@@ -122,26 +107,11 @@ def list_frames(directory):
     return paths
 
 
-def _sequence(source):
-    """Image paths of a frame directory, or of a manifest text file listing
-    one image path per line (relative paths resolve against the manifest's
-    directory), and the shape of the first image, which the loaders read
-    again into its row so that they hold no image across their loop."""
-    source = Path(source)
-    if source.is_dir():
-        paths = list_frames(source)
-    else:
-        try:
-            lines = source.read_text(encoding="utf-8").splitlines()
-        except (OSError, UnicodeDecodeError) as exc:     # an image file is not a manifest
-            raise FrameFormatError(f"cannot read {source}: {exc}") from None
-        paths = [
-            (source.parent / line.strip())
-            for line in lines
-            if line.strip() and not line.strip().startswith("#")
-        ]
-        if not paths:
-            raise FrameFormatError(f"{source}: empty manifest")
+def _sequence(directory):
+    """Frame paths of a directory and the shape of the first frame, which
+    the loaders read again into its row so that they hold no image across
+    their loop."""
+    paths = list_frames(directory)
     return paths, read_image(paths[0]).shape
 
 
@@ -153,15 +123,13 @@ def _read_like(path, shape) -> np.ndarray:
     return image
 
 
-def load_frames(source) -> np.ndarray:
-    """Load a frame sequence as (F, H, W, channels) uint8.
+def load_frames(directory) -> np.ndarray:
+    """Load a directory of numbered frames as (F, H, W, channels) uint8.
 
-    ``source`` is a directory of numbered frames or a manifest text file
-    listing one image path per line (relative paths resolve against the
-    manifest's directory).  Each file is read into its row of the result,
-    and no other image is held meanwhile.
+    Each file is read into its row of the result, and no other image is
+    held meanwhile.
     """
-    paths, shape = _sequence(source)
+    paths, shape = _sequence(directory)
     channels = shape[2] if len(shape) == 3 else 1
     frames = np.empty((len(paths), *shape[:2], channels), dtype=np.uint8)
     for row, path in zip(frames, paths):
@@ -206,7 +174,7 @@ def _write_sequence(directory, images, count: int, channels: int, prefix: str):
     return paths
 
 
-def write_frames(directory, frames: np.ndarray, prefix: str = "frame"):
+def write_frames(directory, frames: np.ndarray):
     """Write (F, H, W[, 1|3]) uint8 frames as numbered files from 1, once
     ``check_destination`` passes; no file is deleted.  A stack of another
     dtype or shape is refused before the directory is checked or made."""
@@ -216,7 +184,7 @@ def write_frames(directory, frames: np.ndarray, prefix: str = "frame"):
     channels = frames.shape[3] if frames.ndim == 4 else 1
     if frames.ndim not in (3, 4) or channels not in (1, 3) or 0 in frames.shape:
         raise FrameFormatError(f"cannot write frames of shape {frames.shape}")
-    return _write_sequence(directory, frames, len(frames), channels, prefix)
+    return _write_sequence(directory, frames, len(frames), channels, "frame")
 
 
 def write_masks(directory, masks: np.ndarray):
@@ -232,10 +200,10 @@ def write_masks(directory, masks: np.ndarray):
     return _write_sequence(directory, gray, len(masks), 1, "mask")
 
 
-def load_masks(source) -> np.ndarray:
-    """Load a mask sequence as (F, H, W) bool (any non-zero channel =
-    foreground), each file converted into its row of the result."""
-    paths, shape = _sequence(source)
+def load_masks(directory) -> np.ndarray:
+    """Load a directory of numbered masks as (F, H, W) bool (any non-zero
+    channel = foreground), each file converted into its row of the result."""
+    paths, shape = _sequence(directory)
     masks = np.empty((len(paths), *shape[:2]), dtype=bool)
     for mask, path in zip(masks, paths):
         np.any(_read_like(path, shape).reshape(*shape[:2], -1), axis=-1, out=mask)

@@ -75,7 +75,7 @@ frames ``initialize`` and ``step`` read, the frame size in
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 
 import numpy as np
@@ -181,10 +181,8 @@ class EngineState:
     state dimension in each ``grid_parts`` part, listed part by part.
     ``aux_mean`` is the (H, W, C) running per-pixel background mean that
     refines flagged ``cs_stltp`` bricks; it is ``None`` in ``rgb``.
-    ``steps`` counts the windows ``step`` has consumed.  ``timings`` is the
-    running sum of every step's ``StepResult.timings``, key by key, so the
-    stages summed over concurrent items can exceed the wall time; its one
-    reader is the ``stage totals:`` line of ``brickbg run``.
+    Each step's stage times are in its ``StepResult.timings``; the state
+    keeps no running sum of them.
     """
 
     config: EngineConfig
@@ -192,8 +190,6 @@ class EngineState:
     channels: int
     buckets: list
     aux_mean: np.ndarray | None
-    steps: int = 0
-    timings: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -635,9 +631,6 @@ def step(state: EngineState, window) -> StepResult:
     timings["assembly"] = gained + time.perf_counter() - tick + sum(a for a, _ in finished)
     timings["postprocess"] = sum(p for _, p in finished)
 
-    state.steps += 1
-    for key, value in timings.items():
-        state.timings[key] = state.timings.get(key, 0.0) + value
     return StepResult(
         masks=cleaned,
         raw_masks=frame_masks,

@@ -82,7 +82,7 @@ class SceneScript:
     gain: float = 1.0
     gain_frame: int = 0
     gain_ramp: int = 0          # frames to ramp from 1.0 to gain; 0 = step
-    quantize: bool = True
+    quantize: bool = True      # not a script key: float64 frames are for Python callers
     objects: list = field(default_factory=list)
 
     def __post_init__(self):
@@ -259,11 +259,6 @@ def parse_scene_text(text: str) -> SceneScript:
             kwargs[key] = _to_float(key, value)
         elif key == "base":
             kwargs["base_kind"] = value
-        elif key == "quantize":
-            lowered = value.lower()
-            if lowered not in ("true", "false", "1", "0", "yes", "no"):
-                raise ConfigError(f"quantize must be boolean, got {value!r}")
-            kwargs["quantize"] = lowered in ("true", "1", "yes")
         else:
             raise ConfigError(f"unknown scene key {key!r}")
 

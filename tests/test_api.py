@@ -47,9 +47,10 @@ def test_a_module_imports_alone(module):
 
 
 def test_no_module_imports_a_name_it_never_reads():
-    """The project runs no linter; this is its unused-import check."""
+    """The project runs no linter; this is its unused-import check, over the
+    package and the scripts."""
     unused = []
-    for path in sorted((ROOT / "src" / "brickbg").glob("*.py")):
+    for path in [*sorted((ROOT / "src" / "brickbg").glob("*.py")), *SCRIPTS]:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         read = {node.id for node in ast.walk(tree)
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
@@ -60,7 +61,8 @@ def test_no_module_imports_a_name_it_never_reads():
                 bound = [alias.asname or alias.name for alias in node.names]
             else:
                 continue
-            unused += [f"{path.name}:{node.lineno} {name}" for name in bound if name not in read]
+            unused += [f"{path.relative_to(ROOT)}:{node.lineno} {name}"
+                       for name in bound if name not in read]
     assert not unused
 
 

@@ -1,5 +1,6 @@
 """Mask scoring against exact rational arithmetic."""
 
+import csv
 import tracemalloc
 from fractions import Fraction
 
@@ -12,7 +13,6 @@ from brickbg.evaluation import (
     EvalReport,
     evaluate,
     per_frame_fscores,
-    read_report,
     write_report,
 )
 
@@ -141,26 +141,30 @@ def test_per_frame_fscores():
 # --- report files ----------------------------------------------------------------
 
 
+HEADER = ["tp", "fp", "fn", "precision", "recall", "fscore"]
+
+
+def report_rows(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.reader(fh))
+
+
 def test_report_round_trip(tmp_path):
     report = EvalReport(1200, 34, 56)
     points = [(0.9, 0.8), (0.5, 0.99)]
     path = tmp_path / "report.csv"
     write_report(path, report, points)
-    back, back_points = read_report(path)
-    assert back == report
-    assert back_points == pytest.approx(points)
+    rows = report_rows(path)
+    assert rows[:3] == [
+        HEADER,
+        ["1200", "34", "56", f"{report.precision:.6f}", f"{report.recall:.6f}",
+         f"{report.fscore:.6f}"],
+        ["recall", "precision"],
+    ]
+    assert [(float(r), float(p)) for r, p in rows[3:]] == pytest.approx(points)
 
 
 def test_report_without_sweep(tmp_path):
     path = tmp_path / "report.csv"
     write_report(path, EvalReport(1, 2, 3))
-    back, points = read_report(path)
-    assert back == EvalReport(1, 2, 3)
-    assert points == []
-
-
-def test_read_report_rejects_other_files(tmp_path):
-    path = tmp_path / "other.csv"
-    path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(ValueError, match="not a report"):
-        read_report(path)
+    assert report_rows(path) == [HEADER, ["1", "2", "3", "0.333333", "0.250000", "0.285714"]]

@@ -71,6 +71,28 @@ def test_header_comments_and_whitespace(tmp_path):
     assert np.array_equal(img.reshape(-1), np.frombuffer(raster, np.uint8))
 
 
+@pytest.mark.parametrize("header", [b"P5\n3#c\n2 255\n", b"P5\n3 2\n255#c\n"],
+                         ids=["after-width", "after-maxval"])
+def test_header_comment_right_after_a_token(tmp_path, header):
+    """A '#' ends a token as whitespace does; a comment after maxval ends at
+    its newline, and that newline is the byte before the raster.  Both used
+    to be read as part of the token: "non-numeric header field"."""
+    raster = bytes([10, 1, 2, 3, 4, 5])
+    path = tmp_path / "comment.pgm"
+    path.write_bytes(header + raster)
+    assert np.array_equal(read_image(path), np.frombuffer(raster, np.uint8).reshape(2, 3))
+
+
+def test_raster_above_maxval_is_refused(tmp_path):
+    """A raster byte above the header's maxval used to be returned as is."""
+    path = tmp_path / "over.pgm"
+    path.write_bytes(b"P5\n2 1\n15\n\x00\xc8")
+    with pytest.raises(FrameFormatError, match=r"over\.pgm: raster value 200 above maxval 15"):
+        read_image(path)
+    path.write_bytes(b"P5\n2 1\n15\n\x00\x0f")          # maxval itself is in range
+    assert read_image(path).tolist() == [[0, 15]]
+
+
 def test_raster_starts_after_single_whitespace(tmp_path):
     # The byte right after the maxval terminator belongs to the raster even
     # when it looks like whitespace (pixel value 10 == newline).
@@ -159,43 +181,20 @@ def test_list_frames_rejects_empty_or_missing(tmp_path):
         list_frames(tmp_path / "nowhere")
 
 
-def test_load_frames_manifest(tmp_path, gray):
-    sub = tmp_path / "imgs"
-    sub.mkdir()
-    write_image(sub / "a.pgm", gray)
-    write_image(sub / "b.pgm", gray + np.uint8(1))
-    manifest = tmp_path / "list.txt"
-    manifest.write_text("# comment\nimgs/a.pgm\n\nimgs/b.pgm\n")
-    frames = load_frames(manifest)
-    assert frames.shape == (2, 6, 9, 1)
-    assert np.array_equal(frames[1, ..., 0], gray + np.uint8(1))
-
-
-def test_load_frames_empty_manifest(tmp_path):
-    manifest = tmp_path / "list.txt"
-    manifest.write_text("# nothing here\n")
-    with pytest.raises(FrameFormatError, match="empty manifest"):
-        load_frames(manifest)
-
-
 @pytest.mark.parametrize("load", [load_frames, load_masks], ids=lambda f: f.__name__)
 @pytest.mark.parametrize("mix", ["size", "channels"])
-@pytest.mark.parametrize("listing", ["directory", "manifest"])
+@pytest.mark.parametrize("listing", ["directory"])       # the one sequence kind
 def test_load_frames_inconsistent_shapes(tmp_path, gray, load, mix, listing):
-    """Both loaders refuse a sequence whose images differ in size or in
-    P5/P6 kind, naming the two shapes, from a directory or a manifest."""
+    """Both loaders refuse a frame directory whose images differ in size or
+    in P5/P6 kind, naming the two shapes."""
     other = gray[:4] if mix == "size" else np.repeat(gray[..., None], 3, axis=2)
     sub = tmp_path / "imgs"
     sub.mkdir()
     write_image(sub / "frame_000001.pgm", gray)
     write_image(sub / f"frame_000002.{'pgm' if other.ndim == 2 else 'ppm'}", other)
-    source = sub
-    if listing == "manifest":
-        source = tmp_path / "list.txt"
-        source.write_text("\n".join(f"imgs/{p.name}" for p in sorted(sub.iterdir())) + "\n")
     shapes = sorted({gray.shape, other.shape})
     with pytest.raises(FrameFormatError, match=re.escape(f"inconsistent frame shapes: {shapes}")):
-        load(source)
+        load(sub)
 
 
 def test_loaders_hold_the_sequence_once(tmp_path, rng):

@@ -473,7 +473,8 @@ def test_step_masks_and_labels_are_consistent():
     assert result.raw_masks.shape == (5, 8, 12)
     assert not (result.masks & ~result.raw_masks).any()   # cleaning only removes
     assert result.brick_background.shape == (2, 3)
-    assert state.steps == 1
+    # one window stepped: each cell holds its four seeded states and one more
+    assert {bucket.states.shape[1] for bucket in state.buckets} == {5}
     assert set(result.timings) == {
         "descriptors", "segmentation", "maintenance", "assembly", "postprocess",
     }
@@ -587,7 +588,7 @@ def test_engine_step_equals_single_model_mirror(mode, history):
     cells = [(0, 0), (2, 0), (1, 1)]
     mirrors = {cell: model_at(state, *cell) for cell in cells}
 
-    for window, painted_window in ((painted, True), (video[25:30], False)):
+    for stepped, (window, painted_window) in enumerate(((painted, True), (video[25:30], False)), 1):
         volume = window.astype(np.float64)
         labels = {}
         for gx, gy in cells:
@@ -602,7 +603,7 @@ def test_engine_step_equals_single_model_mirror(mode, history):
             background, voxel_mask = labels[gx, gy]
             assert background == result.brick_background[gy, gx]
             assert after.states.shape == mirrored.states.shape
-            assert after.states.shape[1] == min(history, 4 + state.steps)
+            assert after.states.shape[1] == min(history, 4 + stepped)
             for key in ("c", "lam", "a", "b", "states"):
                 assert np.allclose(getattr(after, key), getattr(mirrored, key), atol=1e-8), (gx, gy, key)
             assert np.array_equal(after.d_eps, mirrored.d_eps)
@@ -782,6 +783,9 @@ def test_frames_of_other_dtypes_are_refused(mode):
     frames, _ = render(load_scene(SCENES / "occlusion.scene"))
     config = EngineConfig(mode=mode)
     state = initialize(frames[:50], config)
+    held = [{f.name: getattr(bucket, f.name).copy() for f in fields(bucket)}
+            for bucket in state.buckets]
+    aux_mean = None if state.aux_mean is None else state.aux_mean.copy()
     for dtype in (np.complex128, object):
         odd = frames[:65].astype(dtype)
         odd[60, 10, 10] = np.inf
@@ -789,7 +793,15 @@ def test_frames_of_other_dtypes_are_refused(mode):
             initialize(odd, config)
         with pytest.raises(FrameFormatError, match="bool, integer or float"):
             step(state, odd[60:65])
-    assert state.steps == 0
+    # the refused windows changed no model array and no pixel mean
+    assert len(state.buckets) == len(held)
+    for bucket, arrays in zip(state.buckets, held):
+        for name, before in arrays.items():
+            assert np.array_equal(getattr(bucket, name), before), name
+    if aux_mean is None:
+        assert state.aux_mean is None
+    else:
+        assert np.array_equal(state.aux_mean, aux_mean)
 
 
 @pytest.mark.parametrize("bad", [-1.0, np.nan])
@@ -931,13 +943,26 @@ def test_pixel_gate_ignores_gain_outside_band():
 # --- streaming ------------------------------------------------------------------------
 
 
-def test_process_video_shapes_and_init_frames():
+@pytest.fixture
+def step_calls(monkeypatch):
+    """The windows ``process_video`` passes to ``pipeline.step``, in order."""
+    windows = []
+
+    def counted(state, window):
+        windows.append(window)
+        return step(state, window)
+
+    monkeypatch.setattr(pipeline, "step", counted)
+    return windows
+
+
+def test_process_video_shapes_and_init_frames(step_calls):
     video, _ = noisy_video(38, 8, 12, seed=8)
     config = EngineConfig(init_frames=20)
     masks, state = process_video(video, config)
     assert masks.shape == (38, 8, 12)
     assert not masks[:20].any()                 # init frames are background
-    assert state.steps == 4                     # 18 streamed frames, tail padded
+    assert len(step_calls) == 4                 # 18 streamed frames, tail padded
 
 
 def test_process_video_tail_padding_emits_all_frames():
@@ -950,12 +975,12 @@ def test_process_video_tail_padding_emits_all_frames():
     assert masks[24:, 0:4, 0:4].any()
 
 
-def test_process_video_stride_one():
+def test_process_video_stride_one(step_calls):
     video, _ = noisy_video(26, 8, 8, seed=10)
     config = EngineConfig(init_frames=20, stride=1)
-    masks, state = process_video(video, config)
+    masks, _ = process_video(video, config)
     assert masks.shape == (26, 8, 8)
-    assert state.steps == 6                     # one window per frame offset
+    assert len(step_calls) == 6                 # one window per frame offset
 
 
 def test_process_video_grayscale_without_channel_axis():

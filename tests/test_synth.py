@@ -311,7 +311,7 @@ def test_parse_scene_text_full():
     ("widht = 3", "unknown scene key"),
     ("width = wide", "integer"),
     ("noise_sigma = soft", "number"),
-    ("quantize = maybe", "boolean"),
+    ("quantize = false", "unknown scene key"),   # float frames are set from Python only
     ("box.size = 8x6\nbox.colour = 3\nbox.color = 3\nbox.start = 0,0", "unknown keys"),
     ("box.size = 8x6", "missing"),
     ("box.size = 86\nbox.color = 3\nbox.start = 0,0", "WxH"),
